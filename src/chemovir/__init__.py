@@ -2,7 +2,6 @@
 saturated chemotaxis on boxes with no-flux boundaries."""
 
 from .discretization import (
-    ConvergenceError,
     FaceVelocity,
     chemotaxis_divergence,
     face_gradient,
@@ -44,7 +43,7 @@ from .sweep import SweepResult, SweepRow, SweepSpec, initial_condition_preset, r
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundednessVerdict", "Coefficients", "ConvergenceError", "DiagnosticsRecord",
+    "BoundednessVerdict", "Coefficients", "DiagnosticsRecord",
     "EnergyExponent", "ExponentInfeasibleError", "FaceVelocity", "Grid",
     "NegativityDetected", "Params", "RunResult", "State", "StepControl",
     "SweepResult", "SweepRow", "SweepSpec", "UnstableRunError",

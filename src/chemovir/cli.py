@@ -11,7 +11,6 @@ import os
 import sys
 
 from .config import Config, ConfigError, load_config
-from .discretization import ConvergenceError
 from .grid import write_snapshot
 from .model import alpha_threshold
 from .monitors import write_diagnostics_csv
@@ -99,6 +98,7 @@ def _cmd_sweep(args) -> int:
         alphas=config.sweep.alphas,
         grid=config.grid,
         kappa=config.params.kappa,
+        coeffs=config.params.coeffs,
         seeds=config.sweep.seeds,
         preset=config.preset.name,
         t_end=config.t_end,
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except (UnstableRunError, ConvergenceError) as error:
+    except UnstableRunError as error:
         print(f"numerical abort: {error}", file=sys.stderr)
         return 3
 

@@ -3,10 +3,13 @@
 Every provable statement about the continuum system that survives
 discretisation becomes a pure function of diagnostic records here:
 
-* the exact total-mass identity  int(u) + int(v) = e^{-t} M0 + kappa|O|(1-e^{-t}),
-  a consequence of the u*w conversion terms cancelling;
-* the one-sided mass bound  int(u) <= e^{-t} int(u0) + kappa|O|(1-e^{-t});
-* the analogous bound on int(v) with the combined initial mass;
+* the exact total-mass identity  int(u) + int(v) = e^{-d t} M0 + kappa|O|(1-e^{-d t})/d,
+  a consequence of the u*w conversion terms cancelling, when u and v share
+  the decay rate d (NaN otherwise);
+* the one-sided mass bound  int(u) <= e^{-d t} int(u0) + kappa|O|(1-e^{-d t})/d
+  with d the decay rate of u;
+* the analogous bound on int(v) with the combined initial mass and d the
+  smaller decay rate of u and v;
 * the quasi-energy  F = (1/p) int(u^p) + ((p+3)/4) int(v^2) + int(|grad w|^2),
   whose differential inequality forces a plateau for admissible p.
 
@@ -74,31 +77,41 @@ def quasi_energy(state: State, p: float, grid: Grid) -> float:
     return term_u + term_v + grad_norm_sq(state.w, grid)
 
 
-def mass_identity_residual(mass_u: float, mass_v: float, t: float,
-                           initial_mass_uv: float, kappa: float, volume: float) -> float:
-    """Signed defect of the exact total-mass identity at time t."""
+def _relaxed_mass(initial_mass: float, kappa: float, volume: float, t: float,
+                  decay: float) -> float:
+    # solution of M' = kappa|O| - decay M from M(0) = initial_mass
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    expected = math.exp(-t) * initial_mass_uv + kappa * volume * (1.0 - math.exp(-t))
-    return (mass_u + mass_v) - expected
+    factor = math.exp(-decay * t)
+    return factor * initial_mass + kappa * volume * (1.0 - factor) / decay
+
+
+def mass_identity_residual(mass_u: float, mass_v: float, t: float,
+                           initial_mass_uv: float, kappa: float, volume: float,
+                           decay: float = 1.0) -> float:
+    """Signed defect of the exact total-mass identity at time t.
+
+    The identity holds when u and v decay at the common rate ``decay``.
+    """
+    return (mass_u + mass_v) - _relaxed_mass(initial_mass_uv, kappa, volume, t, decay)
 
 
 def check_u_mass_bound(mass_u: float, mass_u0: float, kappa: float,
-                       volume: float, t: float) -> float:
-    """Slack of the healthy-cell mass bound; nonnegative means it holds."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    bound = math.exp(-t) * mass_u0 + kappa * volume * (1.0 - math.exp(-t))
-    return bound - mass_u
+                       volume: float, t: float, decay: float = 1.0) -> float:
+    """Slack of the healthy-cell mass bound; nonnegative means it holds.
+
+    ``decay`` is the decay rate of u.
+    """
+    return _relaxed_mass(mass_u0, kappa, volume, t, decay) - mass_u
 
 
 def check_v_mass_bound(mass_v: float, initial_mass_uv: float, kappa: float,
-                       volume: float, t: float) -> float:
-    """Slack of the infected-cell mass bound (uses the combined initial mass)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    bound = math.exp(-t) * initial_mass_uv + kappa * volume * (1.0 - math.exp(-t))
-    return bound - mass_v
+                       volume: float, t: float, decay: float = 1.0) -> float:
+    """Slack of the infected-cell mass bound (uses the combined initial mass).
+
+    ``decay`` is the smaller of the decay rates of u and v.
+    """
+    return _relaxed_mass(initial_mass_uv, kappa, volume, t, decay) - mass_v
 
 
 def compute_record(state: State, grid: Grid, params: Params, p: float | None,
@@ -110,8 +123,14 @@ def compute_record(state: State, grid: Grid, params: Params, p: float | None,
     disabled below the threshold).
     """
     inf = math.inf
+    c = params.coeffs
     mass_u = integrate(state.u, grid)
     mass_v = integrate(state.v, grid)
+    if c.decay_u == c.decay_v:
+        residual = mass_identity_residual(mass_u, mass_v, state.t, baseline.mass_uv0,
+                                          params.kappa, baseline.volume, c.decay_u)
+    else:
+        residual = math.nan  # no exact identity when u and v decay at different rates
     return DiagnosticsRecord(
         t=state.t,
         mass_u=mass_u,
@@ -124,12 +143,12 @@ def compute_record(state: State, grid: Grid, params: Params, p: float | None,
         grad_v_sq=grad_norm_sq(state.v, grid),
         grad_w_sq=grad_norm_sq(state.w, grid),
         energy=quasi_energy(state, float(p), grid) if p is not None else math.nan,
-        mass_identity_residual=mass_identity_residual(
-            mass_u, mass_v, state.t, baseline.mass_uv0, params.kappa, baseline.volume),
+        mass_identity_residual=residual,
         u_bound_slack=check_u_mass_bound(
-            mass_u, baseline.mass_u0, params.kappa, baseline.volume, state.t),
+            mass_u, baseline.mass_u0, params.kappa, baseline.volume, state.t, c.decay_u),
         v_bound_slack=check_v_mass_bound(
-            mass_v, baseline.mass_uv0, params.kappa, baseline.volume, state.t),
+            mass_v, baseline.mass_uv0, params.kappa, baseline.volume, state.t,
+            min(c.decay_u, c.decay_v)),
     )
 
 

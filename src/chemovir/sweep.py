@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .grid import Grid, State, atomic_write_text
-from .model import ExponentInfeasibleError, Params, alpha_threshold, select_energy_exponent
+from .model import (Coefficients, ExponentInfeasibleError, Params, alpha_threshold,
+                    select_energy_exponent)
 from .monitors import classify_boundedness
 from .stepper import StepControl, UnstableRunError, run
 
@@ -90,6 +91,7 @@ class SweepSpec:
     t_end: float = 10.0
     monitor_every: float = 0.1
     control: StepControl = field(default_factory=StepControl)
+    coeffs: Coefficients = field(default_factory=Coefficients)
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
@@ -145,7 +147,7 @@ def _run_row(spec: SweepSpec, alpha: float, seed: int) -> SweepRow:
     except ExponentInfeasibleError:
         p_value = math.nan
         feasible = False
-    params = Params(alpha=alpha, kappa=spec.kappa)
+    params = Params(alpha=alpha, kappa=spec.kappa, coeffs=spec.coeffs)
     initial = initial_condition_preset(spec.preset, spec.grid, spec.kappa, seed=seed)
     try:
         result = run(initial, params, spec.grid, spec.control, spec.t_end, spec.monitor_every)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,7 +9,7 @@ from chemovir.cli import main
 from chemovir.grid import read_snapshot
 from chemovir.monitors import read_diagnostics_csv
 from chemovir.stepper import NegativityDetected, UnstableRunError
-from chemovir.sweep import SWEEP_CSV_COLUMNS
+from chemovir.sweep import SWEEP_CSV_COLUMNS, SweepResult
 
 SIMULATE_CONFIG = """
 [model]
@@ -90,6 +92,16 @@ class TestSweepCommand:
         assert lines[0] == ",".join(SWEEP_CSV_COLUMNS)
         assert len(lines) == 3
 
+    def test_passes_coefficient_overrides(self, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(cli_module, "run_sweep",
+                            lambda spec, jobs: specs.append(spec) or SweepResult([]))
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SIMULATE_CONFIG.replace("kappa = 2.0", "kappa = 2.0\nd_u = 0.5")
+                          .replace("t_end = 0.5", "t_end = 2.0") + "\n[sweep]\nalphas = 1.0\n")
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert specs[0].coeffs.d_u == 0.5
+
     def test_sweep_without_alphas_exits_two(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text(SIMULATE_CONFIG)
@@ -124,3 +136,14 @@ class TestUsage:
 
     def test_unknown_subcommand_exits_two(self):
         assert main(["explode"]) == 2
+
+    def test_import_does_not_load_scipy(self):
+        # the package depends on numpy alone; scipy would add start-up time
+        # and memory to every command
+        import chemovir
+        source_root = os.path.dirname(os.path.dirname(chemovir.__file__))
+        env = dict(os.environ, PYTHONPATH=source_root)
+        probe = "import sys, chemovir; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

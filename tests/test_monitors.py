@@ -1,9 +1,12 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
 from chemovir.grid import Grid, State
+from chemovir.model import Coefficients, Params
 from chemovir.monitors import (
     CSV_COLUMNS,
     DiagnosticsRecord,
@@ -16,6 +19,8 @@ from chemovir.monitors import (
     read_diagnostics_csv,
     write_diagnostics_csv,
 )
+from chemovir.stepper import StepControl, run
+from chemovir.sweep import initial_condition_preset
 
 
 def make_record(t=0.0, sup_u=1.0, energy=0.0):
@@ -78,6 +83,41 @@ class TestMassIdentityResidual:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             mass_identity_residual(0.0, 0.0, -1.0, 0.0, 0.0, 1.0)
+
+
+class TestDecayAwareOracles:
+    def test_unit_decay_matches_plain_formula_bitwise(self):
+        t, m0, kappa, volume = 0.37, 1.3, 0.8, 2.5
+        relaxed = math.exp(-t) * m0 + kappa * volume * (1.0 - math.exp(-t))
+        assert mass_identity_residual(0.9, 0.6, t, m0, kappa, volume) == 1.5 - relaxed
+        assert check_u_mass_bound(0.9, m0, kappa, volume, t) == relaxed - 0.9
+        assert check_v_mass_bound(0.6, m0, kappa, volume, t) == relaxed - 0.6
+
+    def test_decay_rate_enters_identity(self):
+        # M' = kappa|O| - 3 M from M0 = 2: M(t) = 2 e^{-3t} + kappa (1 - e^{-3t}) / 3
+        t = 0.4
+        mass = 2.0 * math.exp(-3.0 * t) + 1.5 * (1.0 - math.exp(-3.0 * t)) / 3.0
+        assert mass_identity_residual(mass, 0.0, t, 2.0, 1.5, 1.0, decay=3.0) == \
+            pytest.approx(0.0, abs=1e-15)
+        assert check_u_mass_bound(mass, 2.0, 1.5, 1.0, t, decay=3.0) == \
+            pytest.approx(0.0, abs=1e-15)
+
+    def test_run_with_equal_decays_meets_identity(self):
+        grid = Grid((32,))
+        params = Params(alpha=1.0, kappa=1.0, coeffs=Coefficients(decay_u=3.0, decay_v=3.0))
+        initial = initial_condition_preset("random-smooth", grid, 1.0, seed=1)
+        result = run(initial, params, grid, StepControl(scheme="explicit-euler"),
+                     t_end=0.5, monitor_every=0.1)
+        assert max(abs(r.mass_identity_residual) for r in result.records) <= 1e-3
+        assert min(min(r.u_bound_slack, r.v_bound_slack) for r in result.records) >= 0.0
+
+    def test_unequal_decays_report_nan_residual(self):
+        grid = Grid((16,))
+        params = Params(alpha=1.0, kappa=1.0, coeffs=Coefficients(decay_u=0.5, decay_v=2.0))
+        initial = initial_condition_preset("random-smooth", grid, 1.0, seed=4)
+        result = run(initial, params, grid, StepControl(), t_end=0.5, monitor_every=0.1)
+        assert all(math.isnan(r.mass_identity_residual) for r in result.records)
+        assert min(min(r.u_bound_slack, r.v_bound_slack) for r in result.records) >= -1e-3
 
 
 class TestMassBounds:
@@ -156,6 +196,15 @@ class TestEnergyPlateau:
 
 
 class TestDiagnosticsCsv:
+    def test_file_mode_honours_umask(self, tmp_path):
+        path = tmp_path / "diagnostics.csv"
+        previous = os.umask(0o022)
+        try:
+            write_diagnostics_csv([make_record()], path)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+
     def test_header_schema(self):
         assert ",".join(CSV_COLUMNS) == (
             "t,mass_u,mass_v,mass_w,sup_u,sup_v,sup_w,lp_u,grad_v_sq,grad_w_sq,"

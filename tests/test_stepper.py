@@ -31,7 +31,7 @@ class TestStepControl:
 
     @pytest.mark.parametrize("kwargs", [
         {"dt_max": 0.0}, {"cfl_advect": 1.0}, {"cfl_react": 0.0},
-        {"scheme": "rk4"}, {"solver_tol": 0.0},
+        {"scheme": "rk4"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -193,6 +193,37 @@ class TestStep:
             assert excinfo.value.component == "w"
             assert excinfo.value.minimum == np.inf
 
+    def test_imex_nan_detected(self):
+        grid = Grid((32,))
+        w = grid.new_field(0.5)
+        w[7] = np.nan
+        state = State(grid.new_field(1.0), grid.new_field(0.2), w)
+        with pytest.raises(NegativityDetected):
+            step(state, Params(alpha=1.0, kappa=1.0), grid, 0.01, StepControl())
+
+    def test_imex_makes_one_solve_per_step(self, monkeypatch):
+        calls = []
+
+        def counting_solve(rhs, tau, grid_):
+            calls.append(rhs.shape)
+            return helmholtz_solve(rhs, tau, grid_)
+
+        monkeypatch.setattr(stepper_module, "helmholtz_solve", counting_solve)
+        grid = Grid((6, 5))
+        state = initial_condition_preset("random-smooth", grid, 1.0, seed=2)
+        params = Params(alpha=1.0, kappa=1.0,
+                        coeffs=Coefficients(d_u=0.5, d_w=2.0, decay_v=3.0))
+        out = step(state, params, grid, 0.01, StepControl())
+        assert calls == [(3, 6, 5)]
+        # the stacked solve equals three per-field solves of
+        # (1 + dt*decay - dt*d*lap) x = star
+        c, dt = params.coeffs, 0.01
+        star = state.fields + dt * stepper_module._rates(state, params, grid, "imex")
+        for k, (d, decay) in enumerate(((c.d_u, c.decay_u), (c.d_v, c.decay_v),
+                                        (c.d_w, c.decay_w))):
+            want = helmholtz_solve(star[k] / (1.0 + dt * decay), dt * d / (1.0 + dt * decay), grid)
+            np.testing.assert_allclose(out.fields[k], want, rtol=0, atol=1e-14)
+
     def test_negativity_detected_on_oversized_dt(self):
         grid = Grid((8,))
         state = constant_state(grid, 1.0, 0.0, 3.0)
@@ -274,6 +305,18 @@ class TestRun:
             result = run(initial, Params(alpha=1.0, kappa=kappa), grid, StepControl(),
                          t_end=5.0, monitor_every=0.1)
             assert min(r.u_bound_slack for r in result.records) >= -1e-3
+
+    @pytest.mark.parametrize("grid", [Grid((128,), (10.0,)), Grid((256,), (20.0,)),
+                                      Grid((48, 48), (8.0, 8.0))])
+    def test_compact_support_run_stays_nonnegative(self, grid):
+        # v0 underflows to exact zeros far from the bump, where the implicit
+        # solve's exact values fall below roundoff
+        initial = initial_condition_preset("gaussian-bump-v", grid, 1.0)
+        assert (initial.v == 0.0).any()
+        result = run(initial, Params(alpha=1.0, kappa=1.0), grid, StepControl(),
+                     t_end=1.0, monitor_every=1.0)
+        assert result.final_state.t == 1.0
+        assert result.final_state.fields.min() >= 0.0
 
     def test_grid_refinement_convergence_order(self):
         # pure diffusion with decay; first Neumann mode shifted nonnegative

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from chemovir.grid import Grid
-from chemovir.model import alpha_threshold
-from chemovir.stepper import StepControl
+from chemovir.model import Coefficients, Params, alpha_threshold
+from chemovir.monitors import classify_boundedness
+from chemovir.stepper import StepControl, run
 from chemovir.sweep import (
     SWEEP_CSV_COLUMNS,
     SweepSpec,
@@ -134,6 +135,17 @@ class TestRunSweep:
         sequential = run_sweep(spec, jobs=1)
         parallel = run_sweep(spec, jobs=2)
         assert sequential.to_csv_text() == parallel.to_csv_text()
+
+    def test_keeps_coefficient_overrides(self):
+        coeffs = Coefficients(d_u=0.5, decay_w=2.0)
+        spec = small_spec(coeffs=coeffs, preset="random-smooth", kappa=2.0)
+        row = run_sweep(spec).rows[0]
+        initial = initial_condition_preset(spec.preset, spec.grid, spec.kappa)
+        direct = run(initial, Params(alpha=2.0, kappa=spec.kappa, coeffs=coeffs), spec.grid,
+                     spec.control, spec.t_end, spec.monitor_every)
+        assert row.peak_sup_u == classify_boundedness(direct.records).peak_sup_u
+        plain = run_sweep(small_spec(preset="random-smooth", kappa=2.0)).rows[0]
+        assert row.peak_sup_u != plain.peak_sup_u
 
     def test_csv_schema(self, tmp_path):
         result = run_sweep(small_spec())
