@@ -1,13 +1,7 @@
 """Solver and verification harness for a virus-infection model with
 saturated chemotaxis on boxes with no-flux boundaries."""
 
-from .discretization import (
-    FaceVelocity,
-    chemotaxis_divergence,
-    face_gradient,
-    helmholtz_solve,
-    laplacian_neumann,
-)
+from .discretization import chemotaxis_divergence, helmholtz_solve, laplacian_neumann
 from .grid import Grid, State, grad_norm_sq, integrate, lp_norm, read_snapshot, write_snapshot
 from .model import (
     Coefficients,
@@ -44,12 +38,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundednessVerdict", "Coefficients", "DiagnosticsRecord",
-    "EnergyExponent", "ExponentInfeasibleError", "FaceVelocity", "Grid",
+    "EnergyExponent", "ExponentInfeasibleError", "Grid",
     "NegativityDetected", "Params", "RunResult", "State", "StepControl",
     "SweepResult", "SweepRow", "SweepSpec", "UnstableRunError",
     "alpha_threshold", "check_u_mass_bound", "check_v_mass_bound",
     "chemotactic_sensitivity", "chemotaxis_divergence", "classify_boundedness",
-    "face_gradient", "grad_norm_sq", "helmholtz_solve",
+    "grad_norm_sq", "helmholtz_solve",
     "homogeneous_steady_states", "initial_condition_preset", "integrate",
     "laplacian_neumann", "lp_norm", "mass_identity_residual", "quasi_energy",
     "reaction_rates", "read_snapshot", "run", "run_sweep",

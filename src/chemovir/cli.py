@@ -11,7 +11,7 @@ import os
 import sys
 
 from .config import Config, ConfigError, load_config
-from .grid import write_snapshot
+from .grid import atomic_write_text, write_snapshot
 from .model import alpha_threshold
 from .monitors import write_diagnostics_csv
 from .stepper import UnstableRunError, run
@@ -70,18 +70,25 @@ def _cmd_simulate(args) -> int:
 
     snapshot_every = config.monitors.snapshot_every
     next_snapshot = [snapshot_every]
+    final_text = []  # the snapshot text of the state at t_end, when one was written
 
     def on_record(state, record):
         if snapshot_every > 0 and record.t + 1e-9 >= next_snapshot[0]:
-            write_snapshot(os.path.join(out_dir, f"snapshot_t{record.t:.6g}.cvf"),
-                           state, config.grid)
+            text = write_snapshot(os.path.join(out_dir, f"snapshot_t{record.t:.6g}.cvf"),
+                                  state, config.grid)
+            if record.t == config.t_end:
+                final_text.append(text)
             while next_snapshot[0] <= record.t + 1e-9:
                 next_snapshot[0] += snapshot_every
 
     result = run(_initial_state(config), config.params, config.grid, config.control,
                  config.t_end, config.monitors.monitor_every, on_record=on_record)
     write_diagnostics_csv(result.records, os.path.join(out_dir, "diagnostics.csv"))
-    write_snapshot(os.path.join(out_dir, "final_state.cvf"), result.final_state, config.grid)
+    final_path = os.path.join(out_dir, "final_state.cvf")
+    if final_text:
+        atomic_write_text(final_path, final_text[0])
+    else:
+        write_snapshot(final_path, result.final_state, config.grid)
     print(f"simulate: t_end={config.t_end} reached in {result.steps} steps "
           f"({result.negativity_retries} dt-halving retries); wrote diagnostics.csv "
           f"and final_state.cvf to {out_dir}")
@@ -104,6 +111,10 @@ def _cmd_sweep(args) -> int:
         t_end=config.t_end,
         monitor_every=config.monitors.monitor_every,
         control=config.control,
+        constants=config.preset.constants,
+        growth_factor=config.monitors.growth_factor,
+        tail_fraction=config.monitors.tail_fraction,
+        slope_tol=config.monitors.slope_tol,
     )
     jobs = args.jobs if args.jobs else _default_jobs()
     result = run_sweep(spec, jobs=jobs)

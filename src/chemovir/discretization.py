@@ -21,8 +21,8 @@ matrix product per axis, a division and the inverse transform.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,24 +30,10 @@ from .grid import Grid, check_field
 from .model import _saturated_sensitivity
 
 
-@dataclass(frozen=True)
-class FaceVelocity:
-    """Per-axis face-centered values of the gradient of v.
-
-    ``components[k]`` has ``shape[k] + 1`` entries along axis k, one per
-    face including the two boundary faces, which are identically zero
-    (no-flux boundaries).
-    """
-
-    components: tuple[np.ndarray, ...]
-
-    def max_abs(self) -> float:
-        return max(float(np.abs(c).max()) for c in self.components)
-
-
 # slice tuples selecting the lower/upper neighbours of the interior faces
 # along one grid axis, cached per (ndim, axis); counted from the last array
-# axis, so they also apply to the stacked (3, *shape) state array
+# axis, so they also apply to the stacked (3, *shape) state array and to an
+# ensemble's (E, 3, *shape) array
 _FACE_SLICES: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
 
@@ -59,12 +45,6 @@ def _face_slices(ndim: int, axis: int) -> tuple[tuple, tuple]:
         cached = ((Ellipsis, slice(None, -1)) + trailing, (Ellipsis, slice(1, None)) + trailing)
         _FACE_SLICES[key] = cached
     return cached
-
-
-def _face_slice(ndim: int, axis: int, sl) -> tuple:
-    index = [slice(None)] * ndim
-    index[axis] = sl
-    return tuple(index)
 
 
 def _laplacian_raw(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -99,19 +79,6 @@ def laplacian_neumann(values: np.ndarray, grid: Grid) -> np.ndarray:
     return _laplacian_raw(check_field(values, grid), grid)
 
 
-def face_gradient(values: np.ndarray, grid: Grid) -> FaceVelocity:
-    """Face-centered gradient components; boundary faces are zero."""
-    differences = _face_differences(check_field(values, grid), grid)
-    components = []
-    for axis, (d, h) in enumerate(zip(differences, grid.spacing)):
-        full_shape = list(grid.shape)
-        full_shape[axis] += 1
-        comp = np.zeros(full_shape)
-        comp[_face_slice(grid.ndim, axis, slice(1, -1))] = d / h
-        components.append(comp)
-    return FaceVelocity(components=tuple(components))
-
-
 def _face_differences(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Unchecked differences across the interior faces, one array per axis."""
     ndim = grid.ndim
@@ -122,35 +89,53 @@ def _face_differences(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     return differences
 
 
-def _max_gradient(differences: list[np.ndarray], grid: Grid) -> float:
-    """max |difference / h| over all axes (0 for constants)."""
+def _max_gradient(differences: list[np.ndarray], grid: Grid):
+    """max |difference / h| over all axes (0 for constants).
+
+    Differences with a leading member axis give one maximum per member,
+    as an array.
+    """
     result = 0.0
     for d, h in zip(differences, grid.spacing):
+        if d.ndim > grid.ndim:
+            result = np.maximum(result, np.abs(d).reshape(len(d), -1).max(axis=1) / h)
+            continue
         largest = float(np.abs(d).max()) / h
         if largest > result:
             result = largest
     return result
 
 
-def max_face_gradient(values: np.ndarray, grid: Grid) -> float:
-    """max |face gradient| over all interior faces and axes (0 for constants).
+def _sensitivity(u: np.ndarray, alpha) -> np.ndarray:
+    """phi(u) for one alpha, or for a tuple of alphas, one per member on u's first axis.
 
-    Equivalent to ``face_gradient(values, grid).max_abs()`` without
-    materialising the padded face arrays.
+    Members that share an alpha are evaluated together with that scalar, so
+    each member's values equal a single-state evaluation bit for bit: numpy
+    takes another path for ``x ** 2.0`` and ``x ** 0.5`` than for an array
+    of exponents.
     """
-    return _max_gradient(_face_differences(check_field(values, grid), grid), grid)
+    if not isinstance(alpha, tuple):
+        return _saturated_sensitivity(u, alpha)
+    phi = np.empty_like(u)
+    start = 0
+    for value, group in itertools.groupby(alpha):
+        stop = start + len(list(group))
+        phi[start:stop] = _saturated_sensitivity(u[start:stop], value)
+        start = stop
+    return phi
 
 
 def _donor_cell_divergence(u: np.ndarray, differences: list[np.ndarray], grid: Grid,
-                           alpha: float) -> np.ndarray:
+                           alpha) -> np.ndarray:
     """Unchecked kernel of chemotaxis_divergence, from the face differences of v.
 
     The caller guarantees u >= 0 and alpha >= 0; the stepper calls it
-    directly with the differences it already took for the step size.
+    directly with the differences it already took for the step size.  An
+    ensemble passes u with a leading member axis and a tuple of alphas.
     """
     ndim = grid.ndim
     out = np.zeros_like(u)
-    phi = _saturated_sensitivity(u, alpha)
+    phi = _sensitivity(u, alpha)
     for axis, h in enumerate(grid.spacing):
         lo, hi = _face_slices(ndim, axis)
         g = differences[axis] / h
@@ -215,14 +200,17 @@ def _transform(values: np.ndarray, grid: Grid, inverse: bool = False) -> np.ndar
     n x n matrix into blocks of n_last columns: up to about 64 cells per
     axis such products run on the calling thread, whereas one product over
     the whole array wakes OpenBLAS's helper threads, whose spinning costs
-    more CPU time than they save in wall time.
+    more CPU time than they save in wall time.  The blocks of the last axis
+    are the array's last two axes, so in 1D a member of an ensemble is
+    transformed as one (3, n) block like a single state: OpenBLAS rounds a
+    product of more rows differently.
     """
     shape, last = values.shape, grid.shape[-1]
     spare = np.empty(shape)
     for axis, n in enumerate(grid.shape):
         matrix = _dct_matrix(n).T if inverse else _dct_matrix(n)
         if axis == grid.ndim - 1:
-            rows = (-1, last) if grid.ndim == 1 else (-1, grid.shape[-2], last)
+            rows = (-1,) + shape[-2:] if len(shape) > 1 else (1, last)
             np.matmul(values.reshape(rows), matrix.T, out=spare.reshape(rows))
         else:
             blocks = (-1, n, math.prod(grid.shape[axis + 1:-1]), last)
@@ -256,14 +244,16 @@ def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid) -> np.ndarray:
     bit for bit.  (I - tau lap)^-1 is entrywise positive: a negative entry
     from rhs >= 0 is transform roundoff, below about 1e-16 max|rhs|, and
     one Jacobi sweep x <- (rhs + tau N(max(x, 0))) / (1 + tau N(1)) removes
-    it without clamping and without growing the max-norm error.
-    Non-finite input gives a non-finite result.
+    it without clamping and without growing the max-norm error.  Each
+    stacked field is its own solve and is repaired on its own, so a field's
+    result does not depend on what it is stacked with.  Non-finite input
+    gives a non-finite result.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[rhs.ndim - grid.ndim:] != grid.shape:
         raise ValueError(f"rhs shape {rhs.shape} does not end in grid {grid.shape}")
     tau = np.asarray(tau, dtype=float)
-    if not np.all(tau > 0):
+    if not (tau > 0).all():
         raise ValueError(f"tau must be > 0, got {tau}")
     # in-place steps and early dels keep at most three arrays of rhs's size alive
     correction = _laplacian_raw(rhs, grid)
@@ -276,7 +266,11 @@ def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid) -> np.ndarray:
     x = _transform(correction, grid, inverse=True)
     del correction
     x += rhs
-    if float(x.min()) < 0.0 and float(rhs.min()) >= 0.0:
-        x = (rhs + tau * _neighbour_sum(np.maximum(x, 0.0), grid)) / (
+    if float(x.min()) < 0.0:
+        cells = (-1, grid.n_cells)
+        repair = (x.reshape(cells).min(axis=1) < 0.0) & (rhs.reshape(cells).min(axis=1) >= 0.0)
+        repaired = (rhs + tau * _neighbour_sum(np.maximum(x, 0.0), grid)) / (
             1.0 + tau * _neighbour_sum(np.ones(grid.shape), grid))
+        x = np.where(repair.reshape(rhs.shape[:rhs.ndim - grid.ndim] + (1,) * grid.ndim),
+                     repaired, x)
     return x

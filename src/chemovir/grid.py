@@ -97,6 +97,9 @@ class State:
     ``fields``, of which ``u``, ``v`` and ``w`` are row views.  Because a
     state's values cannot change, the stepper memoises quantities derived
     from them (face differences of v, the explicit rates) in ``memo``.
+    The stepper also wraps an ensemble this way: ``fields`` of shape
+    ``(E, 3, *shape)`` and ``t`` an array of the members' times; ``u``,
+    ``v`` and ``w`` do not apply to it.
     """
 
     __slots__ = ("fields", "t", "memo")
@@ -200,8 +203,8 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def write_snapshot(path, state: State, grid: Grid):
-    """Write a lossless text snapshot (CVF1 format).
+def write_snapshot(path, state: State, grid: Grid) -> str:
+    """Write a lossless text snapshot (CVF1 format) and return its text.
 
     Layout: magic line, ``ndim s1 [s2] [s3]``, domain lengths, ``t=<time>``,
     then blocks labeled u, v, w with all cells row-major, one value per
@@ -214,17 +217,18 @@ def write_snapshot(path, state: State, grid: Grid):
         " ".join(f"{L:.17g}" for L in grid.lengths),
         f"t={state.t:.17g}",
     ]
-    for label in ("u", "v", "w"):
+    for label, values in zip("uvw", state.fields):
         lines.append(label)
-        values = getattr(state, label)
-        lines.extend(f"{x:.17g}" for x in values.ravel(order="C"))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        lines.append("\n".join(map("%.17g".__mod__, values.ravel().tolist())))
+    text = "\n".join(lines) + "\n"
+    atomic_write_text(path, text)
+    return text
 
 
 def read_snapshot(path) -> tuple[State, Grid]:
     """Read a CVF1 snapshot back into (State, Grid)."""
     with open(path) as handle:
-        lines = [line.rstrip("\n") for line in handle]
+        lines = handle.read().splitlines()
     if not lines or lines[0] != SNAPSHOT_MAGIC:
         raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot")
     header = lines[1].split()
@@ -237,17 +241,17 @@ def read_snapshot(path) -> tuple[State, Grid]:
     if not lines[3].startswith("t="):
         raise ValueError(f"{path}: missing time line, got {lines[3]!r}")
     t = float(lines[3][2:])
-    fields = {}
+    n = grid.n_cells
+    fields = np.empty((3, n))
     cursor = 4
-    for label in ("u", "v", "w"):
+    for values, label in zip(fields, "uvw"):
         if cursor >= len(lines) or lines[cursor] != label:
             raise ValueError(f"{path}: expected block label {label!r} at line {cursor + 1}")
         cursor += 1
-        block = lines[cursor:cursor + grid.n_cells]
-        if len(block) < grid.n_cells:
+        if len(lines) - cursor < n:
             raise ValueError(f"{path}: block {label!r} is truncated")
-        fields[label] = np.array([float(x) for x in block]).reshape(grid.shape)
-        cursor += grid.n_cells
-    state = State(fields["u"], fields["v"], fields["w"], t)
+        values[:] = np.fromiter(map(float, lines[cursor:cursor + n]), float, n)
+        cursor += n
+    state = State.from_fields(fields.reshape((3,) + grid.shape), t)
     state.validate(grid)
     return state, grid

@@ -25,10 +25,17 @@ Negative values are never clamped: a step that produces a negative or
 non-finite value raises NegativityDetected and the driver retries with
 half the step, aborting the run after 20 halvings.  Clamping would
 silently break the mass identity.
+
+An ensemble of runs that differ only in alpha and initial data advances as
+one (E, 3, *shape) array, member first, through the same kernels: the
+rates, the step-size formula, the positivity check and the implicit solve
+act on each member's (3, *shape) block exactly as on a single state, so a
+member's trajectory equals its single run bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,30 +119,43 @@ class RunResult:
 class _StepSize:
     """The step-size formula of stable_dt.
 
-    Its state-independent parts, h_min and the fixed caps (dt_max and the
-    explicit-diffusion cap), are evaluated once at construction; run
-    builds one per run and calls it on every state.
+    Its state-independent parts, the fixed caps (dt_max and the
+    explicit-diffusion cap) and the constant factors of the others, are
+    evaluated once at construction; run builds one per run and calls it on
+    every state.
     """
 
     def __init__(self, params: Params, grid: Grid, control: StepControl):
-        self.params, self.grid, self.control = params, grid, control
-        self.h_min = min(grid.spacing)
+        self.params, self.grid = params, grid
+        c = params.coeffs
+        h_min = min(grid.spacing)
         self.fixed_cap = control.dt_max
         if control.scheme == "explicit-euler":
-            c = params.coeffs
             diffusivity = max(c.d_u, c.d_v, c.d_w)
-            self.fixed_cap = min(self.fixed_cap, control.cfl_advect * self.h_min ** 2
+            self.fixed_cap = min(self.fixed_cap, control.cfl_advect * h_min ** 2
                                  / (2.0 * grid.ndim * diffusivity))
+        self.cfl_react, self.decay_u = control.cfl_react, c.decay_u
+        self.other_decays = max(c.decay_v, c.decay_w)
+        self.advect_length, self.faces = control.cfl_advect * h_min, 2.0 * grid.ndim
 
     def __call__(self, state: State) -> float:
-        params, control, c = self.params, self.control, self.params.coeffs
-        loss_rate = max(float(state.w.max()) + c.decay_u, c.decay_v, c.decay_w)
-        dt = min(self.fixed_cap, control.cfl_react / loss_rate)
         _, gmax = _velocity(state, self.grid)
+        return self.limit(float(state.w.max()), float(state.u.min()), gmax, self.params.alpha)
+
+    def members(self, state: State, alphas: list) -> list[float]:
+        """The step of each member of an ensemble state, one alpha per member."""
+        per_member = state.fields.reshape(len(alphas), 3, -1)
+        _, gmax = _velocity(state, self.grid)
+        return list(map(self.limit, per_member[:, 2].max(axis=1).tolist(),
+                        per_member[:, 0].min(axis=1).tolist(), gmax.tolist(), alphas))
+
+    def limit(self, w_max: float, u_min: float, gmax: float, alpha: float) -> float:
+        """The formula, from a state's max w, min u and max |grad v|."""
+        loss_rate = max(w_max + self.decay_u, self.other_decays)
+        dt = min(self.fixed_cap, self.cfl_react / loss_rate)
         if gmax > 0.0:
-            saturation = (1.0 + float(state.u.min())) ** (-params.alpha)
-            speed = 2.0 * self.grid.ndim * gmax * saturation
-            dt = min(dt, control.cfl_advect * self.h_min / speed)
+            speed = self.faces * gmax * (1.0 + u_min) ** (-alpha)
+            dt = min(dt, self.advect_length / speed)
         return dt
 
 
@@ -157,50 +177,68 @@ def stable_dt(state: State, params: Params, grid: Grid, control: StepControl) ->
     return _StepSize(params, grid, control)(state)
 
 
+def _components(fields: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
+    """The u, v and w blocks of a (3, *shape) array or of an ensemble's (E, 3, *shape)."""
+    if fields.ndim == grid.ndim + 1:
+        return fields[0], fields[1], fields[2]
+    return fields[:, 0], fields[:, 1], fields[:, 2]
+
+
 def _velocity(state: State, grid: Grid) -> tuple[list[np.ndarray], float]:
-    """Face differences of v and max |grad v|, computed once per state."""
+    """Face differences of v and max |grad v| (per member), computed once per state."""
     cached = state.memo.get("velocity")
     if cached is None or cached[0] is not grid:
-        differences = _face_differences(state.v, grid)
+        differences = _face_differences(_components(state.fields, grid)[1], grid)
         cached = state.memo["velocity"] = (grid, differences, _max_gradient(differences, grid))
     return cached[1], cached[2]
 
 
-def _rates(state: State, params: Params, grid: Grid, scheme: str) -> np.ndarray:
+def _rates(state: State, params, grid: Grid, scheme: str) -> np.ndarray:
     """The dt-independent part of a step, stacked like state.fields.
 
     For explicit-euler this is the whole right-hand side; for imex it is
     the explicitly treated terms.  Memoised on the state, so a dt-halving
-    retry only redoes fields + dt * rates.
+    retry only redoes fields + dt * rates.  An ensemble state comes with a
+    tuple of per-member Params, which share kappa and the coefficients.
     """
     key = (params, grid, scheme)
     cached = state.memo.get("rates")
     if cached is not None and cached[0] == key:
         return cached[1]
-    c = params.coeffs
-    u, v = state.u, state.v
+    members = not isinstance(params, Params)
+    if members:
+        shared, alpha = params[0], tuple(p.alpha for p in params)
+    else:
+        shared, alpha = params, params.alpha
+    c = shared.coeffs
+    fields = state.fields
+    u, v, w = _components(fields, grid)
     differences, gmax = _velocity(state, grid)
-    conversion = u * state.w  # the identical array enters u and v: exact mass budget
+    # a member without a gradient gets a divergence of exact zeros
+    moving = gmax.any() if members else gmax != 0.0
+    conversion = u * w  # the identical array enters u and v: exact mass budget
     if scheme == "explicit-euler":
-        rates = _laplacian_raw(state.fields, grid)
+        rates = _laplacian_raw(fields, grid)
+        rates_u, rates_v, rates_w = _components(rates, grid)
         diffusivities = (c.d_u, c.d_v, c.d_w)
         if diffusivities != _UNIT:
             rates *= _column(diffusivities, grid.ndim)
-        if gmax != 0.0:
-            rates[0] -= _donor_cell_divergence(u, differences, grid, params.alpha)
-        rates[0] -= conversion
-        rates[1] += conversion
-        rates[0] += params.kappa
-        rates[2] += v if c.production == 1.0 else c.production * v
+        if moving:
+            rates_u -= _donor_cell_divergence(u, differences, grid, alpha)
+        rates_u -= conversion
+        rates_v += conversion
+        rates_u += shared.kappa
+        rates_w += v if c.production == 1.0 else c.production * v
         decays = (c.decay_u, c.decay_v, c.decay_w)
-        rates -= state.fields if decays == _UNIT else _column(decays, grid.ndim) * state.fields
+        rates -= fields if decays == _UNIT else _column(decays, grid.ndim) * fields
     else:
-        rates = np.empty_like(state.fields)
-        np.subtract(params.kappa, conversion, out=rates[0])
-        if gmax != 0.0:
-            rates[0] -= _donor_cell_divergence(u, differences, grid, params.alpha)
-        rates[1] = conversion
-        np.multiply(c.production, v, out=rates[2])
+        rates = np.empty_like(fields)
+        rates_u, rates_v, rates_w = _components(rates, grid)
+        np.subtract(shared.kappa, conversion, out=rates_u)
+        if moving:
+            rates_u -= _donor_cell_divergence(u, differences, grid, alpha)
+        rates_v[...] = conversion
+        np.multiply(c.production, v, out=rates_w)
     state.memo["rates"] = (key, rates)
     return rates
 
@@ -209,30 +247,50 @@ def _rates(state: State, params: Params, grid: Grid, scheme: str) -> np.ndarray:
 _UNIT = (1.0, 1.0, 1.0)
 
 
+@functools.cache
 def _column(values: tuple[float, float, float], ndim: int) -> np.ndarray:
     # per-component coefficients shaped to broadcast against (3, *shape)
-    return np.reshape(values, (3,) + (1,) * ndim)
+    column = np.reshape(values, (3,) + (1,) * ndim)
+    column.flags.writeable = False
+    return column
 
 
-def step(state: State, params: Params, grid: Grid, dt: float, control: StepControl) -> State:
+def step(state: State, params, grid: Grid, dt, control: StepControl):
     """Advance one step of the selected scheme.
 
     Raises NegativityDetected when any value of the new state is negative
     or not finite.
+
+    An ensemble advances as one: ``state.fields`` stacks the members on a
+    leading axis, ``(E, 3, *shape)``, and ``state.t`` holds their times;
+    ``params`` is a tuple of per-member Params that differ only in alpha,
+    and ``dt`` an array of per-member steps.  Nothing is raised then: step
+    returns the new ensemble state and a boolean array marking the members
+    whose values are all nonnegative and finite.
     """
-    if not dt > 0:
+    members = not isinstance(params, Params)
+    if members:
+        dt = np.asarray(dt, dtype=float)
+        scale, positive = dt.reshape((-1,) + (1,) * (grid.ndim + 1)), bool((dt > 0).all())
+    else:
+        scale, positive = dt, dt > 0
+    if not positive:
         raise ValueError(f"dt must be > 0, got {dt}")
-    new = _rates(state, params, grid, control.scheme) * dt
+    new = _rates(state, params, grid, control.scheme) * scale
     new += state.fields
     if control.scheme == "imex":
         # (1 + dt*decay - dt*d*lap) x = star per field, rescaled onto
         # (I - tau*lap) x = rhs and solved for all three fields in one call
-        c = params.coeffs
-        denominator = 1.0 + dt * _column((c.decay_u, c.decay_v, c.decay_w), grid.ndim)
+        c = (params[0] if members else params).coeffs
+        denominator = 1.0 + scale * _column((c.decay_u, c.decay_v, c.decay_w), grid.ndim)
         new /= denominator
-        new = helmholtz_solve(new, dt * _column((c.d_u, c.d_v, c.d_w), grid.ndim) / denominator,
-                              grid)
+        new = helmholtz_solve(new, scale * _column((c.d_u, c.d_v, c.d_w), grid.ndim)
+                              / denominator, grid)
     # the minimum catches negatives and NaN, the maximum +inf
+    if members:
+        per_member = new.reshape(len(dt), -1)
+        ok = (per_member.min(axis=1) >= 0.0) & np.isfinite(per_member.max(axis=1))
+        return State.from_fields(new, state.t + dt), ok
     if not (float(new.min()) >= 0.0 and math.isfinite(float(new.max()))):
         raise _violation(new, dt)
     return State.from_fields(new, state.t + dt)
@@ -259,18 +317,8 @@ def _monitor_targets(t_end: float, monitor_every: float) -> list[float]:
     return targets
 
 
-def run(initial: State, params: Params, grid: Grid, control: StepControl,
-        t_end: float, monitor_every: float, on_record=None) -> RunResult:
-    """Advance to t_end, emitting diagnostics every monitor_every time units.
-
-    The step size is re-evaluated from stable_dt every step and clipped so
-    each monitor boundary is hit exactly; records land at t = 0, every
-    boundary, and t_end.  Deterministic for identical inputs.  Raises
-    UnstableRunError (with the failing time and state) when positivity
-    cannot be restored by halving dt.
-    """
-    if t_end < 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
+def _start(initial: State, params: Params, grid: Grid) -> RunResult:
+    """A result holding the validated initial state, its baseline and energy exponent."""
     initial.validate(grid)
     baseline = RunBaseline(
         mass_u0=integrate(initial.u, grid),
@@ -281,12 +329,37 @@ def run(initial: State, params: Params, grid: Grid, control: StepControl,
         exponent = float(select_energy_exponent(params.alpha, grid.ndim).p)
     except ExponentInfeasibleError:
         exponent = None
-    result = RunResult([], initial.copy(), energy_exponent=exponent, baseline=baseline)
+    return RunResult([], initial.copy(), energy_exponent=exponent, baseline=baseline)
+
+
+def run(initial, params, grid: Grid, control: StepControl,
+        t_end: float, monitor_every: float, on_record=None):
+    """Advance to t_end, emitting diagnostics every monitor_every time units.
+
+    The step size is re-evaluated from stable_dt every step and clipped so
+    each monitor boundary is hit exactly; records land at t = 0, every
+    boundary, and t_end.  Deterministic for identical inputs.  Raises
+    UnstableRunError (with the failing time and state) when positivity
+    cannot be restored by halving dt.
+
+    A list of initial states with a matching list of Params, differing only
+    in alpha, runs as one ensemble and returns a list with one entry per
+    member: its RunResult, equal bit for bit to a single run's, or the
+    UnstableRunError that aborted it.  on_record is for single states.
+    """
+    if t_end < 0:
+        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    if isinstance(initial, (list, tuple)):
+        if on_record is not None:
+            raise ValueError("on_record needs a single initial state")
+        return _run_ensemble(list(initial), tuple(params), grid, control, t_end, monitor_every)
+    result = _start(initial, params, grid)
     if t_end == 0:
         return result
 
     state = initial.copy()
     step_size = _StepSize(params, grid, control)
+    exponent, baseline = result.energy_exponent, result.baseline
     record = compute_record(state, grid, params, exponent, baseline)
     result.records.append(record)
     if on_record is not None:
@@ -319,3 +392,80 @@ def run(initial: State, params: Params, grid: Grid, control: StepControl,
     result.final_state = state
     result.steps, result.max_dt = steps, max_dt
     return result
+
+
+def _run_ensemble(initials: list[State], params: tuple[Params, ...], grid: Grid,
+                  control: StepControl, t_end: float, monitor_every: float) -> list:
+    """run's loop for every member at once, on one (E, 3, *shape) array.
+
+    Toward each monitor target, the members short of it step together,
+    each with its own dt; a member that fails positivity retries alone with
+    half its dt, and one that exhausts the halvings drops out, its
+    UnstableRunError taking its place in the returned list.
+    """
+    if len(params) != len(initials):
+        raise ValueError(f"{len(initials)} initial states but {len(params)} Params")
+    if any(p.kappa != params[0].kappa or p.coeffs != params[0].coeffs for p in params):
+        raise ValueError("ensemble members may differ only in alpha")
+    results = [_start(initial, p, grid) for initial, p in zip(initials, params)]
+    if t_end == 0 or not initials:
+        return results
+
+    count = len(initials)
+    fields = np.stack([initial.fields for initial in initials])
+    times = np.array([initial.t for initial in initials], dtype=float)
+    steps, retries = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    max_dt = np.zeros(count)
+    live = np.ones(count, dtype=bool)
+    alphas = [p.alpha for p in params]
+    step_size = _StepSize(params[0], grid, control)
+
+    def record(i):
+        result = results[i]
+        result.final_state = State.from_fields(fields[i], float(times[i]))
+        result.records.append(compute_record(result.final_state, grid, params[i],
+                                             result.energy_exponent, result.baseline))
+
+    for i in range(count):
+        record(i)
+    for target in _monitor_targets(t_end, monitor_every):
+        cutoff = target - 1e-12 * max(1.0, target)
+        while True:
+            index = np.flatnonzero(live & (times < cutoff))
+            if not len(index):
+                break
+            state = State.from_fields(fields[index], times[index])
+            dt = np.minimum(step_size.members(state, [alphas[i] for i in index]),
+                            target - state.t)
+            for attempt in range(MAX_HALVINGS + 1):
+                new, ok = step(state, tuple(params[i] for i in index), grid, dt, control)
+                done = index[ok]
+                if len(done) == count:
+                    fields = new.fields
+                elif len(done):
+                    fields = fields.copy()  # member states handed out keep their values
+                    fields[done] = new.fields[ok]
+                times[done] = new.t[ok]
+                steps[done] += 1
+                max_dt[done] = np.maximum(max_dt[done], dt[ok])
+                if ok.all():
+                    break
+                failed = ~ok
+                retries[index[failed]] += 1
+                if attempt == MAX_HALVINGS:
+                    for i, values, tried in zip(index[failed], new.fields[failed], dt[failed]):
+                        t = float(times[i])
+                        results[i] = UnstableRunError(t, State.from_fields(fields[i].copy(), t),
+                                                      _violation(values, float(tried)))
+                        live[i] = False
+                    break
+                index, dt = index[failed], dt[failed] * 0.5
+                state = State.from_fields(state.fields[failed], state.t[failed])
+        times[live] = target  # snap off the accumulated roundoff
+        for i in np.flatnonzero(live):
+            record(i)
+
+    for i in np.flatnonzero(live):
+        results[i].steps, results[i].negativity_retries = int(steps[i]), int(retries[i])
+        results[i].max_dt = float(max_dt[i])
+    return results

@@ -1,11 +1,13 @@
 """Alpha sweeps: run a base scenario across alpha values and seeds.
 
-Rows are independent runs keyed by (alpha, seed); execution may fan out
-over processes, but aggregation sorts by key so the result is identical
-for any job count.  Runs whose alpha sits at or below the boundedness
-threshold for the grid dimension are still executed, flagged as
-below-threshold and treated as exploratory (nothing is proven about
-them); their energy monitor is disabled.
+Rows are independent runs keyed by (alpha, seed), sorted by key.  The rows
+are cut into ``jobs`` contiguous chunks, and each chunk advances as one
+ensemble run (in its own process when jobs > 1); an ensemble member equals
+its single run bit for bit, so the result is identical for any job count.
+Runs whose alpha sits at or below the boundedness threshold for the grid
+dimension are still executed, flagged as below-threshold and treated as
+exploratory (nothing is proven about them); their energy monitor is
+disabled.
 """
 
 from __future__ import annotations
@@ -81,7 +83,11 @@ def initial_condition_preset(name: str, grid: Grid, kappa: float, seed: int = 0,
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Alpha grid plus the shared base scenario."""
+    """Alpha grid plus the shared base scenario.
+
+    ``constants`` feeds the constant preset; ``growth_factor``,
+    ``tail_fraction`` and ``slope_tol`` go to classify_boundedness.
+    """
 
     alphas: tuple[float, ...]
     grid: Grid
@@ -92,6 +98,10 @@ class SweepSpec:
     monitor_every: float = 0.1
     control: StepControl = field(default_factory=StepControl)
     coeffs: Coefficients = field(default_factory=Coefficients)
+    constants: tuple[float, float, float] = (1.0, 0.0, 0.0)
+    growth_factor: float = 1e3
+    tail_fraction: float = 0.2
+    slope_tol: float = 1e-4
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
@@ -139,7 +149,25 @@ class SweepResult:
         atomic_write_text(path, self.to_csv_text())
 
 
-def _run_row(spec: SweepSpec, alpha: float, seed: int) -> SweepRow:
+# at most this many cell values (over all members and fields) per ensemble,
+# so that a sweep on a large grid does not stack every row in memory at once
+_MAX_ENSEMBLE_VALUES = 2 ** 21
+
+
+def _run_rows(spec: SweepSpec, keys: list[tuple[float, int]]) -> list[SweepRow]:
+    """The rows of keys; their runs advance together as ensembles."""
+    params = [Params(alpha=alpha, kappa=spec.kappa, coeffs=spec.coeffs) for alpha, _ in keys]
+    initials = [initial_condition_preset(spec.preset, spec.grid, spec.kappa, seed=seed,
+                                         constants=spec.constants) for _, seed in keys]
+    size = max(1, _MAX_ENSEMBLE_VALUES // (3 * spec.grid.n_cells))
+    results = []
+    for start in range(0, len(keys), size):
+        results += run(initials[start:start + size], params[start:start + size], spec.grid,
+                       spec.control, spec.t_end, spec.monitor_every)
+    return [_row(spec, alpha, seed, result) for (alpha, seed), result in zip(keys, results)]
+
+
+def _row(spec: SweepSpec, alpha: float, seed: int, result) -> SweepRow:
     above = Fraction(alpha) > alpha_threshold(spec.grid.ndim)
     try:
         p_value = float(select_energy_exponent(alpha, spec.grid.ndim).p)
@@ -147,14 +175,11 @@ def _run_row(spec: SweepSpec, alpha: float, seed: int) -> SweepRow:
     except ExponentInfeasibleError:
         p_value = math.nan
         feasible = False
-    params = Params(alpha=alpha, kappa=spec.kappa, coeffs=spec.coeffs)
-    initial = initial_condition_preset(spec.preset, spec.grid, spec.kappa, seed=seed)
-    try:
-        result = run(initial, params, spec.grid, spec.control, spec.t_end, spec.monitor_every)
-    except UnstableRunError:
+    if isinstance(result, UnstableRunError):
         return SweepRow(alpha, seed, above, feasible, p_value, verdict="",
                         peak_sup_u=math.nan, energy_max=math.nan, run_status="aborted")
-    verdict = classify_boundedness(result.records)
+    verdict = classify_boundedness(result.records, spec.growth_factor, spec.tail_fraction,
+                                   spec.slope_tol)
     energies = [r.energy for r in result.records]
     energy_max = math.nan if feasible is False else max(energies)
     return SweepRow(alpha, seed, above, feasible, p_value, verdict.label,
@@ -165,15 +190,18 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Execute one run per (alpha, seed) pair; rows come back sorted by key.
 
     A row whose run aborts is reported with run_status "aborted" instead
-    of failing the whole sweep.  jobs > 1 fans rows out over processes;
-    the rows are byte-identical to a sequential execution.
+    of failing the whole sweep.  The sorted rows are cut into ``jobs``
+    contiguous chunks of near-equal size, each run as one ensemble, in
+    parallel processes when there are several; the rows are byte-identical
+    for any job count.
     """
     keys = sorted((alpha, seed) for alpha in spec.alphas for seed in spec.seeds)
-    if jobs > 1 and len(keys) > 1:
+    jobs = max(1, min(jobs, len(keys)))
+    bounds = [len(keys) * k // jobs for k in range(jobs + 1)]
+    chunks = [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_row, [spec] * len(keys),
-                                 [k[0] for k in keys], [k[1] for k in keys]))
+            rows = [row for part in pool.map(_run_rows, [spec] * jobs, chunks) for row in part]
     else:
-        rows = [_run_row(spec, alpha, seed) for alpha, seed in keys]
-    rows.sort(key=lambda row: (row.alpha, row.seed))
+        rows = _run_rows(spec, keys)
     return SweepResult(rows)

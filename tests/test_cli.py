@@ -6,7 +6,7 @@ import pytest
 
 import chemovir.cli as cli_module
 from chemovir.cli import main
-from chemovir.grid import read_snapshot
+from chemovir.grid import read_snapshot, write_snapshot
 from chemovir.monitors import read_diagnostics_csv
 from chemovir.stepper import NegativityDetected, UnstableRunError
 from chemovir.sweep import SWEEP_CSV_COLUMNS, SweepResult
@@ -64,6 +64,24 @@ class TestSimulateCommand:
         names = sorted(p.name for p in out_dir.glob("snapshot_*.cvf"))
         assert names == ["snapshot_t0.2.cvf", "snapshot_t0.4.cvf"]
 
+    def test_final_state_formatted_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_write(path, state, grid):
+            calls.append(os.path.basename(path))
+            return write_snapshot(path, state, grid)
+
+        monkeypatch.setattr(cli_module, "write_snapshot", counting_write)
+        config = tmp_path / "run.cfg"
+        config.write_text(SIMULATE_CONFIG + "snapshot_every = 0.25\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out_dir)]) == 0
+        assert calls == ["snapshot_t0.3.cvf", "snapshot_t0.5.cvf"]
+        assert (out_dir / "final_state.cvf").read_bytes() == \
+               (out_dir / "snapshot_t0.5.cvf").read_bytes()
+        assert (out_dir / "final_state.cvf").stat().st_mode == \
+               (out_dir / "snapshot_t0.5.cvf").stat().st_mode
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2
@@ -101,6 +119,31 @@ class TestSweepCommand:
                           .replace("t_end = 0.5", "t_end = 2.0") + "\n[sweep]\nalphas = 1.0\n")
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
         assert specs[0].coeffs.d_u == 0.5
+
+    def sweep_rows(self, tmp_path, model_lines="", monitor_lines=""):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SIMULATE_CONFIG
+                          .replace("preset = steady-infection-free",
+                                   "preset = constant\n" + model_lines)
+                          .replace("t_end = 0.5", "t_end = 2.0")
+                          .replace("monitor_every = 0.1", "monitor_every = 0.1\n" + monitor_lines)
+                          + "\n[sweep]\nalphas = 1.0\n")
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out_dir), "--jobs", "1"]) == 0
+        lines = (out_dir / "sweep.csv").read_text().splitlines()
+        return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+    def test_sweep_uses_preset_constants(self, tmp_path):
+        rows = self.sweep_rows(tmp_path, model_lines="const_u = 3.5")
+        assert float(rows[0]["peak_sup_u"]) == 3.5
+
+    def test_sweep_uses_classifier_settings(self, tmp_path):
+        # from u = 1, u rises toward kappa = 2: inconclusive by default
+        assert self.sweep_rows(tmp_path)[0]["verdict"] == "inconclusive"
+        assert self.sweep_rows(tmp_path, monitor_lines="slope_tol = 1.0")[0]["verdict"] == \
+               "bounded-plateau"
+        assert self.sweep_rows(tmp_path, monitor_lines="growth_factor = 0.5")[0]["verdict"] == \
+               "growing"
 
     def test_sweep_without_alphas_exits_two(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chemovir.discretization import (
-    chemotaxis_divergence,
-    face_gradient,
-    helmholtz_solve,
-    laplacian_neumann,
-    max_face_gradient,
-)
+from chemovir.discretization import chemotaxis_divergence, helmholtz_solve, laplacian_neumann
 from chemovir.grid import Grid, integrate, lp_norm
 
 
@@ -66,36 +60,6 @@ class TestLaplacian:
             oracle += (padded[up] - 2 * padded[center] + padded[down]) / h ** 2
         np.testing.assert_allclose(laplacian_neumann(f, grid), oracle, rtol=0,
                                    atol=1e-12 * np.abs(oracle).max())
-
-
-class TestFaceGradient:
-    def test_constant_gives_zero_faces(self):
-        grid = Grid((5, 4))
-        velocity = face_gradient(grid.new_field(1.5), grid)
-        for component in velocity.components:
-            np.testing.assert_array_equal(component, 0.0)
-
-    def test_linear_exact(self):
-        grid = Grid((8,))
-        slope = 3.0
-        velocity = face_gradient(slope * grid.cell_centers(0), grid)
-        np.testing.assert_allclose(velocity.components[0][1:-1], slope, rtol=1e-13)
-
-    def test_boundary_faces_zero(self):
-        rng = np.random.default_rng(9)
-        grid = Grid((6, 7))
-        velocity = face_gradient(rng.normal(size=(6, 7)), grid)
-        assert np.all(velocity.components[0][0, :] == 0)
-        assert np.all(velocity.components[0][-1, :] == 0)
-        assert np.all(velocity.components[1][:, 0] == 0)
-        assert np.all(velocity.components[1][:, -1] == 0)
-
-    def test_max_face_gradient_agrees(self):
-        rng = np.random.default_rng(2)
-        for ndim in (1, 2, 3):
-            grid = random_grid(ndim, rng)
-            field = rng.normal(size=grid.shape)
-            assert max_face_gradient(field, grid) == face_gradient(field, grid).max_abs()
 
 
 class TestChemotaxisDivergence:
@@ -233,6 +197,24 @@ class TestHelmholtzSolve:
         assert solution.min() >= 0.0
         dense = np.linalg.solve(dense_operator(grid, tau), rhs)
         assert np.abs(solution - dense).max() <= 1e-15
+
+    @pytest.mark.parametrize("grid", [Grid((128,)), Grid((33,), (6.0,)),
+                                      Grid((24, 20), (12.0, 12.0))])
+    def test_member_blocks_solved_as_alone(self, grid):
+        # an ensemble member's (3, *shape) block, stacked with others, comes
+        # out bit for bit as when solved alone, also when only some of its
+        # rows need the positivity repair (the unit spike does)
+        shape = grid.shape
+        rng = np.random.default_rng(4)
+        rhs = rng.uniform(0.5, 1.0, (4, 3) + shape)
+        rhs[1, 2] = 0.0
+        rhs[1, 2].flat[0] = 1.0
+        tau = rng.uniform(0.01, 0.1, (4, 3) + (1,) * len(shape))
+        stacked = helmholtz_solve(rhs, tau, grid)
+        assert stacked[1, 2].min() >= 0.0
+        for member in range(4):
+            np.testing.assert_array_equal(stacked[member],
+                                          helmholtz_solve(rhs[member], tau[member], grid))
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):

@@ -161,6 +161,20 @@ class TestSnapshotIO:
         assert lines[12] == "w"
         assert len(lines) == 4 + 3 * 4
 
+    def test_exact_bytes(self, tmp_path):
+        grid = Grid((5,))
+        values = np.array([0.0, 5e-324, 1e-300, 0.30000000000000004, 1e300])
+        state = State(values, values[::-1], values, t=0.1)
+        path = tmp_path / "state.cvf"
+        write_snapshot(path, state, grid)
+        block = "0\n4.9406564584124654e-324\n1e-300\n0.30000000000000004\n1.0000000000000001e+300\n"
+        reverse = "1.0000000000000001e+300\n0.30000000000000004\n1e-300\n4.9406564584124654e-324\n0\n"
+        assert path.read_bytes() == (
+            "CVF1\n1 5\n1\nt=0.10000000000000001\n"
+            f"u\n{block}v\n{reverse}w\n{block}").encode()
+        loaded, _ = read_snapshot(path)
+        np.testing.assert_array_equal(loaded.fields, state.fields)
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cvf"
         path.write_text("NOPE\n1 3\n1\nt=0\n")

@@ -355,3 +355,103 @@ class TestRun:
         bad = State(grid.new_field(-1.0), grid.new_field(0.0), grid.new_field(0.0))
         with pytest.raises(ValueError):
             run(bad, Params(alpha=1.0), grid, StepControl(), t_end=1.0, monitor_every=0.5)
+
+
+def assert_same_run(member, single):
+    # bit for bit: records (NaN where the energy monitor is off), counters
+    # and final state
+    np.testing.assert_array_equal([tuple(vars(r).values()) for r in member.records],
+                                  [tuple(vars(r).values()) for r in single.records])
+    assert (member.steps, member.negativity_retries, member.max_dt) == \
+           (single.steps, single.negativity_retries, single.max_dt)
+    assert member.final_state.t == single.final_state.t
+    np.testing.assert_array_equal(member.final_state.fields, single.final_state.fields)
+
+
+class TestEnsemble:
+    ALPHAS = (0.5, 0.5, 0.6, 2.0, 1.0, 0.0, 1.5)
+
+    def members(self, grid, kappa=2.0, overflow=True):
+        initials = [initial_condition_preset("random-smooth", grid, kappa, seed=seed)
+                    for seed in range(len(self.ALPHAS))]
+        if overflow:
+            # u*w overflows to inf for every dt: this member aborts
+            initials[3] = State(grid.new_field(1e308), grid.new_field(0.0),
+                                grid.new_field(1e308))
+        return initials, [Params(alpha=alpha, kappa=kappa) for alpha in self.ALPHAS]
+
+    @pytest.mark.parametrize("shape", [(32,), (33,), (7, 6)])
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_members_equal_single_runs(self, shape, scheme):
+        grid = Grid(shape)
+        control = StepControl(scheme=scheme, dt_max=0.01 if scheme == "imex" else 1.0)
+        t_end = 0.5 if scheme == "imex" else 0.02
+        initials, params = self.members(grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = run(initials, params, grid, control, t_end, t_end / 5)
+            for initial, p, member in zip(initials, params, results):
+                try:
+                    single = run(initial, p, grid, control, t_end, t_end / 5)
+                except UnstableRunError as error:
+                    assert isinstance(member, UnstableRunError)
+                    assert (member.t, member.last_error.component, member.last_error.dt) == \
+                           (error.t, error.last_error.component, error.last_error.dt)
+                    np.testing.assert_array_equal(member.state.fields, error.state.fields)
+                    continue
+                assert_same_run(member, single)
+        assert isinstance(results[3], UnstableRunError)
+        assert sum(isinstance(r, UnstableRunError) for r in results) == 1
+
+    @pytest.mark.parametrize("shape", [(33,), (7, 6)])
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_step_equals_member_steps(self, shape, scheme):
+        # steep v, so that the chemotaxis term is not lost in roundoff;
+        # numpy evaluates x ** 0.5 and x ** 2.0 by other paths than x ** 0.7
+        rng = np.random.default_rng(7)
+        grid = Grid(shape)
+        alphas = (0.5, 0.5, 2.0, 1.0, 0.7, 0.0)
+        fields = np.stack([np.stack([rng.uniform(0, 3, shape), rng.uniform(0, 5, shape),
+                                     rng.uniform(0, 1, shape)]) for _ in alphas])
+        params = tuple(Params(alpha=alpha, kappa=1.0) for alpha in alphas)
+        control = StepControl(scheme=scheme)
+        ensemble = State.from_fields(fields, np.zeros(len(alphas)))
+        step_size = stepper_module._StepSize(params[0], grid, control)
+        dt = np.array(step_size.members(ensemble, list(alphas)))
+        new, ok = step(ensemble, params, grid, dt, control)
+        assert ok.all()
+        for member, p in enumerate(params):
+            single = State.from_fields(fields[member], 0.0)
+            assert dt[member] == stable_dt(single, p, grid, control)
+            np.testing.assert_array_equal(
+                stepper_module._rates(ensemble, params, grid, scheme)[member],
+                stepper_module._rates(single, p, grid, scheme))
+            np.testing.assert_array_equal(new.fields[member],
+                                          step(single, p, grid, dt[member], control).fields)
+
+    def test_members_may_differ_only_in_alpha(self):
+        grid = Grid((8,))
+        initials, params = self.members(grid, overflow=False)
+        params[1] = Params(alpha=1.0, kappa=1.0)
+        with pytest.raises(ValueError, match="only in alpha"):
+            run(initials, params, grid, StepControl(), 1.0, 0.5)
+
+    def test_t_end_zero_and_empty(self):
+        grid = Grid((8,))
+        initials, params = self.members(grid, overflow=False)
+        results = run(initials, params, grid, StepControl(), 0.0, 0.1)
+        assert [r.records for r in results] == [[]] * len(initials)
+        assert run([], [], grid, StepControl(), 1.0, 0.1) == []
+
+    def test_one_step_call_per_ensemble_step(self, monkeypatch):
+        calls = []
+
+        def counting_step(state, params, grid_, dt, control):
+            calls.append(len(params))
+            return step(state, params, grid_, dt, control)
+
+        monkeypatch.setattr(stepper_module, "step", counting_step)
+        grid = Grid((16,))
+        initials, params = self.members(grid, overflow=False)
+        results = run(initials, params, grid, StepControl(), 0.1, 0.05)
+        assert max(r.steps for r in results) == len(calls)
+        assert calls[0] == len(initials)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import chemovir.sweep as sweep_module
 from chemovir.grid import Grid
 from chemovir.model import Coefficients, Params, alpha_threshold
 from chemovir.monitors import classify_boundedness
@@ -135,6 +136,65 @@ class TestRunSweep:
         sequential = run_sweep(spec, jobs=1)
         parallel = run_sweep(spec, jobs=2)
         assert sequential.to_csv_text() == parallel.to_csv_text()
+
+    @pytest.mark.parametrize("grid", [Grid((32,)), Grid((33,)), Grid((6, 7))])
+    def test_rows_equal_single_runs_for_any_job_count(self, grid):
+        spec = small_spec(alphas=(0.5, 0.6, 0.65, 1.0, 2.0), seeds=(3, 1), grid=grid,
+                          preset="random-smooth", kappa=2.0)
+        expected = []
+        for alpha in spec.alphas:
+            for seed in sorted(spec.seeds):
+                initial = initial_condition_preset(spec.preset, grid, spec.kappa, seed=seed)
+                result = run(initial, Params(alpha=alpha, kappa=spec.kappa), grid, spec.control,
+                             spec.t_end, spec.monitor_every)
+                verdict = classify_boundedness(result.records)
+                energies = [r.energy for r in result.records]
+                # repr round-trips floats exactly and spells NaN one way
+                energy_max = math.nan if result.energy_exponent is None else max(energies)
+                expected.append((alpha, seed, verdict.label, repr(verdict.peak_sup_u),
+                                 repr(energy_max)))
+        for jobs in (1, 2, 3):
+            rows = run_sweep(spec, jobs=jobs).rows
+            assert [(r.alpha, r.seed, r.verdict, repr(r.peak_sup_u), repr(r.energy_max))
+                    for r in rows] == expected
+            assert [r.run_status for r in rows] == ["completed"] * len(expected)
+
+    def test_large_grids_split_into_several_ensembles(self, monkeypatch):
+        spec = small_spec(alphas=(0.5, 1.0, 2.0), seeds=(0, 1), preset="random-smooth")
+        whole = run_sweep(spec).to_csv_text()
+        sizes = []
+        original = sweep_module.run
+
+        def recording_run(initials, *args):
+            sizes.append(len(initials))
+            return original(initials, *args)
+
+        monkeypatch.setattr(sweep_module, "run", recording_run)
+        monkeypatch.setattr(sweep_module, "_MAX_ENSEMBLE_VALUES", 4 * 3 * spec.grid.n_cells)
+        assert run_sweep(spec).to_csv_text() == whole
+        assert sizes == [4, 2]
+
+    def test_overflowing_rows_abort(self):
+        # u*w overflows to inf for every dt (TestEnsemble in test_stepper
+        # checks that the other members of an ensemble keep going)
+        spec = small_spec(alphas=(1.0, 2.0), preset="constant", kappa=0.0,
+                          constants=(1e308, 0.0, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = run_sweep(spec, jobs=2).rows
+        assert [row.run_status for row in rows] == ["aborted", "aborted"]
+
+    def test_uses_constants(self):
+        spec = small_spec(alphas=(1.0,), preset="constant", kappa=0.0,
+                          constants=(2.5, 0.0, 0.0))
+        assert run_sweep(spec).rows[0].peak_sup_u == 2.5
+
+    def test_uses_classifier_settings(self):
+        # u rises from 1 toward kappa = 2: inconclusive by default
+        base = dict(alphas=(1.0,), preset="constant", kappa=2.0)
+        assert run_sweep(small_spec(**base)).rows[0].verdict == "inconclusive"
+        assert run_sweep(small_spec(**base, slope_tol=1.0)).rows[0].verdict == "bounded-plateau"
+        assert run_sweep(small_spec(**base, growth_factor=0.5)).rows[0].verdict == "growing"
+        assert run_sweep(small_spec(**base, tail_fraction=1.0)).rows[0].verdict == "inconclusive"
 
     def test_keeps_coefficient_overrides(self):
         coeffs = Coefficients(d_u=0.5, decay_w=2.0)
