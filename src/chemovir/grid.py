@@ -11,6 +11,7 @@ array), so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -150,17 +151,17 @@ class State:
 def integrate(values: np.ndarray, grid: Grid) -> float:
     """Midpoint-rule integral over the box: cell_volume * sum of values."""
     values = check_field(values, grid)
-    return grid.cell_volume * float(values.sum())
+    return float(_integrals(values, grid))
 
 
 def lp_norm(values: np.ndarray, grid: Grid, p) -> float:
     """Discrete L^p norm; p = inf gives the max of |values|."""
     values = check_field(values, grid)
     if p == math.inf:
-        return float(np.abs(values).max())
+        return float(_sup_norms(values, grid))
     if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float((np.abs(values) ** p).sum() * grid.cell_volume) ** (1.0 / p)
+    return _lp_norm_from_sum(_cell_sums(np.abs(values) ** p, grid.ndim), grid, p)
 
 
 def grad_norm_sq(values: np.ndarray, grid: Grid) -> float:
@@ -173,14 +174,42 @@ def grad_norm_sq(values: np.ndarray, grid: Grid) -> float:
     exactly.
     """
     values = check_field(values, grid)
-    vol = grid.cell_volume
+    return float(_grad_norms_sq(values, grid))
+
+
+# The quadratures behind integrate, lp_norm and grad_norm_sq.  They reduce
+# the trailing grid axes of an array with any leading axes, such as an
+# ensemble's (E, 3, *shape), to one value per leading index.  Each sum runs
+# over a contiguous row of cells, so a member's value equals that of its
+# field alone bit for bit.
+
+def _cell_sums(values: np.ndarray, ndim: int) -> np.ndarray:
+    """Sums over the trailing ndim axes."""
+    return values.reshape(values.shape[:values.ndim - ndim] + (-1,)).sum(-1)
+
+
+def _integrals(values: np.ndarray, grid: Grid) -> np.ndarray:
+    return grid.cell_volume * _cell_sums(values, grid.ndim)
+
+
+def _sup_norms(values: np.ndarray, grid: Grid) -> np.ndarray:
+    return np.abs(values).reshape(values.shape[:values.ndim - grid.ndim] + (-1,)).max(-1)
+
+
+def _lp_norm_from_sum(total, grid: Grid, p: float) -> float:
+    """The L^p norm from the cell sum of |values|^p."""
+    return float(total * grid.cell_volume) ** (1.0 / p)
+
+
+def _grad_norms_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
+    ndim = grid.ndim
     total = 0.0
-    for axis, h in enumerate(grid.spacing):
+    for axis, h in zip(range(values.ndim - ndim, values.ndim), grid.spacing):
         d = np.diff(values, axis=axis) / h
         sq = d * d
-        first = tuple(0 if k == axis else slice(None) for k in range(grid.ndim))
-        last = tuple(-1 if k == axis else slice(None) for k in range(grid.ndim))
-        total += vol * (float(sq.sum()) + 0.5 * (float(sq[first].sum()) + float(sq[last].sum())))
+        boundary = (_cell_sums(np.take(sq, 0, axis), ndim - 1)
+                    + _cell_sums(np.take(sq, -1, axis), ndim - 1))
+        total += grid.cell_volume * (_cell_sums(sq, ndim) + 0.5 * boundary)
     return total
 
 
@@ -217,12 +246,19 @@ def write_snapshot(path, state: State, grid: Grid) -> str:
         " ".join(f"{L:.17g}" for L in grid.lengths),
         f"t={state.t:.17g}",
     ]
+    block = _block_format(grid.n_cells)
     for label, values in zip("uvw", state.fields):
         lines.append(label)
-        lines.append("\n".join(map("%.17g".__mod__, values.ravel().tolist())))
+        lines.append(block % tuple(values.ravel().tolist()))
     text = "\n".join(lines) + "\n"
     atomic_write_text(path, text)
     return text
+
+
+@functools.lru_cache(maxsize=4)
+def _block_format(n: int) -> str:
+    # one "%.17g" line per cell: a block is formatted by a single % operation
+    return "\n".join(["%.17g"] * n)
 
 
 def read_snapshot(path) -> tuple[State, Grid]:

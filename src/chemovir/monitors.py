@@ -11,20 +11,24 @@ discretisation becomes a pure function of diagnostic records here:
 * the analogous bound on int(v) with the combined initial mass and d the
   smaller decay rate of u and v;
 * the quasi-energy  F = (1/p) int(u^p) + ((p+3)/4) int(v^2) + int(|grad w|^2),
-  whose differential inequality forces a plateau for admissible p.
+  whose differential inequality forces a plateau for admissible p when
+  every coefficient is 1 (NaN otherwise).
 
-The monitors are stateless; each record is evaluated independently.
+The monitors are stateless; each record is evaluated independently, and
+compute_record evaluates a whole ensemble's records in one call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import Grid, State, atomic_write_text, grad_norm_sq, integrate, lp_norm
-from .model import Params
+from .grid import (Grid, State, _cell_sums, _grad_norms_sq, _integrals, _lp_norm_from_sum,
+                   _sup_norms, atomic_write_text, check_field, grad_norm_sq)
+from .model import Coefficients, Params
 
 CSV_COLUMNS = (
     "t", "mass_u", "mass_v", "mass_w", "sup_u", "sup_v", "sup_w", "lp_u",
@@ -72,9 +76,14 @@ def quasi_energy(state: State, p: float, grid: Grid) -> float:
     if not p > 1:
         raise ValueError(f"energy exponent must exceed 1, got {p}")
     p = float(p)
-    term_u = integrate(state.u ** p, grid) / p
-    term_v = (p + 3.0) / 4.0 * integrate(state.v * state.v, grid)
-    return term_u + term_v + grad_norm_sq(state.w, grid)
+    u, v = check_field(state.u, grid, "u"), check_field(state.v, grid, "v")
+    return _energy(float(_integrals(u ** p, grid)), float(_integrals(v * v, grid)),
+                   grad_norm_sq(state.w, grid), p)
+
+
+def _energy(integral_up: float, integral_vv: float, grad_w_sq: float, p: float) -> float:
+    # F from int(u^p), int(v^2) and int(|grad w|^2)
+    return integral_up / p + (p + 3.0) / 4.0 * integral_vv + grad_w_sq
 
 
 def _relaxed_mass(initial_mass: float, kappa: float, volume: float, t: float,
@@ -114,42 +123,74 @@ def check_v_mass_bound(mass_v: float, initial_mass_uv: float, kappa: float,
     return _relaxed_mass(initial_mass_uv, kappa, volume, t, decay) - mass_v
 
 
-def compute_record(state: State, grid: Grid, params: Params, p: float | None,
-                   baseline: RunBaseline) -> DiagnosticsRecord:
+_UNIT_COEFFICIENTS = Coefficients()
+
+
+def compute_record(state: State, grid: Grid, params, p, baseline):
     """Evaluate all diagnostics for one state.
 
     ``p`` is the selected energy exponent, or None when infeasible, in
     which case the energy and lp_u columns are NaN (energy monitoring is
-    disabled below the threshold).
+    disabled below the threshold).  The energy is NaN as well when any
+    coefficient is not 1: the quasi-energy inequality is derived for the
+    unit system.
+
+    An ensemble state, ``fields`` of shape (E, 3, *shape) and ``t`` an
+    array of member times, comes with per-member sequences of Params,
+    exponents and RunBaselines and gives a list of E records, each equal
+    bit for bit to its member's single-state record.
     """
-    inf = math.inf
-    c = params.coeffs
-    mass_u = integrate(state.u, grid)
-    mass_v = integrate(state.v, grid)
-    if c.decay_u == c.decay_v:
-        residual = mass_identity_residual(mass_u, mass_v, state.t, baseline.mass_uv0,
-                                          params.kappa, baseline.volume, c.decay_u)
-    else:
-        residual = math.nan  # no exact identity when u and v decay at different rates
-    return DiagnosticsRecord(
-        t=state.t,
-        mass_u=mass_u,
-        mass_v=mass_v,
-        mass_w=integrate(state.w, grid),
-        sup_u=lp_norm(state.u, grid, inf),
-        sup_v=lp_norm(state.v, grid, inf),
-        sup_w=lp_norm(state.w, grid, inf),
-        lp_u=lp_norm(state.u, grid, float(p)) if p is not None else math.nan,
-        grad_v_sq=grad_norm_sq(state.v, grid),
-        grad_w_sq=grad_norm_sq(state.w, grid),
-        energy=quasi_energy(state, float(p), grid) if p is not None else math.nan,
-        mass_identity_residual=residual,
-        u_bound_slack=check_u_mass_bound(
-            mass_u, baseline.mass_u0, params.kappa, baseline.volume, state.t, c.decay_u),
-        v_bound_slack=check_v_mass_bound(
-            mass_v, baseline.mass_uv0, params.kappa, baseline.volume, state.t,
-            min(c.decay_u, c.decay_v)),
-    )
+    if isinstance(params, Params):
+        member = State.from_fields(state.fields[None], np.array([state.t]))
+        return compute_record(member, grid, [params], [p], [baseline])[0]
+    # every quantity comes from per-member reductions of the (E, 3, *shape) array
+    fields, times, exponents, count = state.fields, state.t.tolist(), p, len(state.fields)
+    if fields.shape[1:] != (3,) + grid.shape:
+        raise ValueError(f"fields shape {fields.shape[1:]} does not match grid {grid.shape}")
+    if not len(times) == len(params) == len(exponents) == len(baseline) == count:
+        raise ValueError(f"{count} members need as many times, Params, exponents and baselines")
+    masses = _integrals(fields, grid).tolist()
+    sups = _sup_norms(fields, grid).tolist()
+    grads = _grad_norms_sq(fields[:, 1:], grid).tolist()
+    integrals_vv = _integrals(fields[:, 1] * fields[:, 1], grid).tolist()
+    # u^p once per run of equal exponents, with the scalar exponent (numpy
+    # takes other paths for x ** 2.0 and x ** 0.5 than for an array of
+    # exponents); abs is the identity on u >= 0, so it serves lp_u and energy
+    sums_up = [math.nan] * count
+    start = 0
+    for p, group in itertools.groupby(exponents):
+        stop = start + len(list(group))
+        if p is not None:
+            if not p > 1:
+                raise ValueError(f"energy exponent must exceed 1, got {p}")
+            sums_up[start:stop] = _cell_sums(fields[start:stop, 0] ** float(p),
+                                             grid.ndim).tolist()
+        start = stop
+
+    records = []
+    for i, (t, member, p, base) in enumerate(zip(times, params, exponents, baseline)):
+        (mass_u, mass_v, mass_w), (grad_v_sq, grad_w_sq) = masses[i], grads[i]
+        kappa, c, volume = member.kappa, member.coeffs, base.volume
+        if p is None:
+            lp_u = energy = math.nan
+        else:
+            p = float(p)
+            lp_u = _lp_norm_from_sum(sums_up[i], grid, p)
+            if c == _UNIT_COEFFICIENTS:
+                energy = _energy(grid.cell_volume * sums_up[i], integrals_vv[i], grad_w_sq, p)
+            else:
+                energy = math.nan
+        if c.decay_u == c.decay_v:
+            residual = mass_identity_residual(mass_u, mass_v, t, base.mass_uv0, kappa, volume,
+                                              c.decay_u)
+        else:
+            residual = math.nan  # no exact identity when u and v decay at different rates
+        records.append(DiagnosticsRecord(
+            t, mass_u, mass_v, mass_w, *sups[i], lp_u, grad_v_sq, grad_w_sq, energy, residual,
+            check_u_mass_bound(mass_u, base.mass_u0, kappa, volume, t, c.decay_u),
+            check_v_mass_bound(mass_v, base.mass_uv0, kappa, volume, t,
+                               min(c.decay_u, c.decay_v))))
+    return records
 
 
 def classify_boundedness(records, growth_factor: float = 1e3,

@@ -420,14 +420,18 @@ def _run_ensemble(initials: list[State], params: tuple[Params, ...], grid: Grid,
     alphas = [p.alpha for p in params]
     step_size = _StepSize(params[0], grid, control)
 
-    def record(i):
-        result = results[i]
-        result.final_state = State.from_fields(fields[i], float(times[i]))
-        result.records.append(compute_record(result.final_state, grid, params[i],
-                                             result.energy_exponent, result.baseline))
+    def record():
+        # one call for all live members
+        index = np.flatnonzero(live)
+        if len(index):
+            records = compute_record(
+                State.from_fields(fields[index], times[index]), grid,
+                [params[i] for i in index], [results[i].energy_exponent for i in index],
+                [results[i].baseline for i in index])
+            for i, member_record in zip(index, records):
+                results[i].records.append(member_record)
 
-    for i in range(count):
-        record(i)
+    record()
     for target in _monitor_targets(t_end, monitor_every):
         cutoff = target - 1e-12 * max(1.0, target)
         while True:
@@ -443,7 +447,8 @@ def _run_ensemble(initials: list[State], params: tuple[Params, ...], grid: Grid,
                 if len(done) == count:
                     fields = new.fields
                 elif len(done):
-                    fields = fields.copy()  # member states handed out keep their values
+                    if not fields.flags.writeable:  # a step's fields are read-only
+                        fields = fields.copy()
                     fields[done] = new.fields[ok]
                 times[done] = new.t[ok]
                 steps[done] += 1
@@ -462,10 +467,10 @@ def _run_ensemble(initials: list[State], params: tuple[Params, ...], grid: Grid,
                 index, dt = index[failed], dt[failed] * 0.5
                 state = State.from_fields(state.fields[failed], state.t[failed])
         times[live] = target  # snap off the accumulated roundoff
-        for i in np.flatnonzero(live):
-            record(i)
+        record()
 
     for i in np.flatnonzero(live):
+        results[i].final_state = State.from_fields(fields[i], float(times[i]))
         results[i].steps, results[i].negativity_retries = int(steps[i]), int(retries[i])
         results[i].max_dt = float(max_dt[i])
     return results

@@ -181,7 +181,9 @@ def _row(spec: SweepSpec, alpha: float, seed: int, result) -> SweepRow:
     verdict = classify_boundedness(result.records, spec.growth_factor, spec.tail_fraction,
                                    spec.slope_tol)
     energies = [r.energy for r in result.records]
-    energy_max = math.nan if feasible is False else max(energies)
+    # NaN energies mean the monitor is off: no admissible exponent, or a
+    # coefficient other than 1
+    energy_max = math.nan if any(map(math.isnan, energies)) else max(energies)
     return SweepRow(alpha, seed, above, feasible, p_value, verdict.label,
                     verdict.peak_sup_u, energy_max, run_status="completed")
 

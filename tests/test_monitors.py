@@ -5,14 +5,16 @@ import stat
 import numpy as np
 import pytest
 
-from chemovir.grid import Grid, State
-from chemovir.model import Coefficients, Params
+from chemovir.grid import Grid, State, grad_norm_sq, integrate, lp_norm
+from chemovir.model import Coefficients, ExponentInfeasibleError, Params, select_energy_exponent
 from chemovir.monitors import (
     CSV_COLUMNS,
     DiagnosticsRecord,
+    RunBaseline,
     check_u_mass_bound,
     check_v_mass_bound,
     classify_boundedness,
+    compute_record,
     energy_plateau_exceedance,
     mass_identity_residual,
     quasi_energy,
@@ -136,6 +138,96 @@ class TestMassBounds:
     def test_slack_signs(self):
         assert check_u_mass_bound(5.0, 1.0, 0.0, 1.0, 0.5) < 0
         assert check_v_mass_bound(0.1, 1.0, 0.0, 1.0, 0.5) > 0
+
+
+def reference_record(state, grid, params, p, baseline):
+    """A record built field by field from the public helpers."""
+    c, t, kappa, volume = params.coeffs, state.t, params.kappa, baseline.volume
+    mass_u, mass_v = integrate(state.u, grid), integrate(state.v, grid)
+    if p is None:
+        lp_u = energy = math.nan
+    else:
+        lp_u = lp_norm(state.u, grid, p)
+        energy = quasi_energy(state, p, grid) if c == Coefficients() else math.nan
+    if c.decay_u == c.decay_v:
+        residual = mass_identity_residual(mass_u, mass_v, t, baseline.mass_uv0, kappa, volume,
+                                          c.decay_u)
+    else:
+        residual = math.nan
+    return DiagnosticsRecord(
+        t, mass_u, mass_v, integrate(state.w, grid), lp_norm(state.u, grid, math.inf),
+        lp_norm(state.v, grid, math.inf), lp_norm(state.w, grid, math.inf), lp_u,
+        grad_norm_sq(state.v, grid), grad_norm_sq(state.w, grid), energy, residual,
+        check_u_mass_bound(mass_u, baseline.mass_u0, kappa, volume, t, c.decay_u),
+        check_v_mass_bound(mass_v, baseline.mass_uv0, kappa, volume, t,
+                           min(c.decay_u, c.decay_v)))
+
+
+def record_values(records):
+    return [tuple(vars(r).values()) for r in records]
+
+
+class TestComputeRecord:
+    # infeasible (0.5), repeated (1.4 twice), and p = 2.0 in 1D (1.4) and
+    # 2D (1.25), for which numpy squares instead of calling pow
+    ALPHAS = (0.5, 1.4, 1.4, 1.0, 1.25, 0.65, 2.0, 2.0)
+
+    def ensemble(self, grid):
+        rng = np.random.default_rng(11)
+        count = len(self.ALPHAS)
+        fields = rng.uniform(0.0, 3.0, (count, 3) + grid.shape) ** 2
+        times = rng.uniform(0.0, 2.0, count)
+        unit, unequal = Coefficients(), Coefficients(decay_u=0.5, decay_v=2.0)
+        coeffs = [unit, unit, unit, unequal, unit, unit, Coefficients(d_u=0.5), unequal]
+        params = [Params(alpha=a, kappa=1.5, coeffs=c) for a, c in zip(self.ALPHAS, coeffs)]
+        exponents = []
+        for alpha in self.ALPHAS:
+            try:
+                exponents.append(float(select_energy_exponent(alpha, grid.ndim).p))
+            except ExponentInfeasibleError:
+                exponents.append(None)
+        baselines = [RunBaseline(mass_u0=m, mass_uv0=2.0 * m, volume=grid.volume)
+                     for m in rng.uniform(0.5, 2.0, count).tolist()]
+        return State.from_fields(fields, times), params, exponents, baselines
+
+    @pytest.mark.parametrize("shape", [(32,), (33,), (12, 9), (6, 5, 4)])
+    def test_ensemble_equals_member_records(self, shape):
+        grid = Grid(shape)
+        state, params, exponents, baselines = self.ensemble(grid)
+        records = compute_record(state, grid, params, exponents, baselines)
+        singles, references = [], []
+        for i, (p, exponent, baseline) in enumerate(zip(params, exponents, baselines)):
+            member = State.from_fields(state.fields[i], float(state.t[i]))
+            singles.append(compute_record(member, grid, p, exponent, baseline))
+            references.append(reference_record(member, grid, p, exponent, baseline))
+        # bit for bit, NaN included
+        np.testing.assert_array_equal(record_values(records), record_values(references))
+        np.testing.assert_array_equal(record_values(singles), record_values(references))
+        assert [type(r.t) for r in records] == [float] * len(records)
+        assert math.isnan(records[3].mass_identity_residual)
+        assert math.isnan(records[0].lp_u) and math.isnan(records[0].energy)
+        assert math.isnan(records[6].energy) and math.isfinite(records[6].lp_u)
+
+    def test_rejects_mismatched_members(self):
+        grid = Grid((8,))
+        state, params, exponents, baselines = self.ensemble(grid)
+        with pytest.raises(ValueError, match="members"):
+            compute_record(state, grid, params[1:], exponents, baselines)
+        with pytest.raises(ValueError, match="grid"):
+            compute_record(state, Grid((9,)), params, exponents, baselines)
+
+    def test_energy_disabled_under_coefficient_overrides(self):
+        grid = Grid((16,))
+        initial = initial_condition_preset("random-smooth", grid, 1.0, seed=2)
+        for coeffs in (Coefficients(d_u=0.5), Coefficients(production=2.0),
+                       Coefficients(decay_w=3.0)):
+            result = run(initial, Params(alpha=2.0, kappa=1.0, coeffs=coeffs), grid,
+                         StepControl(), t_end=0.2, monitor_every=0.1)
+            assert all(math.isnan(r.energy) for r in result.records)
+            assert all(math.isfinite(r.lp_u) for r in result.records)
+        plain = run(initial, Params(alpha=2.0, kappa=1.0), grid, StepControl(), t_end=0.2,
+                    monitor_every=0.1)
+        assert all(math.isfinite(r.energy) for r in plain.records)
 
 
 class TestClassifyBoundedness:

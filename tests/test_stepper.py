@@ -7,6 +7,7 @@ import chemovir.stepper as stepper_module
 from chemovir.discretization import chemotaxis_divergence, helmholtz_solve, laplacian_neumann
 from chemovir.grid import Grid, State, integrate
 from chemovir.model import Coefficients, Params, reaction_rates
+from chemovir.monitors import compute_record
 from chemovir.stepper import (
     NegativityDetected,
     StepControl,
@@ -455,3 +456,21 @@ class TestEnsemble:
         results = run(initials, params, grid, StepControl(), 0.1, 0.05)
         assert max(r.steps for r in results) == len(calls)
         assert calls[0] == len(initials)
+
+    def test_one_record_call_per_target(self, monkeypatch):
+        calls = []
+
+        def counting_record(state, grid_, params, exponents, baselines):
+            calls.append(len(params))
+            return compute_record(state, grid_, params, exponents, baselines)
+
+        monkeypatch.setattr(stepper_module, "compute_record", counting_record)
+        grid = Grid((16,))
+        initials, params = self.members(grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = run(initials, params, grid, StepControl(), 0.1, 0.05)
+        # the initial records, then two targets without the aborted member
+        count = len(initials)
+        assert calls == [count, count - 1, count - 1]
+        assert [len(r.records) for r in results if not isinstance(r, UnstableRunError)] == \
+               [3] * (count - 1)

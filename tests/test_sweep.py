@@ -207,6 +207,13 @@ class TestRunSweep:
         plain = run_sweep(small_spec(preset="random-smooth", kappa=2.0)).rows[0]
         assert row.peak_sup_u != plain.peak_sup_u
 
+    def test_energy_max_nan_under_coefficient_overrides(self):
+        # the quasi-energy is derived for unit coefficients
+        spec = small_spec(alphas=(1.0, 2.0), coeffs=Coefficients(d_w=2.0))
+        rows = run_sweep(spec).rows
+        assert all(row.p_feasible and math.isnan(row.energy_max) for row in rows)
+        assert all(math.isfinite(row.energy_max) for row in run_sweep(small_spec()).rows)
+
     def test_csv_schema(self, tmp_path):
         result = run_sweep(small_spec())
         path = tmp_path / "sweep.csv"
