@@ -10,12 +10,12 @@ import argparse
 import os
 import sys
 
-from .config import Config, ConfigError, load_config
+from .config import ConfigError, load_config
 from .grid import atomic_write_text, write_snapshot
 from .model import alpha_threshold
 from .monitors import write_diagnostics_csv
 from .stepper import UnstableRunError, run
-from .sweep import SweepSpec, initial_condition_preset, run_sweep
+from .sweep import run_sweep
 from .verification import SUITES, run_suite
 
 JOBS_ENV_VAR = "CHEMOVIR_JOBS"
@@ -57,18 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _initial_state(config: Config):
-    return initial_condition_preset(
-        config.preset.name, config.grid, config.params.kappa,
-        seed=config.preset.seed, constants=config.preset.constants)
-
-
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
-    out_dir = args.out or config.monitors.out_dir
+    out_dir = args.out or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    snapshot_every = config.monitors.snapshot_every
+    snapshot_every = config.snapshot_every
     next_snapshot = [snapshot_every]
     final_text = []  # the snapshot text of the state at t_end, when one was written
 
@@ -81,8 +75,8 @@ def _cmd_simulate(args) -> int:
             while next_snapshot[0] <= record.t + 1e-9:
                 next_snapshot[0] += snapshot_every
 
-    result = run(_initial_state(config), config.params, config.grid, config.control,
-                 config.t_end, config.monitors.monitor_every, on_record=on_record)
+    result = run(config.initial_state(config.seed), config.params(config.alpha), config.grid,
+                 config.control, config.t_end, config.monitor_every, on_record=on_record)
     write_diagnostics_csv(result.records, os.path.join(out_dir, "diagnostics.csv"))
     final_path = os.path.join(out_dir, "final_state.cvf")
     if final_text:
@@ -97,25 +91,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    if config.sweep.alphas is None:
-        raise ConfigError("sweep command needs 'alphas' in the [sweep] section")
-    out_dir = args.out or config.monitors.out_dir
+    spec = config.sweep_spec()
+    out_dir = args.out or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    spec = SweepSpec(
-        alphas=config.sweep.alphas,
-        grid=config.grid,
-        kappa=config.params.kappa,
-        coeffs=config.params.coeffs,
-        seeds=config.sweep.seeds,
-        preset=config.preset.name,
-        t_end=config.t_end,
-        monitor_every=config.monitors.monitor_every,
-        control=config.control,
-        constants=config.preset.constants,
-        growth_factor=config.monitors.growth_factor,
-        tail_fraction=config.monitors.tail_fraction,
-        slope_tol=config.monitors.slope_tol,
-    )
     jobs = args.jobs if args.jobs else _default_jobs()
     result = run_sweep(spec, jobs=jobs)
     path = os.path.join(out_dir, "sweep.csv")

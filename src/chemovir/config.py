@@ -4,16 +4,22 @@ Zero-dependency parsing with line-accurate errors: unknown keys, type
 mismatches, duplicates (both lines cited) and violated constraints all
 name the offending line.  ``#`` starts a comment anywhere.  Every key has
 a documented default except alpha, which is required.
+
+_SCHEMA is the only list of the keys.  A key's value goes to the dataclass
+field of the same name, except the grid and constant-preset keys, which
+are assembled into a Grid and a tuple.  The constraints live in those
+dataclasses; their ValueError names the key, and is re-raised here as a
+ConfigError with the key's line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .grid import Grid
-from .model import Coefficients, Params
-from .stepper import SCHEMES, StepControl
-from .sweep import PRESETS
+from .grid import Grid, require
+from .model import Coefficients
+from .stepper import StepControl
+from .sweep import RunSpec, SweepSpec
 
 
 class ConfigError(ValueError):
@@ -22,7 +28,8 @@ class ConfigError(ValueError):
 
 _REQUIRED = object()
 
-# section -> key -> (kind, default); kind in float/int/str/float_list/int_list
+# section -> key -> (kind, default); kind in float/int/str/float_list/int_list.
+# Key names are unique across sections.
 _SCHEMA = {
     "model": {
         "alpha": ("float", _REQUIRED),
@@ -60,39 +67,48 @@ _SCHEMA = {
     },
 }
 
+_CONSTANTS = ("const_u", "const_v", "const_w")
 
-@dataclass(frozen=True)
-class PresetSettings:
-    name: str = "gaussian-bump-v"
+
+@dataclass(frozen=True, kw_only=True)
+class Config(RunSpec):
+    """The run settings both commands share, plus the keys one command alone
+    reads: alpha, seed and snapshot_every (simulate), alphas and seeds
+    (sweep).  ``lines`` maps each key set in the file to its line."""
+
+    alpha: float
     seed: int = 0
-    constants: tuple[float, float, float] = (1.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class MonitorSettings:
-    monitor_every: float = 0.1
     snapshot_every: float = 0.0
-    growth_factor: float = 1000.0
-    tail_fraction: float = 0.2
-    slope_tol: float = 1e-4
     out_dir: str = "out"
-
-
-@dataclass(frozen=True)
-class SweepSettings:
     alphas: tuple[float, ...] | None = None
     seeds: tuple[int, ...] = (0,)
+    lines: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.params(self.alpha)  # Params checks alpha and kappa
+        require(self.seed >= 0, "seed", "seed >= 0", self.seed)
+        require(self.snapshot_every >= 0, "snapshot_every", "snapshot_every >= 0",
+                self.snapshot_every)
+
+    def sweep_spec(self) -> SweepSpec:
+        """The sweep over alphas and seeds with every shared setting of this config."""
+        if self.alphas is None:
+            raise ConfigError("sweep command needs 'alphas' in the [sweep] section")
+        shared = {f.name: getattr(self, f.name) for f in fields(RunSpec)}
+        return _cite_line(self.lines, SweepSpec, **shared, alphas=self.alphas, seeds=self.seeds)
 
 
-@dataclass(frozen=True)
-class Config:
-    params: Params
-    grid: Grid
-    control: StepControl
-    t_end: float
-    monitors: MonitorSettings = field(default_factory=MonitorSettings)
-    preset: PresetSettings = field(default_factory=PresetSettings)
-    sweep: SweepSettings = field(default_factory=SweepSettings)
+def _cite_line(lines: dict, build, **kwargs):
+    """build(**kwargs), its ValueError re-raised as a ConfigError with the
+    line of the key it names (none when the key took its default)."""
+    try:
+        return build(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as error:
+        line = lines.get(str(error).split(" ", 1)[0])
+        raise ConfigError(f"line {line}: {error}" if line else str(error)) from None
 
 
 def _parse_scalar(kind: str, raw: str, line_no: int, key: str):
@@ -112,15 +128,15 @@ def _parse_scalar(kind: str, raw: str, line_no: int, key: str):
         if kind == "int_list":
             return tuple(int(piece) for piece in items)
         return tuple(float(piece) for piece in items)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(
             f"line {line_no}: key {key!r} expects {kind.replace('_', ' of ')}, got {raw!r}"
         ) from None
 
 
 def _tokenize(text: str):
-    values: dict[tuple[str, str], object] = {}
-    lines_of: dict[tuple[str, str], int] = {}
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     section = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -140,145 +156,71 @@ def _tokenize(text: str):
         key, raw_value = (piece.strip() for piece in line.split("=", 1))
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {line_no}: unknown key {key!r} in section [{section}]")
-        if (section, key) in values:
+        if key in values:
             raise ConfigError(
                 f"line {line_no}: duplicate key {key!r} in [{section}] "
-                f"(first set on line {lines_of[(section, key)]})")
-        kind, _ = _SCHEMA[section][key]
-        values[(section, key)] = _parse_scalar(kind, raw_value, line_no, key)
-        lines_of[(section, key)] = line_no
-    return values, lines_of
+                f"(first set on line {lines[key]})")
+        values[key] = _parse_scalar(_SCHEMA[section][key][0], raw_value, line_no, key)
+        lines[key] = line_no
+    return values, lines
 
 
 def parse_config(text: str) -> Config:
-    """Parse and fully validate a configuration; all errors carry lines."""
-    values, lines_of = _tokenize(text)
+    """Parse and validate a configuration; errors cite the line of their key.
 
-    def get(section, key):
-        if (section, key) in values:
-            return values[(section, key)]
-        default = _SCHEMA[section][key][1]
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
-        return default
+    The keys only the sweep reads, alphas and seeds, are validated when
+    Config.sweep_spec builds the sweep.
+    """
+    values, lines = _tokenize(text)
+    for section, keys in _SCHEMA.items():
+        for key, (_, default) in keys.items():
+            if default is _REQUIRED and key not in values:
+                raise ConfigError(f"missing required key {key!r} in section [{section}]")
+            values.setdefault(key, default)
 
-    def constrain(section, key, value, ok: bool, requirement: str):
-        if not ok:
-            location = lines_of.get((section, key))
-            prefix = f"line {location}: " if location is not None else ""
-            raise ConfigError(f"{prefix}{key} must satisfy {requirement}, got {value}")
-        return value
+    ndim = values["ndim"]
+    if len(values["cells"]) not in (1, ndim):
+        raise ConfigError(f"line {lines['cells']}: cells must satisfy one entry or {ndim} "
+                          f"entries, got {values['cells']}")
+    cells, lengths = (values[key] * ndim if len(values[key]) == 1 else values[key]
+                      for key in ("cells", "lengths"))
 
-    alpha = constrain("model", "alpha", get("model", "alpha"),
-                      get("model", "alpha") >= 0, "alpha >= 0")
-    kappa = constrain("model", "kappa", get("model", "kappa"),
-                      get("model", "kappa") >= 0, "kappa >= 0")
-    coeff_values = {}
-    for name in ("d_u", "d_v", "d_w", "decay_u", "decay_v", "decay_w", "production"):
-        coeff_values[name] = constrain("model", name, get("model", name),
-                                       get("model", name) > 0, f"{name} > 0")
-    params = Params(alpha=alpha, kappa=kappa, coeffs=Coefficients(**coeff_values))
+    def pick(cls) -> dict:
+        return {f.name: values[f.name] for f in fields(cls) if f.name in values}
 
-    ndim = constrain("grid", "ndim", get("grid", "ndim"),
-                     get("grid", "ndim") in (1, 2, 3), "ndim in {1, 2, 3}")
-    cells = get("grid", "cells")
-    if len(cells) == 1:
-        cells = cells * ndim
-    constrain("grid", "cells", cells, len(cells) == ndim, f"one entry or {ndim} entries")
-    constrain("grid", "cells", cells, all(c >= 3 for c in cells), "every axis >= 3 cells")
-    lengths = get("grid", "lengths")
-    if len(lengths) == 1:
-        lengths = lengths * ndim
-    constrain("grid", "lengths", lengths, len(lengths) == ndim, f"one entry or {ndim} entries")
-    constrain("grid", "lengths", lengths, all(L > 0 for L in lengths), "every length > 0")
-    grid = Grid(cells, lengths)
+    def build():
+        return Config(**pick(Config), grid=Grid(cells, lengths),
+                      coeffs=Coefficients(**pick(Coefficients)),
+                      control=StepControl(**pick(StepControl)),
+                      constants=tuple(values[key] for key in _CONSTANTS), lines=lines)
 
-    scheme = constrain("stepper", "scheme", get("stepper", "scheme"),
-                       get("stepper", "scheme") in SCHEMES, f"one of {SCHEMES}")
-    dt_max = constrain("stepper", "dt_max", get("stepper", "dt_max"),
-                       get("stepper", "dt_max") > 0, "dt_max > 0")
-    cfl_advect = constrain("stepper", "cfl_advect", get("stepper", "cfl_advect"),
-                           0 < get("stepper", "cfl_advect") < 1, "0 < cfl_advect < 1")
-    cfl_react = constrain("stepper", "cfl_react", get("stepper", "cfl_react"),
-                          0 < get("stepper", "cfl_react") < 1, "0 < cfl_react < 1")
-    control = StepControl(dt_max=dt_max, cfl_advect=cfl_advect,
-                          cfl_react=cfl_react, scheme=scheme)
-    t_end = constrain("stepper", "t_end", get("stepper", "t_end"),
-                      get("stepper", "t_end") >= 0, "t_end >= 0")
+    return _cite_line(lines, build)
 
-    monitors = MonitorSettings(
-        monitor_every=constrain("monitors", "monitor_every", get("monitors", "monitor_every"),
-                                get("monitors", "monitor_every") > 0, "monitor_every > 0"),
-        snapshot_every=constrain("monitors", "snapshot_every", get("monitors", "snapshot_every"),
-                                 get("monitors", "snapshot_every") >= 0, "snapshot_every >= 0"),
-        growth_factor=constrain("monitors", "growth_factor", get("monitors", "growth_factor"),
-                                get("monitors", "growth_factor") > 0, "growth_factor > 0"),
-        tail_fraction=constrain("monitors", "tail_fraction", get("monitors", "tail_fraction"),
-                                0 < get("monitors", "tail_fraction") <= 1,
-                                "0 < tail_fraction <= 1"),
-        slope_tol=constrain("monitors", "slope_tol", get("monitors", "slope_tol"),
-                            get("monitors", "slope_tol") > 0, "slope_tol > 0"),
-        out_dir=get("monitors", "out_dir"),
-    )
 
-    preset_name = constrain("model", "preset", get("model", "preset"),
-                            get("model", "preset") in PRESETS, f"one of {PRESETS}")
-    constants = tuple(
-        constrain("model", key, get("model", key), get("model", key) >= 0, f"{key} >= 0")
-        for key in ("const_u", "const_v", "const_w"))
-    preset = PresetSettings(name=preset_name, seed=get("model", "seed"), constants=constants)
-
-    alphas = get("sweep", "alphas")
-    if alphas is not None:
-        constrain("sweep", "alphas", alphas, all(a >= 0 for a in alphas), "every alpha >= 0")
-    sweep = SweepSettings(alphas=alphas, seeds=get("sweep", "seeds"))
-
-    return Config(params=params, grid=grid, control=control, t_end=t_end,
-                  monitors=monitors, preset=preset, sweep=sweep)
+def _key_values(config: Config) -> dict:
+    """The value of every key in a Config: the inverse of parse_config's build."""
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    for part in (config.coeffs, config.control):
+        values.update(vars(part))
+    values.update(zip(_CONSTANTS, config.constants))
+    values.update(ndim=config.grid.ndim, cells=config.grid.shape, lengths=config.grid.lengths)
+    return values
 
 
 def config_to_text(config: Config) -> str:
     """Canonical serialization; parsing it back yields an equal Config."""
-    c = config.params.coeffs
-    lines = [
-        "[model]",
-        f"alpha = {config.params.alpha!r}",
-        f"kappa = {config.params.kappa!r}",
-        f"d_u = {c.d_u!r}", f"d_v = {c.d_v!r}", f"d_w = {c.d_w!r}",
-        f"decay_u = {c.decay_u!r}", f"decay_v = {c.decay_v!r}", f"decay_w = {c.decay_w!r}",
-        f"production = {c.production!r}",
-        f"preset = {config.preset.name}",
-        f"seed = {config.preset.seed}",
-        f"const_u = {config.preset.constants[0]!r}",
-        f"const_v = {config.preset.constants[1]!r}",
-        f"const_w = {config.preset.constants[2]!r}",
-        "",
-        "[grid]",
-        f"ndim = {config.grid.ndim}",
-        f"cells = {', '.join(str(s) for s in config.grid.shape)}",
-        f"lengths = {', '.join(repr(L) for L in config.grid.lengths)}",
-        "",
-        "[stepper]",
-        f"scheme = {config.control.scheme}",
-        f"dt_max = {config.control.dt_max!r}",
-        f"cfl_advect = {config.control.cfl_advect!r}",
-        f"cfl_react = {config.control.cfl_react!r}",
-        f"t_end = {config.t_end!r}",
-        "",
-        "[monitors]",
-        f"monitor_every = {config.monitors.monitor_every!r}",
-        f"snapshot_every = {config.monitors.snapshot_every!r}",
-        f"growth_factor = {config.monitors.growth_factor!r}",
-        f"tail_fraction = {config.monitors.tail_fraction!r}",
-        f"slope_tol = {config.monitors.slope_tol!r}",
-        f"out_dir = {config.monitors.out_dir}",
-        "",
-        "[sweep]",
-        f"seeds = {', '.join(str(s) for s in config.sweep.seeds)}",
-    ]
-    if config.sweep.alphas is not None:
-        lines.append(f"alphas = {', '.join(repr(a) for a in config.sweep.alphas)}")
-    return "\n".join(lines) + "\n"
+    values = _key_values(config)
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key, (kind, _) in keys.items():
+            value = values[key]
+            if kind.endswith("list") and value is not None:
+                lines.append(f"{key} = {', '.join(map(repr, value))}")
+            elif value is not None:
+                lines.append(f"{key} = {value if kind == 'str' else repr(value)}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 def load_config(path) -> Config:

@@ -36,16 +36,12 @@ class Grid:
     def __post_init__(self):
         shape = self.shape if isinstance(self.shape, (tuple, list)) else (self.shape,)
         shape = tuple(int(s) for s in shape)
-        if not 1 <= len(shape) <= 3:
-            raise ValueError(f"grid dimension must be 1, 2 or 3, got {len(shape)}")
-        if any(s < 3 for s in shape):
-            raise ValueError(f"every axis needs >= 3 cells, got shape {shape}")
+        require(1 <= len(shape) <= 3, "ndim", "ndim in {1, 2, 3}", f"shape {shape}")
+        require(all(s >= 3 for s in shape), "cells", "every axis >= 3 cells", shape)
         lengths = self.lengths if self.lengths else (1.0,) * len(shape)
         lengths = tuple(float(L) for L in lengths)
-        if len(lengths) != len(shape):
-            raise ValueError(f"lengths {lengths} do not match shape {shape}")
-        if any(not L > 0 for L in lengths):
-            raise ValueError(f"domain lengths must be > 0, got {lengths}")
+        require(len(lengths) == len(shape), "lengths", f"one entry per axis of {shape}", lengths)
+        require(all(L > 0 for L in lengths), "lengths", "every length > 0", lengths)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "lengths", lengths)
         # geometry is immutable, cache the derived quantities
@@ -82,6 +78,20 @@ class Grid:
 
     def new_field(self, fill: float = 0.0) -> np.ndarray:
         return np.full(self.shape, float(fill))
+
+
+def require(ok: bool, name: str, requirement: str, value) -> None:
+    """Raise a ValueError about the setting ``name`` unless ``ok`` holds.
+
+    A float in ``value``, a number or a tuple of them, fails too when it is
+    inf or nan.  The message starts with ``name``, which the configuration
+    parser maps back to the line of the key of that name.
+    """
+    numbers = value if isinstance(value, tuple) else (value,)
+    if not all(math.isfinite(x) for x in numbers if isinstance(x, float)):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if not ok:
+        raise ValueError(f"{name} must satisfy {requirement}, got {value}")
 
 
 def check_field(values: np.ndarray, grid: Grid, name: str = "field") -> np.ndarray:

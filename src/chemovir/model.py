@@ -25,6 +25,8 @@ from numbers import Rational
 
 import numpy as np
 
+from .grid import require
+
 
 class ExponentInfeasibleError(ValueError):
     """No admissible energy exponent exists: 2*alpha is at or below the
@@ -35,7 +37,7 @@ class ExponentInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Positive coefficient overrides; the defaults reproduce the plain system."""
+    """Positive, finite coefficient overrides; the defaults reproduce the plain system."""
 
     d_u: float = 1.0
     d_v: float = 1.0
@@ -46,25 +48,21 @@ class Coefficients:
     production: float = 1.0
 
     def __post_init__(self):
-        for name in ("d_u", "d_v", "d_w", "decay_u", "decay_v", "decay_w", "production"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"coefficient {name} must be > 0, got {value}")
+        for name, value in vars(self).items():
+            require(value > 0, name, f"{name} > 0", value)
 
 
 @dataclass(frozen=True)
 class Params:
-    """Model constants: saturation exponent alpha >= 0 and source rate kappa >= 0."""
+    """Model constants: finite saturation exponent alpha >= 0 and source rate kappa >= 0."""
 
     alpha: float
     kappa: float = 0.0
     coeffs: Coefficients = field(default_factory=Coefficients)
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.kappa >= 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        require(self.alpha >= 0, "alpha", "alpha >= 0", self.alpha)
+        require(self.kappa >= 0, "kappa", "kappa >= 0", self.kappa)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from .discretization import (
     _max_gradient,
     helmholtz_solve,
 )
-from .grid import Grid, State, integrate
+from .grid import Grid, State, integrate, require
 from .model import ExponentInfeasibleError, Params, select_energy_exponent
 from .monitors import DiagnosticsRecord, RunBaseline, compute_record
 
@@ -71,11 +71,15 @@ class NegativityDetected(RuntimeError):
 
 
 class UnstableRunError(RuntimeError):
-    """A run aborted: repeated dt halvings could not restore positivity."""
+    """A run aborted: repeated dt halvings could not restore positivity
+    (``last_error`` holds the last violation), or the step-size formula
+    gave a dt too small to advance the time (``last_error`` is None)."""
 
-    def __init__(self, t: float, state: State, last_error: NegativityDetected):
-        super().__init__(
-            f"run aborted at t={t:.6g} after {MAX_HALVINGS} dt halvings ({last_error})")
+    def __init__(self, t: float, state: State, last_error: NegativityDetected | None,
+                 dt: float = 0.0):
+        cause = (f"after {MAX_HALVINGS} dt halvings ({last_error})" if last_error is not None
+                 else f"because the step-size formula gave dt={dt:.3e}, too small to advance t")
+        super().__init__(f"run aborted at t={t:.6g} {cause}")
         self.t = t
         self.state = state
         self.last_error = last_error
@@ -93,14 +97,11 @@ class StepControl:
     scheme: str = "imex"
 
     def __post_init__(self):
-        if not self.dt_max > 0:
-            raise ValueError(f"dt_max must be > 0, got {self.dt_max}")
+        require(self.dt_max > 0, "dt_max", "dt_max > 0", self.dt_max)
         for name in ("cfl_advect", "cfl_react"):
             value = getattr(self, name)
-            if not 0 < value < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            require(0 < value < 1, name, f"0 < {name} < 1", value)
+        require(self.scheme in SCHEMES, "scheme", f"one of {SCHEMES}", self.scheme)
 
 
 @dataclass
@@ -340,15 +341,17 @@ def run(initial, params, grid: Grid, control: StepControl,
     each monitor boundary is hit exactly; records land at t = 0, every
     boundary, and t_end.  Deterministic for identical inputs.  Raises
     UnstableRunError (with the failing time and state) when positivity
-    cannot be restored by halving dt.
+    cannot be restored by halving dt, or when the step-size formula gives a
+    dt too small to change the next monitor time (target + dt == target):
+    at once when that dt is 0, else after its step, so that a positivity
+    failure of that step is the one reported.
 
     A list of initial states with a matching list of Params, differing only
     in alpha, runs as one ensemble and returns a list with one entry per
     member: its RunResult, equal bit for bit to a single run's, or the
     UnstableRunError that aborted it.  on_record is for single states.
     """
-    if t_end < 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    require(t_end >= 0, "t_end", "t_end >= 0", t_end)
     if isinstance(initial, (list, tuple)):
         if on_record is not None:
             raise ValueError("on_record needs a single initial state")
@@ -369,7 +372,10 @@ def run(initial, params, grid: Grid, control: StepControl,
     for target in _monitor_targets(t_end, monitor_every):
         cutoff = target - 1e-12 * max(1.0, target)
         while state.t < cutoff:
-            dt = min(step_size(state), target - state.t)
+            formula = step_size(state)
+            if not formula > 0:
+                raise UnstableRunError(state.t, state.copy(), None, formula)
+            dt = min(formula, target - state.t)
             last_error = None
             for _ in range(MAX_HALVINGS + 1):
                 try:
@@ -383,6 +389,8 @@ def run(initial, params, grid: Grid, control: StepControl,
                 raise UnstableRunError(state.t, state.copy(), last_error)
             steps += 1
             max_dt = max(max_dt, dt)
+            if not target + formula > target:
+                raise UnstableRunError(state.t, state.copy(), None, formula)
         state.t = target  # snap off the accumulated roundoff
         record = compute_record(state, grid, params, exponent, baseline)
         result.records.append(record)
@@ -400,8 +408,9 @@ def _run_ensemble(initials: list[State], params: tuple[Params, ...], grid: Grid,
 
     Toward each monitor target, the members short of it step together,
     each with its own dt; a member that fails positivity retries alone with
-    half its dt, and one that exhausts the halvings drops out, its
-    UnstableRunError taking its place in the returned list.
+    half its dt.  One that exhausts the halvings, or whose dt cannot advance
+    the time, drops out, its UnstableRunError taking its place in the
+    returned list.
     """
     if len(params) != len(initials):
         raise ValueError(f"{len(initials)} initial states but {len(params)} Params")
@@ -419,6 +428,11 @@ def _run_ensemble(initials: list[State], params: tuple[Params, ...], grid: Grid,
     live = np.ones(count, dtype=bool)
     alphas = [p.alpha for p in params]
     step_size = _StepSize(params[0], grid, control)
+
+    def abort(i, last_error, dt):
+        t = float(times[i])
+        results[i] = UnstableRunError(t, State.from_fields(fields[i].copy(), t), last_error, dt)
+        live[i] = False
 
     def record():
         # one call for all live members
@@ -439,8 +453,18 @@ def _run_ensemble(initials: list[State], params: tuple[Params, ...], grid: Grid,
             if not len(index):
                 break
             state = State.from_fields(fields[index], times[index])
-            dt = np.minimum(step_size.members(state, [alphas[i] for i in index]),
-                            target - state.t)
+            formula = step_size.members(state, [alphas[i] for i in index])
+            # as in run: a dt that cannot change the target time aborts its
+            # member, at once when it is 0, else after its step
+            stuck = [] if target + min(formula) > target else [
+                (i, tried) for i, tried in zip(index.tolist(), formula)
+                if not target + tried > target]
+            if stuck and any(tried == 0.0 for _, tried in stuck):
+                for i, tried in stuck:
+                    if tried == 0.0:
+                        abort(i, None, tried)
+                continue
+            dt = np.minimum(formula, target - state.t)
             for attempt in range(MAX_HALVINGS + 1):
                 new, ok = step(state, tuple(params[i] for i in index), grid, dt, control)
                 done = index[ok]
@@ -459,13 +483,13 @@ def _run_ensemble(initials: list[State], params: tuple[Params, ...], grid: Grid,
                 retries[index[failed]] += 1
                 if attempt == MAX_HALVINGS:
                     for i, values, tried in zip(index[failed], new.fields[failed], dt[failed]):
-                        t = float(times[i])
-                        results[i] = UnstableRunError(t, State.from_fields(fields[i].copy(), t),
-                                                      _violation(values, float(tried)))
-                        live[i] = False
+                        abort(i, _violation(values, float(tried)), float(tried))
                     break
                 index, dt = index[failed], dt[failed] * 0.5
                 state = State.from_fields(state.fields[failed], state.t[failed])
+            for i, tried in stuck:
+                if live[i]:
+                    abort(i, None, tried)
         times[live] = target  # snap off the accumulated roundoff
         record()
 

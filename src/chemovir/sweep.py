@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Grid, State, atomic_write_text
+from .grid import Grid, State, atomic_write_text, require
 from .model import (Coefficients, ExponentInfeasibleError, Params, alpha_threshold,
                     select_energy_exponent)
 from .monitors import classify_boundedness
@@ -44,11 +44,10 @@ def initial_condition_preset(name: str, grid: Grid, kappa: float, seed: int = 0,
                            series with |amplitudes| summing to half the
                            offset, so the field stays >= offset/2.
     """
+    _check_preset(name, constants)
     if name == "steady-infection-free":
         return State(grid.new_field(kappa), grid.new_field(0.0), grid.new_field(0.0))
     if name == "constant":
-        if any(value < 0 for value in constants):
-            raise ValueError(f"constant preset needs nonnegative values, got {constants}")
         return State(grid.new_field(constants[0]), grid.new_field(constants[1]),
                      grid.new_field(constants[2]))
     if name == "gaussian-bump-v":
@@ -60,39 +59,45 @@ def initial_condition_preset(name: str, grid: Grid, kappa: float, seed: int = 0,
             radius_sq = radius_sq + (x ** 2).reshape(shape)
         return State(grid.new_field(kappa + 1.0), np.exp(-50.0 * radius_sq),
                      grid.new_field(0.0))
-    if name == "random-smooth":
-        rng = np.random.default_rng(seed)
-        fields = []
-        for offset in (1.0, 0.5, 0.25):
-            total = grid.new_field(0.0)
-            modes = rng.integers(0, 3, size=(3, grid.ndim))
-            amplitudes = rng.uniform(-1.0, 1.0, size=3)
-            amplitudes *= 0.5 * offset / max(np.abs(amplitudes).sum(), 1e-12)
-            for amp, mode in zip(amplitudes, modes):
-                term = grid.new_field(1.0)
-                for axis in range(grid.ndim):
-                    x = grid.cell_centers(axis) / grid.lengths[axis]
-                    shape = [1] * grid.ndim
-                    shape[axis] = -1
-                    term = term * np.cos(math.pi * mode[axis] * x).reshape(shape)
-                total = total + amp * term
-            fields.append(offset + total)
-        return State(*fields)
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
+    # random-smooth
+    rng = np.random.default_rng(seed)
+    fields = []
+    for offset in (1.0, 0.5, 0.25):
+        total = grid.new_field(0.0)
+        modes = rng.integers(0, 3, size=(3, grid.ndim))
+        amplitudes = rng.uniform(-1.0, 1.0, size=3)
+        amplitudes *= 0.5 * offset / max(np.abs(amplitudes).sum(), 1e-12)
+        for amp, mode in zip(amplitudes, modes):
+            term = grid.new_field(1.0)
+            for axis in range(grid.ndim):
+                x = grid.cell_centers(axis) / grid.lengths[axis]
+                shape = [1] * grid.ndim
+                shape[axis] = -1
+                term = term * np.cos(math.pi * mode[axis] * x).reshape(shape)
+            total = total + amp * term
+        fields.append(offset + total)
+    return State(*fields)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Alpha grid plus the shared base scenario.
+def _check_preset(name: str, constants: tuple[float, float, float]) -> None:
+    if name not in PRESETS:
+        raise ValueError(f"preset must be one of {PRESETS}, got unknown preset {name!r}")
+    for key, value in zip(("const_u", "const_v", "const_w"), constants):
+        require(value >= 0, key, f"{key} >= 0", value)
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunSpec:
+    """The settings that a simulation and a sweep share, validated.
 
     ``constants`` feeds the constant preset; ``growth_factor``,
     ``tail_fraction`` and ``slope_tol`` go to classify_boundedness.
+    Coefficients checks the coefficients, and Params checks kappa when
+    params() builds one.
     """
 
-    alphas: tuple[float, ...]
     grid: Grid
     kappa: float = 0.0
-    seeds: tuple[int, ...] = (0,)
     preset: str = "gaussian-bump-v"
     t_end: float = 10.0
     monitor_every: float = 0.1
@@ -104,16 +109,40 @@ class SweepSpec:
     slope_tol: float = 1e-4
 
     def __post_init__(self):
+        _check_preset(self.preset, self.constants)
+        require(self.t_end >= 0, "t_end", "t_end >= 0", self.t_end)
+        require(self.monitor_every > 0, "monitor_every", "monitor_every > 0",
+                self.monitor_every)
+        require(self.growth_factor > 0, "growth_factor", "growth_factor > 0",
+                self.growth_factor)
+        require(0 < self.tail_fraction <= 1, "tail_fraction", "0 < tail_fraction <= 1",
+                self.tail_fraction)
+        require(self.slope_tol > 0, "slope_tol", "slope_tol > 0", self.slope_tol)
+
+    def params(self, alpha: float) -> Params:
+        return Params(alpha=alpha, kappa=self.kappa, coeffs=self.coeffs)
+
+    def initial_state(self, seed: int) -> State:
+        return initial_condition_preset(self.preset, self.grid, self.kappa, seed=seed,
+                                        constants=self.constants)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepSpec(RunSpec):
+    """A RunSpec plus the alpha grid and the seeds of the random-smooth preset."""
+
+    alphas: tuple[float, ...]
+    seeds: tuple[int, ...] = (0,)
+
+    def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if not self.alphas:
-            raise ValueError("alpha list must be nonempty")
-        if any(a < 0 for a in self.alphas):
-            raise ValueError("all alpha values must be >= 0")
-        if self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}")
-        if self.monitor_every <= 0 or self.t_end / self.monitor_every < 9:
-            raise ValueError("cadence must produce at least 10 records per run")
+        require(bool(self.alphas) and all(a >= 0 for a in self.alphas), "alphas",
+                "a nonempty list, every alpha >= 0", self.alphas)
+        require(all(s >= 0 for s in self.seeds), "seeds", "every seed >= 0", self.seeds)
+        require(self.t_end / self.monitor_every >= 9, "monitor_every",
+                "t_end / monitor_every >= 9, at least 10 records per run", self.monitor_every)
 
 
 @dataclass(frozen=True)
@@ -156,9 +185,8 @@ _MAX_ENSEMBLE_VALUES = 2 ** 21
 
 def _run_rows(spec: SweepSpec, keys: list[tuple[float, int]]) -> list[SweepRow]:
     """The rows of keys; their runs advance together as ensembles."""
-    params = [Params(alpha=alpha, kappa=spec.kappa, coeffs=spec.coeffs) for alpha, _ in keys]
-    initials = [initial_condition_preset(spec.preset, spec.grid, spec.kappa, seed=seed,
-                                         constants=spec.constants) for _, seed in keys]
+    params = [spec.params(alpha) for alpha, _ in keys]
+    initials = [spec.initial_state(seed) for _, seed in keys]
     size = max(1, _MAX_ENSEMBLE_VALUES // (3 * spec.grid.n_cells))
     results = []
     for start in range(0, len(keys), size):

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import chemovir.cli as cli_module
 from chemovir.cli import main
+from chemovir.config import _REQUIRED, _SCHEMA, parse_config
 from chemovir.grid import read_snapshot, write_snapshot
 from chemovir.monitors import read_diagnostics_csv
 from chemovir.stepper import NegativityDetected, UnstableRunError
@@ -150,6 +152,86 @@ class TestSweepCommand:
         config.write_text(SIMULATE_CONFIG)
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "alphas" in capsys.readouterr().err
+
+
+def other_value(kind, default):
+    """A valid value of a key other than its default."""
+    if kind == "str":
+        return {"gaussian-bump-v": "constant", "imex": "explicit-euler", "out": "elsewhere"}[default]
+    if default is None or default is _REQUIRED:
+        return "2.0"  # alphas and alpha, set to 1.0 in SWEEP_BASE
+    values = default if isinstance(default, tuple) else (default,)
+    # ints step up (ndim 2, 65 cells, seed 1); positive floats halve, which
+    # keeps the CFL numbers below 1 and tail_fraction at most 1; zeros become 0.5
+    return ", ".join(str(v + 1 if isinstance(v, int) else v / 2 if v > 0 else 0.5)
+                     for v in values)
+
+
+SWEEP_BASE = "[model]\nalpha = 1.0\n[sweep]\nalphas = 1.0\n"
+
+
+class TestEveryKeyReachesBothCommands:
+    # the keys that one command alone reads, exempt from reaching both;
+    # out_dir is a default for --out rather than a run setting
+    SIMULATE_ONLY = {"alpha", "seed", "snapshot_every", "out_dir"}
+    SWEEP_ONLY = {"alphas", "seeds"}
+
+    def sweep_spec(self, tmp_path, monkeypatch, text):
+        specs = []
+        monkeypatch.setattr(cli_module, "run_sweep",
+                            lambda spec, jobs: specs.append(spec) or SweepResult([]))
+        config = tmp_path / "sweep.cfg"
+        config.write_text(text)
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        return specs[0]
+
+    @pytest.mark.parametrize("section,key", [(section, key) for section, keys in _SCHEMA.items()
+                                             for key in keys])
+    def test_non_default_value_reaches(self, tmp_path, monkeypatch, section, key):
+        kind, default = _SCHEMA[section][key]
+        text = SWEEP_BASE + f"[{section}]\n{key} = {other_value(kind, default)}\n"
+        text = text.replace(f"{key} = 1.0\n", "", 1) if key in ("alpha", "alphas") else text
+        config, base_config = parse_config(text), parse_config(SWEEP_BASE)
+        assert config != base_config
+        # simulate reads all of the Config but alphas and seeds
+        simulated = replace(config, alphas=None, seeds=(0,))
+        assert (simulated != replace(base_config, alphas=None, seeds=(0,))) == \
+               (key not in self.SWEEP_ONLY)
+        base = self.sweep_spec(tmp_path, monkeypatch, SWEEP_BASE)
+        changed = self.sweep_spec(tmp_path, monkeypatch, text)
+        assert (changed != base) == (key not in self.SIMULATE_ONLY)
+
+
+class TestStepCollapse:
+    """A dt that cannot advance the time is a numerical abort.
+
+    With explicit Euler on 16 cells, lengths 1e-170 make the diffusion cap
+    underflow to 0 and lengths 1e-160 make it 1e-323.  Run in a subprocess
+    with a timeout, so that a run that never returns fails the test.
+    """
+
+    def chemovir(self, tmp_path, command, length, *extra):
+        text = (SIMULATE_CONFIG.replace("cells = 16", f"cells = 16\nlengths = {length}")
+                .replace("t_end = 0.5", "scheme = explicit-euler\nt_end = 2.0"))
+        config = tmp_path / "run.cfg"
+        config.write_text(text + "[sweep]\nalphas = 1.0, 2.0\n")
+        import chemovir
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chemovir.__file__)))
+        return subprocess.run([sys.executable, "-m", "chemovir", command, "--config",
+                               str(config), "--out", str(tmp_path / "out"), *extra],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("length", ["1e-170", "1e-160"])
+    def test_simulate_exits_three(self, tmp_path, length):
+        done = self.chemovir(tmp_path, "simulate", length)
+        assert done.returncode == 3
+        assert "numerical abort" in done.stderr and "too small to advance t" in done.stderr
+
+    @pytest.mark.parametrize("length", ["1e-170", "1e-160"])
+    def test_sweep_rows_abort(self, tmp_path, length):
+        assert self.chemovir(tmp_path, "sweep", length, "--jobs", "1").returncode == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["aborted", "aborted"]
 
 
 class TestVerifyCommand:

@@ -1,6 +1,6 @@
 import pytest
 
-from chemovir.config import ConfigError, config_to_text, load_config, parse_config
+from chemovir.config import _SCHEMA, ConfigError, config_to_text, load_config, parse_config
 
 MINIMAL = """
 [model]
@@ -15,21 +15,21 @@ cells = 64
 class TestParsing:
     def test_minimal_with_defaults(self):
         config = parse_config(MINIMAL)
-        assert config.params.alpha == 1.0
-        assert config.params.kappa == 0.0
-        assert config.params.coeffs.d_u == 1.0
+        assert config.alpha == 1.0
+        assert config.kappa == 0.0
+        assert config.coeffs.d_u == 1.0
         assert config.grid.shape == (64,)
         assert config.grid.lengths == (1.0,)
         assert config.control.scheme == "imex"
         assert config.control.dt_max == 0.01
         assert config.t_end == 5.0
-        assert config.monitors.monitor_every == 0.1
-        assert config.preset.name == "gaussian-bump-v"
-        assert config.sweep.alphas is None
+        assert config.monitor_every == 0.1
+        assert config.preset == "gaussian-bump-v"
+        assert config.alphas is None
 
     def test_comments_and_blank_lines(self):
         text = "# leading comment\n[model]\nalpha = 2.0  # inline\n\n[grid]\ncells = 8\n"
-        assert parse_config(text).params.alpha == 2.0
+        assert parse_config(text).alpha == 2.0
 
     def test_cells_broadcast_over_ndim(self):
         text = "[model]\nalpha = 1.0\n[grid]\nndim = 2\ncells = 32\n"
@@ -44,8 +44,8 @@ class TestParsing:
     def test_sweep_section(self):
         text = MINIMAL + "\n[sweep]\nalphas = 0.8, 1.0, 1.5\nseeds = 0, 1\n"
         config = parse_config(text)
-        assert config.sweep.alphas == (0.8, 1.0, 1.5)
-        assert config.sweep.seeds == (0, 1)
+        assert config.alphas == (0.8, 1.0, 1.5)
+        assert config.seeds == (0, 1)
 
 
 class TestErrors:
@@ -110,3 +110,48 @@ class TestRoundTrip:
     def test_round_trip_of_defaults(self):
         config = parse_config(MINIMAL)
         assert parse_config(config_to_text(config)) == config
+
+
+def with_key(section, key, value):
+    """A valid sweep configuration with key = value on its last line, and that line."""
+    lines = [line for line in ("[model]", "alpha = 1.0", "[sweep]", "alphas = 1.0")
+             if not line.startswith(f"{key} =")]
+    lines += [f"[{section}]", f"{key} = {value}"]
+    return "\n".join(lines) + "\n", len(lines)
+
+
+def violations():
+    # one value per constrained key that breaks its constraint; out_dir has none
+    for section, keys in _SCHEMA.items():
+        for key, (kind, _) in keys.items():
+            if key != "out_dir":
+                yield section, key, "bogus" if kind == "str" else "-1"
+
+
+def non_finite():
+    for section, keys in _SCHEMA.items():
+        for key, (kind, _) in keys.items():
+            if kind != "str":
+                yield from ((section, key, value) for value in ("inf", "nan"))
+
+
+class TestConstraintLines:
+    """Every constraint lives in a dataclass; its violation cites the key's line.
+
+    alphas and seeds are checked when the sweep is built, so every case
+    goes through Config.sweep_spec as the sweep command does.
+    """
+
+    @pytest.mark.parametrize("section,key,value", list(violations()) + list(non_finite()))
+    def test_violation_cites_line(self, section, key, value):
+        text, line = with_key(section, key, value)
+        with pytest.raises(ConfigError, match=rf"^line {line}: .*\b{key}\b"):
+            parse_config(text).sweep_spec()
+
+    def test_default_key_has_no_line(self):
+        # 0.5 / 0.1 gives 6 records; the sweep needs 10, and monitor_every
+        # keeps its default, so there is no line to cite
+        config = parse_config(MINIMAL + "[stepper]\nt_end = 0.5\n[sweep]\nalphas = 1.0\n")
+        with pytest.raises(ConfigError, match=r"^monitor_every must satisfy") as excinfo:
+            config.sweep_spec()
+        assert "line" not in str(excinfo.value)

@@ -39,6 +39,11 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             Grid((4,), (0.0,))
 
+    @pytest.mark.parametrize("length", [math.inf, math.nan])
+    def test_rejects_non_finite_length(self, length):
+        with pytest.raises(ValueError, match="lengths must be finite"):
+            Grid((4, 4), (1.0, length))
+
     def test_cell_centers(self):
         centers = Grid((4,)).cell_centers(0)
         np.testing.assert_allclose(centers, [0.125, 0.375, 0.625, 0.875])

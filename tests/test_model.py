@@ -182,6 +182,14 @@ class TestParams:
         with pytest.raises(ValueError, match="kappa"):
             Params(alpha=1.0, kappa=-0.5)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Params(alpha=float("inf")), lambda: Params(alpha=1.0, kappa=float("nan")),
+        lambda: Coefficients(decay_w=float("inf")),
+    ])
+    def test_rejects_non_finite(self, build):
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+
     def test_rejects_nonpositive_coefficient(self):
         with pytest.raises(ValueError, match="d_v"):
             Coefficients(d_v=0.0)

@@ -32,7 +32,7 @@ class TestStepControl:
 
     @pytest.mark.parametrize("kwargs", [
         {"dt_max": 0.0}, {"cfl_advect": 1.0}, {"cfl_react": 0.0},
-        {"scheme": "rk4"},
+        {"scheme": "rk4"}, {"dt_max": math.inf}, {"cfl_advect": math.nan},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -351,6 +351,21 @@ class TestRun:
         assert excinfo.value.t == 0.0
         assert excinfo.value.state.u.shape == (8,)
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_rejects_non_finite_t_end(self, t_end):
+        grid = Grid((8,))
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            run(constant_state(grid, 1.0, 0.0, 0.0), Params(alpha=1.0), grid, StepControl(),
+                t_end=t_end, monitor_every=0.5)
+
+    def test_zero_dt_aborts(self):
+        # the explicit-diffusion cap h^2 / 2 underflows to 0
+        grid = Grid((16,), (1e-170,))
+        with pytest.raises(UnstableRunError, match="too small to advance t") as excinfo:
+            run(constant_state(grid, 1.0, 0.0, 0.0), Params(alpha=1.0), grid,
+                StepControl(scheme="explicit-euler"), t_end=1.0, monitor_every=0.5)
+        assert excinfo.value.t == 0.0 and excinfo.value.last_error is None
+
     def test_rejects_invalid_initial_state(self):
         grid = Grid((8,))
         bad = State(grid.new_field(-1.0), grid.new_field(0.0), grid.new_field(0.0))
@@ -428,6 +443,25 @@ class TestEnsemble:
                 stepper_module._rates(single, p, grid, scheme))
             np.testing.assert_array_equal(new.fields[member],
                                           step(single, p, grid, dt[member], control).fields)
+
+    def test_member_without_a_step_aborts_alone(self):
+        # a jump of 1e308 in v overflows max |grad v|, so this member's
+        # advective cap, and its dt, is 0
+        grid = Grid((32,))
+        initials, params = self.members(grid, overflow=False)
+        v = grid.new_field(0.0)
+        v[5] = 1e308
+        initials[2] = State(grid.new_field(1.0), v, grid.new_field(0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = run(initials, params, grid, StepControl(), 0.5, 0.1)
+            for index, (initial, p, member) in enumerate(zip(initials, params, results)):
+                if index == 2:
+                    assert isinstance(member, UnstableRunError)
+                    assert (member.t, member.last_error) == (0.0, None)
+                    with pytest.raises(UnstableRunError, match="too small to advance t"):
+                        run(initial, p, grid, StepControl(), 0.5, 0.1)
+                else:
+                    assert_same_run(member, run(initial, p, grid, StepControl(), 0.5, 0.1))
 
     def test_members_may_differ_only_in_alpha(self):
         grid = Grid((8,))

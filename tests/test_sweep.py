@@ -88,6 +88,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             small_spec(alphas=(1.0, -0.5))
 
+    @pytest.mark.parametrize("settings,name", [
+        ({"alphas": (1.0, math.inf)}, "alphas"), ({"seeds": (0, -1)}, "seeds"),
+        ({"growth_factor": 0.0}, "growth_factor"), ({"tail_fraction": 1.5}, "tail_fraction"),
+        ({"slope_tol": math.nan}, "slope_tol"), ({"t_end": math.inf}, "t_end"),
+        ({"constants": (1.0, -1.0, 0.0)}, "const_v"), ({"preset": "vortex"}, "preset"),
+    ])
+    def test_rejects(self, settings, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            small_spec(**settings)
+
     def test_rejects_sparse_cadence(self):
         with pytest.raises(ValueError, match="10 records"):
             small_spec(monitor_every=1.0)
