@@ -72,8 +72,8 @@ def _cmd_simulate(args) -> int:
                                   state, config.grid)
             if record.t == config.t_end:
                 final_text.append(text)
-            while next_snapshot[0] <= record.t + 1e-9:
-                next_snapshot[0] += snapshot_every
+            # the first multiple of snapshot_every after this record
+            next_snapshot[0] = ((record.t + 1e-9) // snapshot_every + 1) * snapshot_every
 
     result = run(config.initial_state(config.seed), config.params(config.alpha), config.grid,
                  config.control, config.t_end, config.monitor_every, on_record=on_record)

@@ -90,6 +90,7 @@ class Config(RunSpec):
         require(self.seed >= 0, "seed", "seed >= 0", self.seed)
         require(self.snapshot_every >= 0, "snapshot_every", "snapshot_every >= 0",
                 self.snapshot_every)
+        require(self.out_dir != "", "out_dir", "a nonempty path", self.out_dir)
 
     def sweep_spec(self) -> SweepSpec:
         """The sweep over alphas and seeds with every shared setting of this config."""

@@ -21,12 +21,11 @@ matrix product per axis, a division and the inverse transform.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
 
-from .grid import Grid, check_field
+from .grid import Grid, _member_runs, _sup_norms, check_field
 from .model import _saturated_sensitivity
 
 
@@ -49,15 +48,17 @@ def _face_slices(ndim: int, axis: int) -> tuple[tuple, tuple]:
 
 def _laplacian_raw(values: np.ndarray, grid: Grid) -> np.ndarray:
     # hot path: assumes float values whose trailing axes are grid.shape
-    spacing = grid.spacing
-    ndim = len(spacing)
+    spacing, ndim = grid.spacing, grid.ndim
     out = np.zeros(values.shape)
-    for axis, h in enumerate(spacing[:-1]):
-        lo, hi = _face_slices(ndim, axis)
-        flux = values[hi] - values[lo]
-        flux /= h * h
-        out[lo] += flux
-        out[hi] -= flux
+    if ndim > 1:
+        # one leading batch axis: numpy slices (1, 3, *shape) more slowly than (3, *shape)
+        batch, batch_out = values.reshape((-1,) + grid.shape), out.reshape((-1,) + grid.shape)
+        for axis, h in enumerate(spacing[:-1]):
+            lo, hi = _face_slices(ndim, axis)
+            flux = batch[hi] - batch[lo]
+            flux /= h * h
+            batch_out[lo] += flux
+            batch_out[hi] -= flux
     # the last axis is contiguous: difference the flat array in one pass and
     # zero the differences that straddle two rows (they are not faces)
     n, h = grid.shape[-1], spacing[-1]
@@ -89,53 +90,36 @@ def _face_differences(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     return differences
 
 
-def _max_gradient(differences: list[np.ndarray], grid: Grid):
-    """max |difference / h| over all axes (0 for constants).
-
-    Differences with a leading member axis give one maximum per member,
-    as an array.
-    """
-    result = 0.0
+def _max_gradient(differences: list[np.ndarray], grid: Grid) -> list[float]:
+    """max |difference / h| over all axes per member (leading index; a state is one)."""
+    result = None
     for d, h in zip(differences, grid.spacing):
-        if d.ndim > grid.ndim:
-            result = np.maximum(result, np.abs(d).reshape(len(d), -1).max(axis=1) / h)
-            continue
-        largest = float(np.abs(d).max()) / h
-        if largest > result:
-            result = largest
+        largest = [x / h for x in _sup_norms(d, grid).ravel().tolist()]
+        result = largest if result is None else list(map(max, result, largest))
     return result
 
 
-def _sensitivity(u: np.ndarray, alpha) -> np.ndarray:
-    """phi(u) for one alpha, or for a tuple of alphas, one per member on u's first axis.
-
-    Members that share an alpha are evaluated together with that scalar, so
-    each member's values equal a single-state evaluation bit for bit: numpy
-    takes another path for ``x ** 2.0`` and ``x ** 0.5`` than for an array
-    of exponents.
-    """
-    if not isinstance(alpha, tuple):
-        return _saturated_sensitivity(u, alpha)
+def _sensitivity(u: np.ndarray, alphas: tuple) -> np.ndarray:
+    """phi(u), one alpha per member on u's first axis; any u when the alphas are equal."""
+    if alphas.count(alphas[0]) == len(alphas):
+        return _saturated_sensitivity(u, alphas[0])
     phi = np.empty_like(u)
-    start = 0
-    for value, group in itertools.groupby(alpha):
-        stop = start + len(list(group))
-        phi[start:stop] = _saturated_sensitivity(u[start:stop], value)
-        start = stop
+    for alpha, members in _member_runs(alphas):
+        phi[members] = _saturated_sensitivity(u[members], alpha)
     return phi
 
 
 def _donor_cell_divergence(u: np.ndarray, differences: list[np.ndarray], grid: Grid,
-                           alpha) -> np.ndarray:
+                           alphas: tuple) -> np.ndarray:
     """Unchecked kernel of chemotaxis_divergence, from the face differences of v.
 
     The caller guarantees u >= 0 and alpha >= 0; the stepper calls it
     directly with the differences it already took for the step size.  An
-    ensemble passes u with a leading member axis and a tuple of alphas.
+    ensemble passes u with a leading member axis and one alpha per member.
     """
     ndim = grid.ndim
-    out = np.zeros_like(u)
-    phi = _sensitivity(u, alpha)
+    out = np.zeros(u.shape)  # a C call; zeros_like costs more Python than this kernel's arithmetic
+    phi = _sensitivity(u, alphas)
     for axis, h in enumerate(grid.spacing):
         lo, hi = _face_slices(ndim, axis)
         g = differences[axis] / h
@@ -147,7 +131,7 @@ def _donor_cell_divergence(u: np.ndarray, differences: list[np.ndarray], grid: G
         else:
             # assemble each axis in a zero buffer and sum in axis order, so
             # mirroring an axis mirrors the output bitwise (no reassociation)
-            part = np.zeros_like(u)
+            part = np.zeros(u.shape)
             part[lo] += flux
             part[hi] -= flux
             out += part
@@ -170,7 +154,7 @@ def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, alpha: float
     differences = _face_differences(v, grid)
     if not any(d.any() for d in differences):
         return np.zeros_like(u)
-    return _donor_cell_divergence(u, differences, grid, alpha)
+    return _donor_cell_divergence(u, differences, grid, (alpha,))
 
 
 @functools.cache

@@ -12,6 +12,7 @@ array), so results are reproducible bit for bit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import tempfile
@@ -107,10 +108,10 @@ class State:
     The three fields are held in one read-only ``(3, *shape)`` array,
     ``fields``, of which ``u``, ``v`` and ``w`` are row views.  Because a
     state's values cannot change, the stepper memoises quantities derived
-    from them (face differences of v, the explicit rates) in ``memo``.
-    The stepper also wraps an ensemble this way: ``fields`` of shape
-    ``(E, 3, *shape)`` and ``t`` an array of the members' times; ``u``,
-    ``v`` and ``w`` do not apply to it.
+    from them (face differences of v, the explicit rates, the extrema) in
+    ``memo``.  The stepper holds an ensemble this way too: ``fields`` of
+    shape ``(E, 3, *shape)`` and ``t`` a list (or array) of the members'
+    times; its ``u``, ``v`` and ``w`` stack the members' fields.
     """
 
     __slots__ = ("fields", "t", "memo")
@@ -133,15 +134,19 @@ class State:
 
     @property
     def u(self) -> np.ndarray:
-        return self.fields[0]
+        return self._component(0)
 
     @property
     def v(self) -> np.ndarray:
-        return self.fields[1]
+        return self._component(1)
 
     @property
     def w(self) -> np.ndarray:
-        return self.fields[2]
+        return self._component(2)
+
+    def _component(self, k: int) -> np.ndarray:
+        # an ensemble's times are a list or array, and its members come first
+        return self.fields[:, k] if isinstance(self.t, (list, np.ndarray)) else self.fields[k]
 
     def __repr__(self) -> str:
         return f"State(t={self.t!r}, shape={self.fields.shape[1:]})"
@@ -193,6 +198,22 @@ def grad_norm_sq(values: np.ndarray, grid: Grid) -> float:
 # over a contiguous row of cells, so a member's value equals that of its
 # field alone bit for bit.
 
+def _member_runs(keys):
+    """Yield ``(key, members)`` for each run of equal consecutive per-member keys.
+
+    Members that share a parameter, such as alpha or the energy exponent,
+    are evaluated together with its scalar value, so that each member's
+    result equals its single-state evaluation bit for bit: numpy takes
+    other paths for ``x ** 2.0`` and ``x ** 0.5`` than for an array of
+    exponents.  ``members`` slices the leading member axis.
+    """
+    start = 0
+    for key, group in itertools.groupby(keys):
+        stop = start + sum(1 for _ in group)
+        yield key, slice(start, stop)
+        start = stop
+
+
 def _cell_sums(values: np.ndarray, ndim: int) -> np.ndarray:
     """Sums over the trailing ndim axes."""
     return values.reshape(values.shape[:values.ndim - ndim] + (-1,)).sum(-1)
@@ -203,7 +224,13 @@ def _integrals(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _sup_norms(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.abs(values).reshape(values.shape[:values.ndim - grid.ndim] + (-1,)).max(-1)
+    return np.maximum.reduce(np.abs(values), axis=_trailing_axes(values.ndim, grid.ndim))
+
+
+@functools.cache
+def _trailing_axes(ndim: int, count: int) -> tuple[int, ...]:
+    # the last count of ndim axes: a min or max over them needs no reshape
+    return tuple(range(ndim - count, ndim))
 
 
 def _lp_norm_from_sum(total, grid: Grid, p: float) -> float:

@@ -20,14 +20,13 @@ compute_record evaluates a whole ensemble's records in one call.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .grid import (Grid, State, _cell_sums, _grad_norms_sq, _integrals, _lp_norm_from_sum,
-                   _sup_norms, atomic_write_text, check_field, grad_norm_sq)
+                   _member_runs, _sup_norms, atomic_write_text, check_field, grad_norm_sq)
 from .model import Coefficients, Params
 
 CSV_COLUMNS = (
@@ -141,10 +140,10 @@ def compute_record(state: State, grid: Grid, params, p, baseline):
     bit for bit to its member's single-state record.
     """
     if isinstance(params, Params):
-        member = State.from_fields(state.fields[None], np.array([state.t]))
+        member = State.from_fields(state.fields[None], [state.t])
         return compute_record(member, grid, [params], [p], [baseline])[0]
     # every quantity comes from per-member reductions of the (E, 3, *shape) array
-    fields, times, exponents, count = state.fields, state.t.tolist(), p, len(state.fields)
+    fields, times, exponents, count = state.fields, list(map(float, state.t)), p, len(state.fields)
     if fields.shape[1:] != (3,) + grid.shape:
         raise ValueError(f"fields shape {fields.shape[1:]} does not match grid {grid.shape}")
     if not len(times) == len(params) == len(exponents) == len(baseline) == count:
@@ -153,19 +152,14 @@ def compute_record(state: State, grid: Grid, params, p, baseline):
     sups = _sup_norms(fields, grid).tolist()
     grads = _grad_norms_sq(fields[:, 1:], grid).tolist()
     integrals_vv = _integrals(fields[:, 1] * fields[:, 1], grid).tolist()
-    # u^p once per run of equal exponents, with the scalar exponent (numpy
-    # takes other paths for x ** 2.0 and x ** 0.5 than for an array of
-    # exponents); abs is the identity on u >= 0, so it serves lp_u and energy
+    # u^p once per run of equal exponents, with the scalar exponent; abs is
+    # the identity on u >= 0, so it serves lp_u and energy
     sums_up = [math.nan] * count
-    start = 0
-    for p, group in itertools.groupby(exponents):
-        stop = start + len(list(group))
+    for p, members in _member_runs(exponents):
         if p is not None:
             if not p > 1:
                 raise ValueError(f"energy exponent must exceed 1, got {p}")
-            sums_up[start:stop] = _cell_sums(fields[start:stop, 0] ** float(p),
-                                             grid.ndim).tolist()
-        start = stop
+            sums_up[members] = _cell_sums(fields[members, 0] ** float(p), grid.ndim).tolist()
 
     records = []
     for i, (t, member, p, base) in enumerate(zip(times, params, exponents, baseline)):

@@ -19,18 +19,18 @@ Two schemes are provided:
 
 Both schemes start from fields + dt * rates (for imex, the input of the
 implicit solve).  The rates are the dt-independent part of the step,
-assembled once per state on the stacked (3, *shape) field array.
+assembled once per state on the stacked field array.
 
-Negative values are never clamped: a step that produces a negative or
-non-finite value raises NegativityDetected and the driver retries with
-half the step, aborting the run after 20 halvings.  Clamping would
-silently break the mass identity.
+Every run is an ensemble: runs that differ only in alpha and initial data
+advance as one (E, 3, *shape) array, member first, and a single run is the
+ensemble of one member.  Every kernel acts on each member's (3, *shape)
+block as on a lone state, so a member's trajectory does not depend on its
+ensemble, bit for bit.
 
-An ensemble of runs that differ only in alpha and initial data advances as
-one (E, 3, *shape) array, member first, through the same kernels: the
-rates, the step-size formula, the positivity check and the implicit solve
-act on each member's (3, *shape) block exactly as on a single state, so a
-member's trajectory equals its single run bit for bit.
+Negative values are never clamped: a member whose step produces a
+negative or non-finite value retries alone with half the step, and its
+run aborts after 20 halvings.  Clamping would silently break the mass
+identity.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .discretization import (
     _max_gradient,
     helmholtz_solve,
 )
-from .grid import Grid, State, integrate, require
+from .grid import Grid, State, _trailing_axes, integrate, require
 from .model import ExponentInfeasibleError, Params, select_energy_exponent
 from .monitors import DiagnosticsRecord, RunBaseline, compute_record
 
@@ -118,7 +118,7 @@ class RunResult:
 
 
 class _StepSize:
-    """The step-size formula of stable_dt.
+    """The step-size formula of stable_dt, for each member of an ensemble state.
 
     Its state-independent parts, the fixed caps (dt_max and the
     explicit-diffusion cap) and the constant factors of the others, are
@@ -127,7 +127,7 @@ class _StepSize:
     """
 
     def __init__(self, params: Params, grid: Grid, control: StepControl):
-        self.params, self.grid = params, grid
+        self.grid = grid
         c = params.coeffs
         h_min = min(grid.spacing)
         self.fixed_cap = control.dt_max
@@ -139,25 +139,18 @@ class _StepSize:
         self.other_decays = max(c.decay_v, c.decay_w)
         self.advect_length, self.faces = control.cfl_advect * h_min, 2.0 * grid.ndim
 
-    def __call__(self, state: State) -> float:
+    def members(self, state: State, alphas, until: float = math.inf) -> list[float]:
+        """Each member's step, one alpha per member, clipped so as not to pass
+        ``until``; min u and max w come from the positivity check's extrema."""
+        low, high = _extrema(state)
         _, gmax = _velocity(state, self.grid)
-        return self.limit(float(state.w.max()), float(state.u.min()), gmax, self.params.alpha)
-
-    def members(self, state: State, alphas: list) -> list[float]:
-        """The step of each member of an ensemble state, one alpha per member."""
-        per_member = state.fields.reshape(len(alphas), 3, -1)
-        _, gmax = _velocity(state, self.grid)
-        return list(map(self.limit, per_member[:, 2].max(axis=1).tolist(),
-                        per_member[:, 0].min(axis=1).tolist(), gmax.tolist(), alphas))
-
-    def limit(self, w_max: float, u_min: float, gmax: float, alpha: float) -> float:
-        """The formula, from a state's max w, min u and max |grad v|."""
-        loss_rate = max(w_max + self.decay_u, self.other_decays)
-        dt = min(self.fixed_cap, self.cfl_react / loss_rate)
-        if gmax > 0.0:
-            speed = self.faces * gmax * (1.0 + u_min) ** (-alpha)
-            dt = min(dt, self.advect_length / speed)
-        return dt
+        steps = []
+        for lo, hi, g, alpha, t in zip(low, high, gmax, alphas, state.t):
+            dt = min(self.fixed_cap, self.cfl_react / max(hi[2] + self.decay_u, self.other_decays))
+            if g > 0.0:
+                dt = min(dt, self.advect_length / (self.faces * g * (1.0 + lo[0]) ** (-alpha)))
+            steps.append(min(dt, until - t))
+        return steps
 
 
 def stable_dt(state: State, params: Params, grid: Grid, control: StepControl) -> float:
@@ -175,21 +168,39 @@ def stable_dt(state: State, params: Params, grid: Grid, control: StepControl) ->
     h^2/(2 ndim d) limit.  With no velocity and dt_max as the only cap the
     result is dt_max, so the step is always positive.
     """
-    return _StepSize(params, grid, control)(state)
+    member = State.from_fields(state.fields[None], [state.t])  # the ensemble of one member
+    return _StepSize(params, grid, control).members(member, [params.alpha])[0]
 
 
-def _components(fields: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
-    """The u, v and w blocks of a (3, *shape) array or of an ensemble's (E, 3, *shape)."""
-    if fields.ndim == grid.ndim + 1:
-        return fields[0], fields[1], fields[2]
-    return fields[:, 0], fields[:, 1], fields[:, 2]
+def _extrema(state: State) -> tuple[list, list]:
+    """Each member's minima and maxima of u, v and w, as nested lists; memoised."""
+    cached = state.memo.get("extrema")
+    if cached is None:
+        fields, cells = state.fields, _trailing_axes(state.fields.ndim, state.fields.ndim - 2)
+        cached = state.memo["extrema"] = (np.minimum.reduce(fields, axis=cells).tolist(),
+                                          np.maximum.reduce(fields, axis=cells).tolist())
+    return cached
 
 
-def _velocity(state: State, grid: Grid) -> tuple[list[np.ndarray], float]:
-    """Face differences of v and max |grad v| (per member), computed once per state."""
+def _valid(lo: list, hi: list) -> bool:
+    """Whether a member's extrema show no negative, NaN (a NaN minimum) or inf value."""
+    return lo[0] >= 0.0 and lo[1] >= 0.0 and lo[2] >= 0.0 and max(hi) < math.inf
+
+
+def _violation(low: list, high: list, dt: float) -> NegativityDetected:
+    # failure path only: name a member's first component that is negative or not finite
+    for name, lo, hi in zip("uvw", low, high):
+        for value in (lo, hi):
+            if not (value >= 0.0 and math.isfinite(value)):
+                return NegativityDetected(name, value, dt)
+    raise AssertionError("no component violates positivity")
+
+
+def _velocity(state: State, grid: Grid) -> tuple[list[np.ndarray], list[float]]:
+    """Face differences of v and each member's max |grad v|, computed once per state."""
     cached = state.memo.get("velocity")
     if cached is None or cached[0] is not grid:
-        differences = _face_differences(_components(state.fields, grid)[1], grid)
+        differences = _face_differences(state.fields[_component_index(grid.ndim)[1]], grid)
         cached = state.memo["velocity"] = (grid, differences, _max_gradient(differences, grid))
     return cached[1], cached[2]
 
@@ -199,49 +210,54 @@ def _rates(state: State, params, grid: Grid, scheme: str) -> np.ndarray:
 
     For explicit-euler this is the whole right-hand side; for imex it is
     the explicitly treated terms.  Memoised on the state, so a dt-halving
-    retry only redoes fields + dt * rates.  An ensemble state comes with a
-    tuple of per-member Params, which share kappa and the coefficients.
+    retry only redoes fields + dt * rates.  ``params`` is a tuple of
+    per-member Params, which share kappa and the coefficients, or one
+    Params for a single state.
     """
     key = (params, grid, scheme)
     cached = state.memo.get("rates")
     if cached is not None and cached[0] == key:
         return cached[1]
-    members = not isinstance(params, Params)
-    if members:
-        shared, alpha = params[0], tuple(p.alpha for p in params)
-    else:
-        shared, alpha = params, params.alpha
-    c = shared.coeffs
+    members = (params,) if isinstance(params, Params) else params
+    c, kappa = members[0].coeffs, members[0].kappa
     fields = state.fields
-    u, v, w = _components(fields, grid)
+    index_u, index_v, index_w = _component_index(grid.ndim)
+    u, v, w = fields[index_u], fields[index_v], fields[index_w]
     differences, gmax = _velocity(state, grid)
-    # a member without a gradient gets a divergence of exact zeros
-    moving = gmax.any() if members else gmax != 0.0
+    # a member without a gradient gets a divergence of exact zeros; with none, it is skipped
+    divergence = (_donor_cell_divergence(u, differences, grid, tuple([p.alpha for p in members]))
+                  if any(gmax) else None)
     conversion = u * w  # the identical array enters u and v: exact mass budget
     if scheme == "explicit-euler":
         rates = _laplacian_raw(fields, grid)
-        rates_u, rates_v, rates_w = _components(rates, grid)
+        rates_u, rates_v, rates_w = rates[index_u], rates[index_v], rates[index_w]
         diffusivities = (c.d_u, c.d_v, c.d_w)
         if diffusivities != _UNIT:
             rates *= _column(diffusivities, grid.ndim)
-        if moving:
-            rates_u -= _donor_cell_divergence(u, differences, grid, alpha)
+        if divergence is not None:
+            rates_u -= divergence
         rates_u -= conversion
         rates_v += conversion
-        rates_u += shared.kappa
+        rates_u += kappa
         rates_w += v if c.production == 1.0 else c.production * v
         decays = (c.decay_u, c.decay_v, c.decay_w)
         rates -= fields if decays == _UNIT else _column(decays, grid.ndim) * fields
     else:
         rates = np.empty_like(fields)
-        rates_u, rates_v, rates_w = _components(rates, grid)
-        np.subtract(shared.kappa, conversion, out=rates_u)
-        if moving:
-            rates_u -= _donor_cell_divergence(u, differences, grid, alpha)
+        rates_u, rates_v, rates_w = rates[index_u], rates[index_v], rates[index_w]
+        np.subtract(kappa, conversion, out=rates_u)
+        if divergence is not None:
+            rates_u -= divergence
         rates_v[...] = conversion
         np.multiply(c.production, v, out=rates_w)
     state.memo["rates"] = (key, rates)
     return rates
+
+
+@functools.cache
+def _component_index(ndim: int) -> tuple[tuple, tuple, tuple]:
+    # u, v and w, counted from the last axis, of a state or of an ensemble
+    return tuple((Ellipsis, k) + (slice(None),) * ndim for k in range(3))
 
 
 # the default unit coefficients skip their scaling pass, a numpy call per step
@@ -250,31 +266,43 @@ _UNIT = (1.0, 1.0, 1.0)
 
 @functools.cache
 def _column(values: tuple[float, float, float], ndim: int) -> np.ndarray:
-    # per-component coefficients shaped to broadcast against (3, *shape)
+    # per-component coefficients shaped to broadcast against (..., 3, *shape)
     column = np.reshape(values, (3,) + (1,) * ndim)
     column.flags.writeable = False
     return column
 
 
-def step(state: State, params, grid: Grid, dt, control: StepControl):
+def step(state: State, params, grid: Grid, dt, control: StepControl) -> State:
     """Advance one step of the selected scheme.
 
-    Raises NegativityDetected when any value of the new state is negative
-    or not finite.
+    A single state with one Params and a float dt advances as the ensemble
+    of one member, and step raises NegativityDetected when any value of
+    the new state is negative or not finite.
 
-    An ensemble advances as one: ``state.fields`` stacks the members on a
-    leading axis, ``(E, 3, *shape)``, and ``state.t`` holds their times;
-    ``params`` is a tuple of per-member Params that differ only in alpha,
-    and ``dt`` an array of per-member steps.  Nothing is raised then: step
-    returns the new ensemble state and a boolean array marking the members
-    whose values are all nonnegative and finite.
+    An ensemble state stacks its members, ``(E, 3, *shape)``, with a list
+    of their times; ``params`` is a tuple of per-member Params that differ
+    only in alpha, and ``dt`` a sequence of per-member steps, or a float
+    for one member.  The new ensemble state is returned as it is: a member
+    with a negative or non-finite value is for the caller to retry.
     """
-    members = not isinstance(params, Params)
-    if members:
-        dt = np.asarray(dt, dtype=float)
-        scale, positive = dt.reshape((-1,) + (1,) * (grid.ndim + 1)), bool((dt > 0).all())
+    if isinstance(params, Params):
+        dt = float(dt)
+        new = _step(State.from_fields(state.fields[None], [state.t]), (params,), grid, dt, control)
+        (lo,), (hi,) = _extrema(new)
+        if not _valid(lo, hi):
+            raise _violation(lo, hi, dt)
+        return State.from_fields(new.fields[0], new.t[0])
+    return _step(state, params, grid, dt, control)
+
+
+def _step(state: State, params: tuple, grid: Grid, dt, control: StepControl) -> State:
+    # the core of step, on an ensemble state
+    if isinstance(dt, float):  # one member: it scales like a (1, 1, ...) array, and faster
+        positive, scale, times = dt > 0, dt, [t + dt for t in state.t]
     else:
-        scale, positive = dt, dt > 0
+        times = [t + d for t, d in zip(state.t, dt)]
+        dt = np.asarray(dt, dtype=float)
+        positive, scale = bool((dt > 0).all()), dt.reshape((-1,) + (1,) * (grid.ndim + 1))
     if not positive:
         raise ValueError(f"dt must be > 0, got {dt}")
     new = _rates(state, params, grid, control.scheme) * scale
@@ -282,28 +310,12 @@ def step(state: State, params, grid: Grid, dt, control: StepControl):
     if control.scheme == "imex":
         # (1 + dt*decay - dt*d*lap) x = star per field, rescaled onto
         # (I - tau*lap) x = rhs and solved for all three fields in one call
-        c = (params[0] if members else params).coeffs
+        c = params[0].coeffs
         denominator = 1.0 + scale * _column((c.decay_u, c.decay_v, c.decay_w), grid.ndim)
         new /= denominator
         new = helmholtz_solve(new, scale * _column((c.d_u, c.d_v, c.d_w), grid.ndim)
                               / denominator, grid)
-    # the minimum catches negatives and NaN, the maximum +inf
-    if members:
-        per_member = new.reshape(len(dt), -1)
-        ok = (per_member.min(axis=1) >= 0.0) & np.isfinite(per_member.max(axis=1))
-        return State.from_fields(new, state.t + dt), ok
-    if not (float(new.min()) >= 0.0 and math.isfinite(float(new.max()))):
-        raise _violation(new, dt)
-    return State.from_fields(new, state.t + dt)
-
-
-def _violation(fields: np.ndarray, dt: float) -> NegativityDetected:
-    # failure path only: name the first component that is negative or not finite
-    for name, values in zip("uvw", fields):
-        for value in (float(values.min()), float(values.max())):
-            if not (value >= 0.0 and math.isfinite(value)):
-                return NegativityDetected(name, value, dt)
-    raise AssertionError("no component violates positivity")
+    return State.from_fields(new, times)
 
 
 def _monitor_targets(t_end: float, monitor_every: float) -> list[float]:
@@ -344,73 +356,34 @@ def run(initial, params, grid: Grid, control: StepControl,
     cannot be restored by halving dt, or when the step-size formula gives a
     dt too small to change the next monitor time (target + dt == target):
     at once when that dt is 0, else after its step, so that a positivity
-    failure of that step is the one reported.
+    failure of that step is the one reported.  on_record(state, record) is
+    called with the state of every record.
 
     A list of initial states with a matching list of Params, differing only
     in alpha, runs as one ensemble and returns a list with one entry per
     member: its RunResult, equal bit for bit to a single run's, or the
-    UnstableRunError that aborted it.  on_record is for single states.
+    UnstableRunError that aborted it.  on_record is for single states; a
+    single state runs as the ensemble of one member.
     """
     require(t_end >= 0, "t_end", "t_end >= 0", t_end)
     if isinstance(initial, (list, tuple)):
         if on_record is not None:
             raise ValueError("on_record needs a single initial state")
-        return _run_ensemble(list(initial), tuple(params), grid, control, t_end, monitor_every)
-    result = _start(initial, params, grid)
-    if t_end == 0:
-        return result
-
-    state = initial.copy()
-    step_size = _StepSize(params, grid, control)
-    exponent, baseline = result.energy_exponent, result.baseline
-    record = compute_record(state, grid, params, exponent, baseline)
-    result.records.append(record)
-    if on_record is not None:
-        on_record(state, record)
-
-    steps, max_dt = 0, 0.0
-    for target in _monitor_targets(t_end, monitor_every):
-        cutoff = target - 1e-12 * max(1.0, target)
-        while state.t < cutoff:
-            formula = step_size(state)
-            if not formula > 0:
-                raise UnstableRunError(state.t, state.copy(), None, formula)
-            dt = min(formula, target - state.t)
-            last_error = None
-            for _ in range(MAX_HALVINGS + 1):
-                try:
-                    state = step(state, params, grid, dt, control)
-                    break
-                except NegativityDetected as error:
-                    last_error = error
-                    result.negativity_retries += 1
-                    dt *= 0.5
-            else:
-                raise UnstableRunError(state.t, state.copy(), last_error)
-            steps += 1
-            max_dt = max(max_dt, dt)
-            if not target + formula > target:
-                raise UnstableRunError(state.t, state.copy(), None, formula)
-        state.t = target  # snap off the accumulated roundoff
-        record = compute_record(state, grid, params, exponent, baseline)
-        result.records.append(record)
-        if on_record is not None:
-            on_record(state, record)
-
-    result.final_state = state
-    result.steps, result.max_dt = steps, max_dt
+        return _run(list(initial), tuple(params), grid, control, t_end, monitor_every)
+    result = _run([initial], (params,), grid, control, t_end, monitor_every, on_record)[0]
+    if isinstance(result, UnstableRunError):
+        raise result
     return result
 
 
-def _run_ensemble(initials: list[State], params: tuple[Params, ...], grid: Grid,
-                  control: StepControl, t_end: float, monitor_every: float) -> list:
-    """run's loop for every member at once, on one (E, 3, *shape) array.
+def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control: StepControl,
+         t_end: float, monitor_every: float, on_record=None) -> list:
+    """The run loop, for every member at once on one (E, 3, *shape) array.
 
-    Toward each monitor target, the members short of it step together,
-    each with its own dt; a member that fails positivity retries alone with
-    half its dt.  One that exhausts the halvings, or whose dt cannot advance
-    the time, drops out, its UnstableRunError taking its place in the
-    returned list.
+    Toward each monitor target, the members short of it step together, one
+    step call per ensemble step, each with its own dt.  A member that
+    exhausts its dt halvings, or whose dt cannot advance the time, drops
+    out, its UnstableRunError taking its place in the returned list.
     """
     if len(params) != len(initials):
         raise ValueError(f"{len(initials)} initial states but {len(params)} Params")
@@ -420,81 +393,101 @@ def _run_ensemble(initials: list[State], params: tuple[Params, ...], grid: Grid,
     if t_end == 0 or not initials:
         return results
 
-    count = len(initials)
+    # each member's state whenever it is not in the step loop, and its counters
     fields = np.stack([initial.fields for initial in initials])
-    times = np.array([initial.t for initial in initials], dtype=float)
-    steps, retries = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
-    max_dt = np.zeros(count)
-    live = np.ones(count, dtype=bool)
-    alphas = [p.alpha for p in params]
+    times = [initial.t for initial in initials]
+    live = list(range(len(initials)))
+    steps, retries, max_dt = [0 for _ in live], [0 for _ in live], [0.0 for _ in live]
     step_size = _StepSize(params[0], grid, control)
 
-    def abort(i, last_error, dt):
-        t = float(times[i])
-        results[i] = UnstableRunError(t, State.from_fields(fields[i].copy(), t), last_error, dt)
-        live[i] = False
+    def abort(i, values, t, last_error, dt):
+        results[i] = UnstableRunError(t, State.from_fields(values.copy(), t), last_error, dt)
+        live.remove(i)
 
     def record():
-        # one call for all live members
-        index = np.flatnonzero(live)
-        if len(index):
+        if live:
+            state = State.from_fields(fields[live], [times[i] for i in live])
             records = compute_record(
-                State.from_fields(fields[index], times[index]), grid,
-                [params[i] for i in index], [results[i].energy_exponent for i in index],
-                [results[i].baseline for i in index])
-            for i, member_record in zip(index, records):
+                state, grid, [params[i] for i in live],
+                [results[i].energy_exponent for i in live], [results[i].baseline for i in live])
+            for i, member_record in zip(live, records):
                 results[i].records.append(member_record)
+            if on_record is not None:
+                on_record(State.from_fields(state.fields[0], times[0]), records[0])
 
     record()
     for target in _monitor_targets(t_end, monitor_every):
         cutoff = target - 1e-12 * max(1.0, target)
-        while True:
-            index = np.flatnonzero(live & (times < cutoff))
-            if not len(index):
-                break
-            state = State.from_fields(fields[index], times[index])
-            formula = step_size.members(state, [alphas[i] for i in index])
-            # as in run: a dt that cannot change the target time aborts its
-            # member, at once when it is 0, else after its step
-            stuck = [] if target + min(formula) > target else [
-                (i, tried) for i, tried in zip(index.tolist(), formula)
-                if not target + tried > target]
-            if stuck and any(tried == 0.0 for _, tried in stuck):
-                for i, tried in stuck:
-                    if tried == 0.0:
-                        abort(i, None, tried)
-                continue
-            dt = np.minimum(formula, target - state.t)
-            for attempt in range(MAX_HALVINGS + 1):
-                new, ok = step(state, tuple(params[i] for i in index), grid, dt, control)
-                done = index[ok]
-                if len(done) == count:
-                    fields = new.fields
-                elif len(done):
-                    if not fields.flags.writeable:  # a step's fields are read-only
-                        fields = fields.copy()
-                    fields[done] = new.fields[ok]
-                times[done] = new.t[ok]
-                steps[done] += 1
-                max_dt[done] = np.maximum(max_dt[done], dt[ok])
-                if ok.all():
+        index = [i for i in live if times[i] < cutoff]
+        state = State.from_fields(fields[index], [times[i] for i in index])
+        while index:
+            # the same members step until one of them leaves the step loop
+            members = tuple(params[i] for i in index)
+            alphas, taken, largest = tuple([p.alpha for p in members]), 0, [0.0] * len(index)
+            failed = {}
+            while True:
+                dt = step_size.members(state, alphas, target)
+                # a dt that cannot change the target time aborts its member,
+                # at once when it is 0, else after its step
+                stuck = () if target + min(dt) > target else {
+                    k: tried for k, tried in enumerate(dt) if not target + tried > target}
+                if stuck:
+                    failed = {k: (None, tried) for k, tried in stuck.items() if not tried > 0.0}
+                    if failed:
+                        new, after, stuck = state, state.t, ()
+                        break
+                new = step(state, members, grid, dt[0] if len(dt) == 1 else dt, control)
+                if not all(map(_valid, *_extrema(new))):
+                    new, failed = _retry(state, new, members, grid, dt, control, index, retries)
+                taken, largest = taken + 1, [*map(max, largest, dt)]
+                after = new.t
+                if failed or stuck or not max(after) < cutoff:
                     break
-                failed = ~ok
-                retries[index[failed]] += 1
-                if attempt == MAX_HALVINGS:
-                    for i, values, tried in zip(index[failed], new.fields[failed], dt[failed]):
-                        abort(i, _violation(values, float(tried)), float(tried))
-                    break
-                index, dt = index[failed], dt[failed] * 0.5
-                state = State.from_fields(state.fields[failed], state.t[failed])
-            for i, tried in stuck:
-                if live[i]:
-                    abort(i, None, tried)
-        times[live] = target  # snap off the accumulated roundoff
+                state = new
+            keep = []
+            for k, i in enumerate(index):
+                steps[i] += taken
+                max_dt[i] = max(max_dt[i], largest[k])
+                if k in failed:
+                    abort(i, state.fields[k], state.t[k], *failed[k])
+                elif k in stuck:
+                    abort(i, new.fields[k], after[k], None, stuck[k])
+                elif after[k] < cutoff:
+                    keep.append(k)
+                else:  # at the target
+                    fields[i], times[i] = new.fields[k], after[k]
+            index = [index[k] for k in keep]
+            state = State.from_fields(new.fields[keep], [after[k] for k in keep])
+        for i in live:
+            times[i] = target  # snap off the accumulated roundoff
         record()
 
-    for i in np.flatnonzero(live):
-        results[i].final_state = State.from_fields(fields[i], float(times[i]))
-        results[i].steps, results[i].negativity_retries = int(steps[i]), int(retries[i])
-        results[i].max_dt = float(max_dt[i])
+    for i in live:
+        results[i].final_state = State.from_fields(fields[i], times[i])
+        results[i].steps, results[i].negativity_retries = steps[i], retries[i]
+        results[i].max_dt = max_dt[i]
     return results
+
+
+def _retry(state: State, new: State, members: tuple, grid: Grid, dt: list,
+           control: StepControl, index: list, retries: list) -> tuple[State, dict]:
+    """Retry each member that failed its step to ``new`` alone from ``state``,
+    halving its dt each time, up to MAX_HALVINGS times.  Updates ``dt`` to
+    the steps taken and counts failed attempts in ``retries`` (``index``
+    names the members).  Returns the new state and, per member whose every
+    attempt failed, its position mapped to its last error and dt."""
+    fields, times, errors = new.fields.copy(), list(new.t), {}
+    for k, (lo, hi) in enumerate(zip(*_extrema(new))):
+        member = State.from_fields(state.fields[k:k + 1], state.t[k:k + 1])
+        for _ in range(MAX_HALVINGS):
+            if _valid(lo, hi):
+                break
+            retries[index[k]] += 1
+            dt[k] *= 0.5
+            tried = step(member, members[k:k + 1], grid, dt[k], control)
+            fields[k], times[k] = tried.fields[0], tried.t[0]
+            (lo,), (hi,) = _extrema(tried)
+        if not _valid(lo, hi):
+            retries[index[k]] += 1
+            errors[k] = _violation(lo, hi, dt[k]), dt[k]
+    return State.from_fields(fields, times), errors

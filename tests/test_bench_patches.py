@@ -1,8 +1,10 @@
-"""The names the benchmark's trace wraps must exist on chemovir.
+"""The benchmark's trace must keep working against chemovir.
 
 ``python3 bench/run.py --trace 1`` replaces each (module, attribute) of
 ``bench/spans.py``'s PATCHES by a traced wrapper; a refactor that drops
 one of them would make the traced benchmark fail with AttributeError.
+Its explicit-1d observer checks the mass recurrence of every step from
+the step's state, dt and result, so those must keep their shape too.
 """
 
 import importlib
@@ -14,16 +16,30 @@ import pytest
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
-def patches():
+def bench_module(name):
     sys.path.insert(0, BENCH)
     try:
-        spans = importlib.import_module("spans")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(BENCH)
-    return spans.PATCHES
 
 
-@pytest.mark.parametrize("module,attribute", patches())
+@pytest.mark.parametrize("module,attribute", bench_module("spans").PATCHES)
 def test_patched_name_resolves(module, attribute):
     target = importlib.import_module(f"chemovir.{module}")
     assert callable(getattr(target, attribute))
+
+
+def test_traced_explicit_round_observes_every_step(tmp_path):
+    spans, workloads = bench_module("spans"), bench_module("workloads")
+    workload = workloads.Explicit1D(0, str(tmp_path))
+    workload.T_END = 0.05
+    workload.prepare()
+    tracer = spans.Tracer(str(tmp_path))
+    with tracer.installed(workloads.MODULES, workload.observers()):
+        result = workload.execute()
+    tracer.take()
+    outcome = workload.check(result, traced=True)
+    assert outcome.problems == []
+    assert outcome.warnings == []
+    assert len(workload._recurrence) == result.steps

@@ -66,6 +66,20 @@ class TestSimulateCommand:
         names = sorted(p.name for p in out_dir.glob("snapshot_*.cvf"))
         assert names == ["snapshot_t0.2.cvf", "snapshot_t0.4.cvf"]
 
+    def test_tiny_snapshot_interval_returns(self, tmp_path):
+        # the next snapshot time is computed, not counted up to in steps of
+        # snapshot_every; a subprocess with a timeout fails instead of hanging
+        config = tmp_path / "run.cfg"
+        config.write_text(SIMULATE_CONFIG + "snapshot_every = 1e-12\n")
+        import chemovir
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chemovir.__file__)))
+        done = subprocess.run([sys.executable, "-m", "chemovir", "simulate", "--config",
+                               str(config), "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        # a snapshot at every record, t = 0 included
+        assert len(list((tmp_path / "out").glob("snapshot_t*.cvf"))) == 6
+
     def test_final_state_formatted_once(self, tmp_path, monkeypatch):
         calls = []
 

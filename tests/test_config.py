@@ -121,10 +121,12 @@ def with_key(section, key, value):
 
 
 def violations():
-    # one value per constrained key that breaks its constraint; out_dir has none
+    # one value per constrained key that breaks its constraint
     for section, keys in _SCHEMA.items():
         for key, (kind, _) in keys.items():
-            if key != "out_dir":
+            if key == "out_dir":
+                yield section, key, ""
+            else:
                 yield section, key, "bogus" if kind == "str" else "-1"
 
 
