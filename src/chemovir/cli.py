@@ -11,7 +11,7 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .grid import atomic_write_text, write_snapshot
+from .grid import write_snapshot
 from .model import alpha_threshold
 from .monitors import write_diagnostics_csv
 from .stepper import UnstableRunError, run
@@ -64,25 +64,18 @@ def _cmd_simulate(args) -> int:
 
     snapshot_every = config.snapshot_every
     next_snapshot = [snapshot_every]
-    final_text = []  # the snapshot text of the state at t_end, when one was written
 
     def on_record(state, record):
         if snapshot_every > 0 and record.t + 1e-9 >= next_snapshot[0]:
-            text = write_snapshot(os.path.join(out_dir, f"snapshot_t{record.t:.6g}.cvf"),
-                                  state, config.grid)
-            if record.t == config.t_end:
-                final_text.append(text)
+            write_snapshot(os.path.join(out_dir, f"snapshot_t{record.t:.6g}.cvf"),
+                           state, config.grid)
             # the first multiple of snapshot_every after this record
             next_snapshot[0] = ((record.t + 1e-9) // snapshot_every + 1) * snapshot_every
 
     result = run(config.initial_state(config.seed), config.params(config.alpha), config.grid,
                  config.control, config.t_end, config.monitor_every, on_record=on_record)
     write_diagnostics_csv(result.records, os.path.join(out_dir, "diagnostics.csv"))
-    final_path = os.path.join(out_dir, "final_state.cvf")
-    if final_text:
-        atomic_write_text(final_path, final_text[0])
-    else:
-        write_snapshot(final_path, result.final_state, config.grid)
+    write_snapshot(os.path.join(out_dir, "final_state.cvf"), result.final_state, config.grid)
     print(f"simulate: t_end={config.t_end} reached in {result.steps} steps "
           f"({result.negativity_retries} dt-halving retries); wrote diagnostics.csv "
           f"and final_state.cvf to {out_dir}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SNAPSHOT_MAGIC = "CVF1"
+SNAPSHOT_MAGIC = "CVF2"
 
 
 @dataclass(frozen=True)
@@ -250,14 +250,14 @@ def _grad_norms_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
     return total
 
 
-def atomic_write_text(path, text: str):
-    """Write a file fully or not at all (temp file + rename)."""
+def atomic_write(path, data: str | bytes):
+    """Write text or bytes to a file fully or not at all (temp file + rename)."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as handle:
+            handle.write(data)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -269,62 +269,63 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def write_snapshot(path, state: State, grid: Grid) -> str:
-    """Write a lossless text snapshot (CVF1 format) and return its text.
+def write_snapshot(path, state: State, grid: Grid) -> None:
+    """Write a lossless binary snapshot (CVF2 format).
 
-    Layout: magic line, ``ndim s1 [s2] [s3]``, domain lengths, ``t=<time>``,
-    then blocks labeled u, v, w with all cells row-major, one value per
-    line, 17 significant digits.
+    Layout: four text lines, the magic ``CVF2``, ``ndim s1 [s2] [s3]``, the
+    domain lengths and ``t=<time>`` (numbers to 17 significant digits), then
+    the ``(3, *shape)`` array of u, v and w as raw little-endian float64 in
+    C order.
     """
     state.validate(grid)
-    lines = [
+    header = "\n".join([
         SNAPSHOT_MAGIC,
         " ".join([str(grid.ndim)] + [str(s) for s in grid.shape]),
         " ".join(f"{L:.17g}" for L in grid.lengths),
         f"t={state.t:.17g}",
-    ]
-    block = _block_format(grid.n_cells)
-    for label, values in zip("uvw", state.fields):
-        lines.append(label)
-        lines.append(block % tuple(values.ravel().tolist()))
-    text = "\n".join(lines) + "\n"
-    atomic_write_text(path, text)
-    return text
-
-
-@functools.lru_cache(maxsize=4)
-def _block_format(n: int) -> str:
-    # one "%.17g" line per cell: a block is formatted by a single % operation
-    return "\n".join(["%.17g"] * n)
+    ]) + "\n"
+    atomic_write(path, header.encode() + state.fields.astype("<f8", copy=False).tobytes())
 
 
 def read_snapshot(path) -> tuple[State, Grid]:
-    """Read a CVF1 snapshot back into (State, Grid)."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != SNAPSHOT_MAGIC:
-        raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot")
-    header = lines[1].split()
-    ndim = int(header[0])
-    shape = tuple(int(s) for s in header[1:])
-    if len(shape) != ndim:
-        raise ValueError(f"{path}: dimension header {lines[1]!r} is inconsistent")
-    lengths = tuple(float(x) for x in lines[2].split())
-    grid = Grid(shape, lengths)
-    if not lines[3].startswith("t="):
-        raise ValueError(f"{path}: missing time line, got {lines[3]!r}")
-    t = float(lines[3][2:])
+    """Read a CVF2 snapshot, or an older CVF1 text one, back into (State, Grid)."""
+    with open(path, "rb") as handle:
+        header = [handle.readline().rstrip(b"\r\n") for _ in range(4)]
+        payload = handle.read()
+    magic = header[0].decode(errors="replace")
+    if magic not in (SNAPSHOT_MAGIC, "CVF1"):
+        raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} (or CVF1) snapshot")
+    dims, lengths, time_line = (line.decode() for line in header[1:])
+    numbers = [int(s) for s in dims.split()]  # ndim, then the cells per axis
+    if not numbers or len(numbers) != numbers[0] + 1:
+        raise ValueError(f"{path}: dimension header {dims!r} is inconsistent")
+    grid = Grid(tuple(numbers[1:]), tuple(float(x) for x in lengths.split()))
+    if not time_line.startswith("t="):
+        raise ValueError(f"{path}: missing time line, got {time_line!r}")
     n = grid.n_cells
+    if magic == "CVF1":
+        fields = _cvf1_blocks(path, payload.decode().splitlines(), n)
+    elif len(payload) != 3 * n * 8:
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes, "
+                         f"not the 3 * {n} * 8 = {3 * n * 8} of its grid")
+    else:
+        fields = np.frombuffer(payload, "<f8").astype(float, copy=False)
+    state = State.from_fields(fields.reshape((3,) + grid.shape), float(time_line[2:]))
+    state.validate(grid)
+    return state, grid
+
+
+def _cvf1_blocks(path, lines: list[str], n: int) -> np.ndarray:
+    """The u, v and w blocks of a CVF1 snapshot: a label line, then one value per line."""
     fields = np.empty((3, n))
-    cursor = 4
+    cursor = 0
     for values, label in zip(fields, "uvw"):
         if cursor >= len(lines) or lines[cursor] != label:
-            raise ValueError(f"{path}: expected block label {label!r} at line {cursor + 1}")
+            # the four header lines come first
+            raise ValueError(f"{path}: expected block label {label!r} at line {cursor + 5}")
         cursor += 1
         if len(lines) - cursor < n:
             raise ValueError(f"{path}: block {label!r} is truncated")
         values[:] = np.fromiter(map(float, lines[cursor:cursor + n]), float, n)
         cursor += n
-    state = State.from_fields(fields.reshape((3,) + grid.shape), t)
-    state.validate(grid)
-    return state, grid
+    return fields

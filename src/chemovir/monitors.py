@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import (Grid, State, _cell_sums, _grad_norms_sq, _integrals, _lp_norm_from_sum,
-                   _member_runs, _sup_norms, atomic_write_text, check_field, grad_norm_sq)
+                   _member_runs, _sup_norms, atomic_write, check_field, grad_norm_sq)
 from .model import Coefficients, Params
 
 CSV_COLUMNS = (
@@ -246,7 +246,7 @@ def write_diagnostics_csv(records, path):
     lines = [",".join(CSV_COLUMNS)]
     for record in records:
         lines.append(",".join(repr(getattr(record, col)) for col in CSV_COLUMNS))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_diagnostics_csv(path):

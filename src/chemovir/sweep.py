@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Grid, State, atomic_write_text, require
+from .grid import Grid, State, atomic_write, require
 from .model import (Coefficients, ExponentInfeasibleError, Params, alpha_threshold,
                     select_energy_exponent)
 from .monitors import classify_boundedness
@@ -175,7 +175,7 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
-        atomic_write_text(path, self.to_csv_text())
+        atomic_write(path, self.to_csv_text())
 
 
 # at most this many cell values (over all members and fields) per ensemble,

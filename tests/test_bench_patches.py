@@ -43,3 +43,26 @@ def test_traced_explicit_round_observes_every_step(tmp_path):
     assert outcome.problems == []
     assert outcome.warnings == []
     assert len(workload._recurrence) == result.steps
+
+
+def test_simulate_round_checks_pass(tmp_path):
+    # the snapshot checks (masses to 1e-12, mirror symmetry, isotropy and
+    # final_state.cvf at t_end) read every .cvf file through read_snapshot
+    spans, workloads = bench_module("spans"), bench_module("workloads")
+
+    class ShortSimulate3D(workloads.Simulate3D):
+        # class attributes: __init__ writes the config file from them
+        T_END, SNAPSHOTS = 0.1, 3
+        attempted = 4
+
+    workload = ShortSimulate3D(0, str(tmp_path))
+    workload.prepare()
+    tracer = spans.Tracer(str(tmp_path))
+    with tracer.installed(workloads.MODULES, workload.observers()):
+        result = workload.execute()
+    tracer.take()
+    outcome = workload.check(result, traced=True)
+    assert outcome.problems == []
+    assert outcome.warnings == []
+    assert outcome.failed == 0
+    assert sorted(result[1]) == ["final_state.cvf", "snapshot_t0.05.cvf", "snapshot_t0.1.cvf"]

@@ -92,7 +92,7 @@ class TestSimulateCommand:
         config.write_text(SIMULATE_CONFIG + "snapshot_every = 0.25\n")
         out_dir = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out_dir)]) == 0
-        assert calls == ["snapshot_t0.3.cvf", "snapshot_t0.5.cvf"]
+        assert calls == ["snapshot_t0.3.cvf", "snapshot_t0.5.cvf", "final_state.cvf"]
         assert (out_dir / "final_state.cvf").read_bytes() == \
                (out_dir / "snapshot_t0.5.cvf").read_bytes()
         assert (out_dir / "final_state.cvf").stat().st_mode == \

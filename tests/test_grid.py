@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -137,6 +138,10 @@ class TestGradNormSq:
         assert grad_norm_sq(field, grid) == grad_norm_sq(field + 11.25, grid)
 
 
+# zero, the smallest subnormal, a tiny normal, one ulp above 0.3, a huge value
+EDGE_VALUES = [0.0, 5e-324, 1e-300, 0.30000000000000004, 1e300]
+
+
 class TestSnapshotIO:
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -156,29 +161,49 @@ class TestSnapshotIO:
         state = State(grid.new_field(1.0), grid.new_field(0.0), grid.new_field(0.0), t=0.5)
         path = tmp_path / "state.cvf"
         write_snapshot(path, state, grid)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "CVF1"
-        assert lines[1] == "1 3"
-        assert lines[2] == "1"
-        assert lines[3] == "t=0.5"
-        assert lines[4] == "u"
-        assert lines[8] == "v"
-        assert lines[12] == "w"
-        assert len(lines) == 4 + 3 * 4
+        data = path.read_bytes()
+        header = b"CVF2\n1 3\n1\nt=0.5\n"
+        assert data[:len(header)] == header
+        assert len(data) == len(header) + 3 * 3 * 8
+        assert np.frombuffer(data[len(header):], "<f8").tolist() == [1.0] * 3 + [0.0] * 6
 
     def test_exact_bytes(self, tmp_path):
         grid = Grid((5,))
-        values = np.array([0.0, 5e-324, 1e-300, 0.30000000000000004, 1e300])
+        values = np.array(EDGE_VALUES)
         state = State(values, values[::-1], values, t=0.1)
         path = tmp_path / "state.cvf"
         write_snapshot(path, state, grid)
+        payload = struct.pack("<15d", *EDGE_VALUES, *EDGE_VALUES[::-1], *EDGE_VALUES)
+        assert path.read_bytes() == b"CVF2\n1 5\n1\nt=0.10000000000000001\n" + payload
+        loaded, _ = read_snapshot(path)
+        assert loaded.t == state.t
+        assert loaded.fields.dtype == np.float64 and loaded.fields.dtype.isnative
+        assert loaded.fields.tobytes() == state.fields.tobytes()
+
+    def test_round_trip_unequal_axes_3d(self, tmp_path):
+        # an axis or C/F order mix-up would scramble these distinct values
+        grid = Grid((5, 4, 3), (1.0, 2.0, 0.75))
+        values = np.arange(3 * 60, dtype=float).reshape(3, 5, 4, 3) / 7.0
+        state = State(*values, t=2.5)
+        path = tmp_path / "state.cvf"
+        write_snapshot(path, state, grid)
+        loaded, loaded_grid = read_snapshot(path)
+        assert loaded_grid == grid
+        assert loaded.fields.shape == (3, 5, 4, 3)
+        np.testing.assert_array_equal(loaded.fields, values)
+
+    def test_reads_cvf1_bitwise(self, tmp_path):
+        # the text format written before CVF2 still reads back bit for bit
         block = "0\n4.9406564584124654e-324\n1e-300\n0.30000000000000004\n1.0000000000000001e+300\n"
         reverse = "1.0000000000000001e+300\n0.30000000000000004\n1e-300\n4.9406564584124654e-324\n0\n"
-        assert path.read_bytes() == (
-            "CVF1\n1 5\n1\nt=0.10000000000000001\n"
-            f"u\n{block}v\n{reverse}w\n{block}").encode()
-        loaded, _ = read_snapshot(path)
-        np.testing.assert_array_equal(loaded.fields, state.fields)
+        path = tmp_path / "state.cvf"
+        path.write_bytes(("CVF1\n1 5\n1\nt=0.10000000000000001\n"
+                          f"u\n{block}v\n{reverse}w\n{block}").encode())
+        loaded, grid = read_snapshot(path)
+        values = np.array(EDGE_VALUES)
+        assert grid == Grid((5,))
+        assert loaded.t == 0.1
+        assert loaded.fields.tobytes() == np.stack([values, values[::-1], values]).tobytes()
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cvf"
@@ -189,7 +214,28 @@ class TestSnapshotIO:
     def test_rejects_truncated_block(self, tmp_path):
         path = tmp_path / "short.cvf"
         path.write_text("CVF1\n1 3\n1\nt=0\nu\n1\n1\n")
-        with pytest.raises(ValueError, match="truncated"):
+        # the message, not the path (named after this test), must say it
+        with pytest.raises(ValueError, match="block 'u' is truncated"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("extra", [-8, -1, 1, 8])
+    def test_rejects_payload_of_wrong_length(self, tmp_path, extra):
+        # truncated (extra < 0) or with trailing bytes (extra > 0)
+        header = b"CVF2\n1 3\n1\nt=0\n"
+        path = tmp_path / "state.cvf"
+        payload = struct.pack("<9d", *[1.0] * 9)
+        path.write_bytes(header + (payload[:extra] if extra < 0 else payload + b"\0" * extra))
+        with pytest.raises(ValueError, match=r"payload holds \d+ bytes, not the 3 \* 3 \* 8 = 72"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("value,message", [(math.nan, "non-finite"), (math.inf, "non-finite"),
+                                               (-1.0, "negative")])
+    def test_rejects_invalid_payload_value(self, tmp_path, value, message):
+        path = tmp_path / "state.cvf"
+        values = [1.0] * 9
+        values[4] = value
+        path.write_bytes(b"CVF2\n1 3\n1\nt=0\n" + struct.pack("<9d", *values))
+        with pytest.raises(ValueError, match=f"v contains {message} values"):
             read_snapshot(path)
 
 
