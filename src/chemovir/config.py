@@ -27,6 +27,7 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()
+_CONTROL = StepControl()  # the stepper keys' defaults are StepControl's
 
 # section -> key -> (kind, default); kind in float/int/str/float_list/int_list.
 # Key names are unique across sections.
@@ -47,10 +48,10 @@ _SCHEMA = {
         "lengths": ("float_list", (1.0,)),
     },
     "stepper": {
-        "scheme": ("str", "imex"),
-        "dt_max": ("float", 0.01),
-        "cfl_advect": ("float", 0.4),
-        "cfl_react": ("float", 0.9),
+        "scheme": ("str", _CONTROL.scheme),
+        "dt_max": ("float", _CONTROL.dt_max),
+        "cfl_advect": ("float", _CONTROL.cfl_advect),
+        "cfl_react": ("float", _CONTROL.cfl_react),
         "t_end": ("float", 5.0),
     },
     "monitors": {

@@ -66,3 +66,20 @@ def test_simulate_round_checks_pass(tmp_path):
     assert outcome.warnings == []
     assert outcome.failed == 0
     assert sorted(result[1]) == ["final_state.cvf", "snapshot_t0.05.cvf", "snapshot_t0.1.cvf"]
+
+
+def test_sweep_round_checks_pass(tmp_path):
+    # the row checks: every row completes, bounded-plateau with a finite
+    # energy above the threshold and no energy at or below it
+    spans, workloads = bench_module("spans"), bench_module("workloads")
+    workload = workloads.Sweep1D(0, str(tmp_path))
+    workload.prepare()
+    tracer = spans.Tracer(str(tmp_path))
+    with tracer.installed(workloads.MODULES, workload.observers()):
+        result = workload.execute()
+    tracer.take()
+    outcome = workload.check(result, traced=True)
+    assert outcome.problems == []
+    assert outcome.warnings == []
+    assert outcome.failed == 0
+    assert len(result.rows) == workload.attempted

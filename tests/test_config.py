@@ -1,6 +1,11 @@
+import dataclasses
+
 import pytest
 
-from chemovir.config import _SCHEMA, ConfigError, config_to_text, load_config, parse_config
+from chemovir.config import (_REQUIRED, _SCHEMA, Config, ConfigError, config_to_text,
+                             load_config, parse_config)
+from chemovir.model import Coefficients
+from chemovir.stepper import StepControl
 
 MINIMAL = """
 [model]
@@ -21,7 +26,7 @@ class TestParsing:
         assert config.grid.shape == (64,)
         assert config.grid.lengths == (1.0,)
         assert config.control.scheme == "imex"
-        assert config.control.dt_max == 0.01
+        assert config.control.dt_max == 0.05
         assert config.t_end == 5.0
         assert config.monitor_every == 0.1
         assert config.preset == "gaussian-bump-v"
@@ -40,6 +45,20 @@ class TestParsing:
         config = parse_config(text)
         assert config.grid.shape == (32, 16)
         assert config.grid.lengths == (1.0, 2.0)
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        # a key's value goes to the field of the same name; the grid and
+        # constant-preset keys are assembled into a Grid and a tuple instead
+        defaults = {f.name: _REQUIRED if f.default is dataclasses.MISSING else f.default
+                    for cls in (Config, Coefficients, StepControl) for f in dataclasses.fields(cls)}
+        for keys in _SCHEMA.values():
+            for key, (_, default) in keys.items():
+                if key == "t_end":  # the one known mismatch: a file runs to 5, a RunSpec to 10
+                    assert (default, defaults[key]) == (5.0, 10.0)
+                elif key in defaults:
+                    assert default == defaults[key], key
+        assert {"alpha", "kappa", "t_end", "dt_max", "scheme", "cfl_advect", "cfl_react",
+                "decay_u", "seeds", "out_dir"} <= set(defaults)
 
     def test_sweep_section(self):
         text = MINIMAL + "\n[sweep]\nalphas = 0.8, 1.0, 1.5\nseeds = 0, 1\n"

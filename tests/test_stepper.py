@@ -112,7 +112,9 @@ class TestStep:
         params = Params(alpha=1.0, kappa=0.0)
         dt = 0.01
         out = step(state, params, grid, dt, StepControl())
-        oracle = helmholtz_solve(u / (1.0 + dt), dt / (1.0 + dt), grid)
+        # exponential Euler: (I - phi*lap) x = u + phi*(-u), phi = 1 - e^-dt
+        phi = -math.expm1(-dt)
+        oracle = helmholtz_solve(u - phi * u, phi, grid)
         assert np.abs(out.u - oracle).max() <= 1e-10
 
     def test_mass_recurrence_exact_per_step(self):
@@ -218,12 +220,13 @@ class TestStep:
         # a single state is solved as the ensemble of one member
         assert calls == [(1, 3, 6, 5)]
         # the stacked solve equals three per-field solves of
-        # (1 + dt*decay - dt*d*lap) x = star
+        # (I - phi*d*lap) x = f + phi*rates, phi = (1 - e^(-decay*dt))/decay
         c, dt = params.coeffs, 0.01
-        star = state.fields + dt * stepper_module._rates(state, params, grid, "imex")
+        rates = stepper_module._rates(state, params, grid, "imex")
         for k, (d, decay) in enumerate(((c.d_u, c.decay_u), (c.d_v, c.decay_v),
                                         (c.d_w, c.decay_w))):
-            want = helmholtz_solve(star[k] / (1.0 + dt * decay), dt * d / (1.0 + dt * decay), grid)
+            phi = -math.expm1(-decay * dt) / decay
+            want = helmholtz_solve(state.fields[k] + phi * rates[k], phi * d, grid)
             np.testing.assert_allclose(out.fields[k], want, rtol=0, atol=1e-14)
 
     def test_negativity_detected_on_oversized_dt(self):
@@ -232,6 +235,49 @@ class TestStep:
         params = Params(alpha=1.0, kappa=0.0)
         with pytest.raises(NegativityDetected):
             step(state, params, grid, 10.0, StepControl(scheme="explicit-euler"))
+
+
+class TestExponentialEuler:
+    """The imex step treats the decay by exponential Euler, exactly in the mean."""
+
+    @pytest.mark.parametrize("dt", [0.01, 0.05, 0.1])
+    @pytest.mark.parametrize("decay", [1.0, 2.0])
+    @pytest.mark.parametrize("shape", [(20,), (6, 5), (4, 3, 5)])
+    def test_mass_identity_exact_per_step(self, shape, decay, dt):
+        grid = Grid(shape)
+        coeffs = Coefficients(d_u=0.5, decay_u=decay, decay_v=decay)
+        params = Params(alpha=1.0, kappa=2.5, coeffs=coeffs)
+        state = initial_condition_preset("random-smooth", grid, params.kappa, seed=3)
+        factor = math.exp(-decay * dt)
+        for _ in range(10):
+            mass = integrate(state.u, grid) + integrate(state.v, grid)
+            state = step(state, params, grid, dt, StepControl())
+            predicted = factor * mass + params.kappa * grid.volume * (1.0 - factor) / decay
+            measured = integrate(state.u, grid) + integrate(state.v, grid)
+            assert abs(measured - predicted) <= 1e-12 * abs(predicted)
+
+    @pytest.mark.parametrize("shape", [(24,), (6, 5)])
+    def test_infection_free_state_is_bit_exact(self, shape):
+        grid = Grid(shape)
+        params = Params(alpha=1.0, kappa=3.0, coeffs=Coefficients(decay_u=2.0))
+        fixed = constant_state(grid, params.kappa / 2.0, 0.0, 0.0)
+        state = fixed
+        for _ in range(5):
+            state = step(state, params, grid, 0.1, StepControl())
+            np.testing.assert_array_equal(state.fields, fixed.fields)
+
+    def test_first_order_in_time(self):
+        # successive differences of four runs halving dt_max from 0.1; the
+        # step-size caps bind only in the first steps
+        grid = Grid((32,))
+        params = Params(alpha=1.0, kappa=2.0)
+        initial = initial_condition_preset("random-smooth", grid, params.kappa, seed=1)
+        finals = [run(initial, params, grid, StepControl(dt_max=dt_max), t_end=1.0,
+                      monitor_every=1.0).final_state.fields
+                  for dt_max in (0.1, 0.05, 0.025, 0.0125)]
+        differences = [np.abs(a - b).max() for a, b in zip(finals, finals[1:])]
+        orders = [math.log2(a / b) for a, b in zip(differences, differences[1:])]
+        assert all(0.85 <= order <= 1.15 for order in orders), orders
 
 
 class TestUpwindPositivity:
@@ -401,9 +447,15 @@ class TestEnsemble:
     @pytest.mark.parametrize("shape", [(32,), (33,), (7, 6)])
     @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
     def test_members_equal_single_runs(self, shape, scheme):
-        grid = Grid(shape)
         control = StepControl(scheme=scheme, dt_max=0.01 if scheme == "imex" else 1.0)
-        t_end = 0.5 if scheme == "imex" else 0.02
+        self.assert_members_equal_single_runs(Grid(shape), control,
+                                              0.5 if scheme == "imex" else 0.02)
+
+    @pytest.mark.parametrize("shape", [(32,), (33,), (7, 6)])
+    def test_members_equal_single_runs_default_control(self, shape):
+        self.assert_members_equal_single_runs(Grid(shape), StepControl(), 0.5)
+
+    def assert_members_equal_single_runs(self, grid, control, t_end):
         initials, params = self.members(grid)
         with np.errstate(over="ignore", invalid="ignore"):
             results = run(initials, params, grid, control, t_end, t_end / 5)
