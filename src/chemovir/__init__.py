@@ -9,9 +9,7 @@ from .model import (
     ExponentInfeasibleError,
     Params,
     alpha_threshold,
-    chemotactic_sensitivity,
     homogeneous_steady_states,
-    reaction_rates,
     select_energy_exponent,
 )
 from .monitors import (
@@ -42,10 +40,10 @@ __all__ = [
     "NegativityDetected", "Params", "RunResult", "State", "StepControl",
     "SweepResult", "SweepRow", "SweepSpec", "UnstableRunError",
     "alpha_threshold", "check_u_mass_bound", "check_v_mass_bound",
-    "chemotactic_sensitivity", "chemotaxis_divergence", "classify_boundedness",
+    "chemotaxis_divergence", "classify_boundedness",
     "grad_norm_sq", "helmholtz_solve",
     "homogeneous_steady_states", "initial_condition_preset", "integrate",
     "laplacian_neumann", "lp_norm", "mass_identity_residual", "quasi_energy",
-    "reaction_rates", "read_snapshot", "run", "run_sweep",
+    "read_snapshot", "run", "run_sweep",
     "select_energy_exponent", "stable_dt", "step", "write_snapshot",
 ]

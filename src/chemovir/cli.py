@@ -18,17 +18,11 @@ from .stepper import UnstableRunError, run
 from .sweep import run_sweep
 from .verification import SUITES, run_suite
 
-JOBS_ENV_VAR = "CHEMOVIR_JOBS"
-
-
-def _default_jobs() -> int:
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,8 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run an alpha sweep from a config file")
     sweep.add_argument("--config", required=True, help="path to the config file")
     sweep.add_argument("--out", default=None, help="output directory (default: config out_dir)")
-    sweep.add_argument("--jobs", type=int, default=None,
-                       help=f"parallel rows (default: ${JOBS_ENV_VAR} or cpu count)")
+    sweep.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+                       help="parallel row chunks, >= 1 (default: the cpu count)")
 
     verify = sub.add_parser("verify", help="run a built-in verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(SUITES),
@@ -59,6 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
+    if config.alpha is None:
+        raise ConfigError("missing required key 'alpha' in section [model]")
     out_dir = args.out or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
@@ -87,8 +83,7 @@ def _cmd_sweep(args) -> int:
     spec = config.sweep_spec()
     out_dir = args.out or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    jobs = args.jobs if args.jobs else _default_jobs()
-    result = run_sweep(spec, jobs=jobs)
+    result = run_sweep(spec, jobs=args.jobs)
     path = os.path.join(out_dir, "sweep.csv")
     result.write_csv(path)
     aborted = sum(1 for row in result.rows if row.run_status != "completed")

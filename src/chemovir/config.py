@@ -3,7 +3,8 @@
 Zero-dependency parsing with line-accurate errors: unknown keys, type
 mismatches, duplicates (both lines cited) and violated constraints all
 name the offending line.  ``#`` starts a comment anywhere.  Every key has
-a documented default except alpha, which is required.
+a documented default except alpha, which simulate requires and sweep
+ignores.
 
 _SCHEMA is the only list of the keys.  A key's value goes to the dataclass
 field of the same name, except the grid and constant-preset keys, which
@@ -26,14 +27,13 @@ class ConfigError(ValueError):
     """Configuration file problem, with the offending line in the message."""
 
 
-_REQUIRED = object()
 _CONTROL = StepControl()  # the stepper keys' defaults are StepControl's
 
 # section -> key -> (kind, default); kind in float/int/str/float_list/int_list.
 # Key names are unique across sections.
 _SCHEMA = {
     "model": {
-        "alpha": ("float", _REQUIRED),
+        "alpha": ("float", None),
         "kappa": ("float", 0.0),
         "d_u": ("float", 1.0), "d_v": ("float", 1.0), "d_w": ("float", 1.0),
         "decay_u": ("float", 1.0), "decay_v": ("float", 1.0), "decay_w": ("float", 1.0),
@@ -77,7 +77,7 @@ class Config(RunSpec):
     reads: alpha, seed and snapshot_every (simulate), alphas and seeds
     (sweep).  ``lines`` maps each key set in the file to its line."""
 
-    alpha: float
+    alpha: float | None = None
     seed: int = 0
     snapshot_every: float = 0.0
     out_dir: str = "out"
@@ -87,7 +87,7 @@ class Config(RunSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        self.params(self.alpha)  # Params checks alpha and kappa
+        self.params(0.0 if self.alpha is None else self.alpha)  # Params checks alpha and kappa
         require(self.seed >= 0, "seed", "seed >= 0", self.seed)
         require(self.snapshot_every >= 0, "snapshot_every", "snapshot_every >= 0",
                 self.snapshot_every)
@@ -171,13 +171,11 @@ def parse_config(text: str) -> Config:
     """Parse and validate a configuration; errors cite the line of their key.
 
     The keys only the sweep reads, alphas and seeds, are validated when
-    Config.sweep_spec builds the sweep.
+    Config.sweep_spec builds the sweep; simulate checks that alpha is set.
     """
     values, lines = _tokenize(text)
-    for section, keys in _SCHEMA.items():
+    for keys in _SCHEMA.values():
         for key, (_, default) in keys.items():
-            if default is _REQUIRED and key not in values:
-                raise ConfigError(f"missing required key {key!r} in section [{section}]")
             values.setdefault(key, default)
 
     ndim = values["ndim"]

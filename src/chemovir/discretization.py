@@ -26,7 +26,6 @@ import math
 import numpy as np
 
 from .grid import Grid, _member_runs, _sup_norms, check_field
-from .model import _saturated_sensitivity
 
 
 # slice tuples selecting the lower/upper neighbours of the interior faces
@@ -100,12 +99,12 @@ def _max_gradient(differences: list[np.ndarray], grid: Grid) -> list[float]:
 
 
 def _sensitivity(u: np.ndarray, alphas: tuple) -> np.ndarray:
-    """phi(u), one alpha per member on u's first axis; any u when the alphas are equal."""
+    """phi(u) = u/(1+u)^alpha, one alpha per member on u's first axis; any u if all equal."""
     if alphas.count(alphas[0]) == len(alphas):
-        return _saturated_sensitivity(u, alphas[0])
+        return u / (1.0 + u) ** alphas[0]
     phi = np.empty_like(u)
     for alpha, members in _member_runs(alphas):
-        phi[members] = _saturated_sensitivity(u[members], alpha)
+        phi[members] = _sensitivity(u[members], (alpha,))
     return phi
 
 

@@ -1,4 +1,5 @@
-"""Pointwise model definitions for the saturated-chemotaxis infection system.
+"""Parameters and exact threshold arithmetic of the saturated-chemotaxis
+infection system.
 
 The system couples healthy cells u, infected cells v and virus w:
 
@@ -6,11 +7,13 @@ The system couples healthy cells u, infected cells v and virus w:
     v_t = d_v*lap(v) + u*w - v
     w_t = d_w*lap(w) + v - w
 
-with homogeneous Neumann boundaries.  This module holds the pointwise
-ingredients: the saturated chemotactic sensitivity u/(1+u)^alpha, the
-reaction kinetics, the dimension-dependent alpha threshold that guarantees
+with homogeneous Neumann boundaries.  This module holds the parameter
+dataclasses, the dimension-dependent alpha threshold that guarantees
 bounded solutions, the admissible exponent p used by the quasi-energy
-monitor, and the spatially homogeneous steady states.
+monitor, and the spatially homogeneous steady states.  The formulas the
+solver evaluates live where it evaluates them: the kinetics in
+stepper._rates and the sensitivity u/(1+u)^alpha in
+discretization._sensitivity.
 
 Threshold and exponent arithmetic is done in exact rationals
 (`fractions.Fraction`) whenever the inputs are exact, so that alpha chosen
@@ -22,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-
-import numpy as np
 
 from .grid import require
 
@@ -84,46 +85,6 @@ class EnergyExponent:
             )
         if not self.p > 1:
             raise ValueError(f"energy exponent must exceed 1, got {self.p}")
-
-
-def chemotactic_sensitivity(u, alpha):
-    """Saturated sensitivity phi(u) = u / (1+u)^alpha.
-
-    Accepts scalars or arrays.  phi is bounded by u, by u^(1-alpha) for
-    alpha <= 1, and by 1 for alpha >= 1; it is nondecreasing in u when
-    alpha <= 1.
-    """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    values = np.asarray(u, dtype=float)
-    if np.any(values < 0):
-        raise ValueError("chemotactic_sensitivity requires u >= 0")
-    result = _saturated_sensitivity(values, alpha)
-    if np.isscalar(u) or values.ndim == 0:
-        return float(result)
-    return result
-
-
-def _saturated_sensitivity(u: np.ndarray, alpha: float) -> np.ndarray:
-    """Unchecked kernel of chemotactic_sensitivity for float arrays u >= 0."""
-    return u / (1.0 + u) ** alpha
-
-
-def reaction_rates(u, v, w, params: Params):
-    """Pointwise kinetic rates (du/dt, dv/dt, dw/dt) without transport.
-
-    The u*w conversion carries a unit coefficient in both the u and v
-    equations so that the two contributions cancel exactly in the total
-    mass budget; decay_* and production scale the linear terms.
-    """
-    if np.any(np.asarray(u) < 0) or np.any(np.asarray(v) < 0) or np.any(np.asarray(w) < 0):
-        raise ValueError("reaction_rates requires nonnegative concentrations")
-    c = params.coeffs
-    conversion = np.multiply(u, w)
-    du = -conversion + params.kappa - c.decay_u * np.asarray(u, dtype=float)
-    dv = conversion - c.decay_v * np.asarray(v, dtype=float)
-    dw = c.production * np.asarray(v, dtype=float) - c.decay_w * np.asarray(w, dtype=float)
-    return du, dv, dw
 
 
 def alpha_threshold(n: int) -> Fraction:

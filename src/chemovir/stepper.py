@@ -206,28 +206,28 @@ def _velocity(state: State, grid: Grid) -> tuple[list[np.ndarray], list[float]]:
     return cached[1], cached[2]
 
 
-def _rates(state: State, params, grid: Grid, scheme: str) -> np.ndarray:
+def _rates(state: State, params: tuple, grid: Grid, scheme: str) -> np.ndarray:
     """The dt-independent part of a step, stacked like state.fields.
 
-    The kinetics, chemotaxis and decay, on top of zeros for imex, which
-    treats diffusion implicitly, or of d*lap(fields) for explicit-euler.
-    Memoised on the state, so a dt-halving retry only redoes the
-    dt-dependent part of the step.  ``params`` is a tuple of
-    per-member Params, which share kappa and the coefficients, or one
-    Params for a single state.
+    The only place the kinetics are written: the kappa source, the u*w
+    conversion, production*v and the decay, plus chemotaxis, on top of
+    zeros for imex, which treats diffusion implicitly, or of d*lap(fields)
+    for explicit-euler.  Memoised on the state, so a dt-halving retry only
+    redoes the dt-dependent part of the step.  ``params`` is a tuple of
+    per-member Params, which share kappa and the coefficients, one Params
+    for one member.
     """
     key = (params, grid, scheme)
     cached = state.memo.get("rates")
     if cached is not None and cached[0] == key:
         return cached[1]
-    members = (params,) if isinstance(params, Params) else params
-    c, kappa = members[0].coeffs, members[0].kappa
+    c, kappa = params[0].coeffs, params[0].kappa
     fields = state.fields
     index_u, index_v, index_w = _component_index(grid.ndim)
     u, v, w = fields[index_u], fields[index_v], fields[index_w]
     differences, gmax = _velocity(state, grid)
     # a member without a gradient gets a divergence of exact zeros; with none, it is skipped
-    divergence = (_donor_cell_divergence(u, differences, grid, tuple([p.alpha for p in members]))
+    divergence = (_donor_cell_divergence(u, differences, grid, tuple([p.alpha for p in params]))
                   if any(gmax) else None)
     conversion = u * w  # the identical array enters u and v: exact mass budget
     if scheme == "explicit-euler":

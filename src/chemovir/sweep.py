@@ -99,7 +99,7 @@ class RunSpec:
     grid: Grid
     kappa: float = 0.0
     preset: str = "gaussian-bump-v"
-    t_end: float = 10.0
+    t_end: float = 5.0
     monitor_every: float = 0.1
     control: StepControl = field(default_factory=StepControl)
     coeffs: Coefficients = field(default_factory=Coefficients)

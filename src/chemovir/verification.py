@@ -4,7 +4,7 @@ Each suite replays a small, fully embedded experiment and checks the
 corresponding provable statement at a pinned tolerance:
 
 mass         exact total-mass identity under explicit-euler reactions
-steady       the infection-free state is a fixed point of the imex map
+steady       every homogeneous steady state is a fixed point of the imex map
 convergence  second-order spatial accuracy on a pure diffusion-decay problem
 energy       the quasi-energy plateau for alpha above the threshold
 
@@ -20,9 +20,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import Grid, State, lp_norm
-from .model import Params, select_energy_exponent
+from .model import Params, homogeneous_steady_states, select_energy_exponent
 from .monitors import DiagnosticsRecord, energy_plateau_exceedance
-from .stepper import StepControl, run
+from .stepper import StepControl, UnstableRunError, run
 from .sweep import initial_condition_preset
 
 
@@ -68,26 +68,32 @@ def mass_identity_suite() -> list[CheckResult]:
 
 
 def steady_state_suite() -> list[CheckResult]:
-    """(kappa, 0, 0) with kappa = 2 under imex must stay put to 1e-10."""
+    """Both homogeneous steady states for kappa = 2, (2, 0, 0) and (1, 1, 1),
+    must stay put to 1e-10 under imex: the fields and every record column but
+    t and u_bound_slack, whose bound relaxes from int(u0) toward kappa|O|."""
     grid = Grid((64,))
     params = Params(alpha=1.0, kappa=2.0)
-    control = StepControl(scheme="imex")
-    initial = initial_condition_preset("steady-infection-free", grid, params.kappa)
-    result = run(initial, params, grid, control, t_end=10.0, monitor_every=0.25)
+    states = homogeneous_steady_states(params.kappa)
+    initials = [State(*(grid.new_field(value) for value in values)) for values in states]
+    results = run(initials, [params] * len(initials), grid, StepControl(scheme="imex"),
+                  t_end=10.0, monitor_every=0.25)
 
     checks = []
-    first = result.records[0]
-    for column in (f.name for f in fields(DiagnosticsRecord)):
-        if column == "t":
-            continue
-        start = getattr(first, column)
-        drift = max(abs(getattr(r, column) - start) for r in result.records)
-        scale = max(1.0, abs(start))
-        checks.append(CheckResult(
-            f"steady-{column}",
-            drift <= 1e-10 * scale,
-            f"max drift {drift:.3e} against scale {scale:.3g}",
-        ))
+    for values, initial, result in zip(states, initials, results):
+        if isinstance(result, UnstableRunError):
+            raise result  # as a single run would: a numerical abort
+        label = "(" + ", ".join(f"{value:g}" for value in values) + ")"
+        drifts = {"fields": (float(np.abs(result.final_state.fields - initial.fields).max()),
+                             max(1.0, *values))}
+        first = result.records[0]
+        for column in (f.name for f in fields(DiagnosticsRecord)):
+            if column not in ("t", "u_bound_slack"):
+                start = getattr(first, column)
+                drifts[column] = (max(abs(getattr(r, column) - start) for r in result.records),
+                                  max(1.0, abs(start)))
+        checks.extend(CheckResult(f"steady-{name} at {label}", drift <= 1e-10 * scale,
+                                  f"max drift {drift:.3e} against scale {scale:.3g}")
+                      for name, (drift, scale) in drifts.items())
     return checks
 
 

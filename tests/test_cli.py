@@ -7,7 +7,7 @@ import pytest
 
 import chemovir.cli as cli_module
 from chemovir.cli import main
-from chemovir.config import _REQUIRED, _SCHEMA, parse_config
+from chemovir.config import _SCHEMA, parse_config
 from chemovir.grid import read_snapshot, write_snapshot
 from chemovir.monitors import read_diagnostics_csv
 from chemovir.stepper import NegativityDetected, UnstableRunError
@@ -161,6 +161,16 @@ class TestSweepCommand:
         assert self.sweep_rows(tmp_path, monitor_lines="growth_factor = 0.5")[0]["verdict"] == \
                "growing"
 
+    def test_runs_without_alpha(self, tmp_path):
+        # alpha is the one key a sweep does not read, so it need not be set
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SIMULATE_CONFIG.replace("alpha = 1.0\n", "")
+                          .replace("t_end = 0.5", "t_end = 2.0")
+                          + "\n[sweep]\nalphas = 1.0, 2.0\n")
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out_dir), "--jobs", "1"]) == 0
+        assert len((out_dir / "sweep.csv").read_text().splitlines()) == 3
+
     def test_sweep_without_alphas_exits_two(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text(SIMULATE_CONFIG)
@@ -172,7 +182,7 @@ def other_value(kind, default):
     """A valid value of a key other than its default."""
     if kind == "str":
         return {"gaussian-bump-v": "constant", "imex": "explicit-euler", "out": "elsewhere"}[default]
-    if default is None or default is _REQUIRED:
+    if default is None:
         return "2.0"  # alphas and alpha, set to 1.0 in SWEEP_BASE
     values = default if isinstance(default, tuple) else (default,)
     # ints step up (ndim 2, 65 cells, seed 1); positive floats halve, which
@@ -260,13 +270,19 @@ class TestVerifyCommand:
 
 
 class TestJobsResolution:
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("CHEMOVIR_JOBS", "3")
-        assert cli_module._default_jobs() == 3
+    def test_default_is_cpu_count(self):
+        args = cli_module._build_parser().parse_args(["sweep", "--config", "sweep.cfg"])
+        assert args.jobs == (os.cpu_count() or 1)
 
-    def test_env_garbage_ignored(self, monkeypatch):
-        monkeypatch.setenv("CHEMOVIR_JOBS", "many")
-        assert cli_module._default_jobs() == (os.cpu_count() or 1)
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_below_one_exits_two(self, tmp_path, capsys, jobs):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SIMULATE_CONFIG.replace("t_end = 0.5", "t_end = 2.0")
+                          + "\n[sweep]\nalphas = 1.0\n")
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out_dir), "--jobs", jobs]) == 2
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestUsage:

@@ -2,8 +2,9 @@ import dataclasses
 
 import pytest
 
-from chemovir.config import (_REQUIRED, _SCHEMA, Config, ConfigError, config_to_text,
-                             load_config, parse_config)
+from chemovir.cli import main
+from chemovir.config import (_SCHEMA, Config, ConfigError, config_to_text, load_config,
+                             parse_config)
 from chemovir.model import Coefficients
 from chemovir.stepper import StepControl
 
@@ -49,13 +50,11 @@ class TestParsing:
     def test_defaults_are_the_dataclass_defaults(self):
         # a key's value goes to the field of the same name; the grid and
         # constant-preset keys are assembled into a Grid and a tuple instead
-        defaults = {f.name: _REQUIRED if f.default is dataclasses.MISSING else f.default
+        defaults = {f.name: f.default
                     for cls in (Config, Coefficients, StepControl) for f in dataclasses.fields(cls)}
         for keys in _SCHEMA.values():
             for key, (_, default) in keys.items():
-                if key == "t_end":  # the one known mismatch: a file runs to 5, a RunSpec to 10
-                    assert (default, defaults[key]) == (5.0, 10.0)
-                elif key in defaults:
+                if key in defaults:
                     assert default == defaults[key], key
         assert {"alpha", "kappa", "t_end", "dt_max", "scheme", "cfl_advect", "cfl_react",
                 "decay_u", "seeds", "out_dir"} <= set(defaults)
@@ -68,9 +67,15 @@ class TestParsing:
 
 
 class TestErrors:
-    def test_missing_alpha(self):
-        with pytest.raises(ConfigError, match="alpha"):
-            parse_config("[grid]\ncells = 8\n")
+    def test_missing_alpha(self, tmp_path, capsys):
+        # the sweep reads no alpha, so a config may leave it out; simulate needs it
+        text = "[grid]\ncells = 8\n"
+        assert parse_config(text).alpha is None
+        path, out_dir = tmp_path / "run.cfg", tmp_path / "out"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 2
+        assert "missing required key 'alpha' in section [model]" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_negative_alpha_names_constraint(self):
         with pytest.raises(ConfigError, match=r"line 2: alpha must satisfy alpha >= 0"):

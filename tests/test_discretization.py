@@ -110,6 +110,11 @@ class TestChemotaxisDivergence:
         with pytest.raises(ValueError):
             chemotaxis_divergence(-np.ones(8), np.zeros(8), grid, 1.0)
 
+    def test_rejects_negative_alpha(self):
+        grid = Grid((8,))
+        with pytest.raises(ValueError, match="alpha"):
+            chemotaxis_divergence(np.ones(8), np.zeros(8), grid, -1.0)
+
 
 def dense_operator(grid, tau):
     n = grid.n_cells

@@ -3,43 +3,55 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import chemovir.stepper as stepper
+from chemovir.discretization import _sensitivity, laplacian_neumann
+from chemovir.grid import Grid, State
 from chemovir.model import (
     Coefficients,
     ExponentInfeasibleError,
     Params,
     alpha_threshold,
-    chemotactic_sensitivity,
     homogeneous_steady_states,
-    reaction_rates,
     select_energy_exponent,
 )
 
 
+def sensitivity(u, alpha):
+    """The sensitivity the solver runs, phi(u) = u/(1+u)^alpha, for one alpha."""
+    return _sensitivity(np.asarray(u, dtype=float), (alpha,))
+
+
+def kinetics(u, v, w, params):
+    """stepper._rates on uniform fields under each scheme, checked to agree.
+
+    A uniform v gives no chemotaxis and uniform fields no Laplacian, so the
+    rates are exactly the kinetics: one (du, dv, dw) for both schemes.
+    """
+    grid = Grid((4,))
+    state = State(*(grid.new_field(value) for value in (u, v, w)))
+    first, *others = [stepper._rates(state, (params,), grid, scheme)
+                      for scheme in stepper.SCHEMES]
+    for rates in others:
+        np.testing.assert_array_equal(rates, first)
+    assert (first == first[:, :1]).all()
+    return tuple(float(rate) for rate in first[:, 0])
+
+
 class TestChemotacticSensitivity:
     def test_zero_numerator(self):
-        assert chemotactic_sensitivity(0.0, 0.7) == 0.0
+        assert sensitivity(0.0, 0.7) == 0.0
 
     def test_half_at_one(self):
-        assert chemotactic_sensitivity(1.0, 1.0) == 0.5
+        assert sensitivity(1.0, 1.0) == 0.5
 
     def test_hand_evaluated(self):
         # 3 / (1+3)^0.5 = 3/2
-        assert chemotactic_sensitivity(3.0, 0.5) == pytest.approx(1.5, rel=1e-15)
-
-    def test_rejects_negative_u(self):
-        with pytest.raises(ValueError):
-            chemotactic_sensitivity(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            chemotactic_sensitivity(np.array([0.5, -0.5]), 1.0)
-
-    def test_rejects_negative_alpha(self):
-        with pytest.raises(ValueError):
-            chemotactic_sensitivity(1.0, -1.0)
+        assert sensitivity(3.0, 0.5) == pytest.approx(1.5, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7, 1.0])
     def test_bounds_small_alpha(self, alpha):
         u = np.linspace(0.0, 50.0, 400)
-        phi = chemotactic_sensitivity(u, alpha)
+        phi = sensitivity(u, alpha)
         assert np.all(phi >= 0)
         assert np.all(phi <= u + 1e-15)
         positive = u > 0
@@ -48,50 +60,51 @@ class TestChemotacticSensitivity:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
     def test_bounded_by_one_large_alpha(self, alpha):
         u = np.linspace(0.0, 1e4, 500)
-        assert np.all(chemotactic_sensitivity(u, alpha) <= 1.0)
+        assert np.all(sensitivity(u, alpha) <= 1.0)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
     def test_monotone_for_alpha_up_to_one(self, alpha):
         u = np.linspace(0.0, 20.0, 1000)
-        phi = chemotactic_sensitivity(u, alpha)
+        phi = sensitivity(u, alpha)
         assert np.all(np.diff(phi) >= -1e-14)
 
 
 class TestReactionRates:
     def test_infection_free_equilibrium(self):
         params = Params(alpha=1.0, kappa=1.7)
-        assert reaction_rates(1.7, 0.0, 0.0, params) == (0.0, 0.0, 0.0)
+        assert kinetics(1.7, 0.0, 0.0, params) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0, 5.0])
     def test_infected_equilibrium(self, kappa):
         # second root of the kinetics, exists for kappa >= 1
         params = Params(alpha=1.0, kappa=kappa)
-        rates = reaction_rates(1.0, kappa - 1.0, kappa - 1.0, params)
-        assert rates == (0.0, 0.0, 0.0)
+        assert kinetics(1.0, kappa - 1.0, kappa - 1.0, params) == (0.0, 0.0, 0.0)
 
     def test_direct_evaluation(self):
         params = Params(alpha=1.0, kappa=0.0)
-        assert reaction_rates(2.0, 1.0, 3.0, params) == (-8.0, 5.0, -2.0)
+        assert kinetics(2.0, 1.0, 3.0, params) == (-8.0, 5.0, -2.0)
 
     def test_mass_budget_of_first_two(self):
+        # u and w vary, v is uniform: no chemotaxis; explicit Euler adds lap(u)
         rng = np.random.default_rng(7)
+        grid = Grid((50,))
         params = Params(alpha=0.5, kappa=1.3)
-        u, v, w = rng.uniform(0, 3, (3, 50))
-        du, dv, _ = reaction_rates(u, v, w, params)
-        np.testing.assert_allclose(du + dv, params.kappa - u - v, rtol=0, atol=1e-12)
+        u, w = rng.uniform(0, 3, (2, 50))
+        v = grid.new_field(1.1)
+        laplacian = laplacian_neumann(u, grid)
+        for scheme, diffusion in (("imex", 0.0), ("explicit-euler", laplacian)):
+            du, dv, _ = stepper._rates(State(u, v, w), (params,), grid, scheme)
+            np.testing.assert_allclose(du + dv, params.kappa - u - v + diffusion, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(diffusion).max()))
 
     def test_coefficient_overrides(self):
         params = Params(alpha=1.0, kappa=2.0,
                         coeffs=Coefficients(decay_u=2.0, decay_v=3.0,
                                             decay_w=4.0, production=5.0))
-        du, dv, dw = reaction_rates(1.0, 1.0, 1.0, params)
+        du, dv, dw = kinetics(1.0, 1.0, 1.0, params)
         assert du == -1.0 + 2.0 - 2.0
         assert dv == 1.0 - 3.0
         assert dw == 5.0 - 4.0
-
-    def test_rejects_negative_input(self):
-        with pytest.raises(ValueError):
-            reaction_rates(-1.0, 0.0, 0.0, Params(alpha=1.0))
 
 
 class TestAlphaThreshold:
@@ -170,7 +183,7 @@ class TestHomogeneousSteadyStates:
     def test_states_annihilate_kinetics(self, kappa):
         params = Params(alpha=1.0, kappa=kappa)
         for u, v, w in homogeneous_steady_states(kappa):
-            assert reaction_rates(u, v, w, params) == (0.0, 0.0, 0.0)
+            assert kinetics(u, v, w, params) == (0.0, 0.0, 0.0)
 
 
 class TestParams:

@@ -1,0 +1,77 @@
+"""Every public name has a caller other than the tests.
+
+A name in ``chemovir.__all__`` must be referenced in code by a module of
+the package other than ``__init__.py``, outside the name's own
+definition, or by the benchmark in ``bench/*.py``.  A public helper that
+only the tests call is a second copy of something the solver does, tested
+but never run.
+"""
+
+import ast
+import glob
+import os
+
+import chemovir
+
+SOURCE = os.path.dirname(chemovir.__file__)
+BENCH = os.path.join(os.path.dirname(os.path.dirname(SOURCE)), "bench")
+
+# public names that only the tests call, each with its reason
+TEST_REFERENCES = {
+    "quasi_energy": "the reference the batched records of compute_record are tested against",
+}
+
+
+def references(source: str) -> set[str]:
+    """The names that code in ``source`` uses, as a name, an attribute or an
+    import; a top-level definition's use of its own name does not count.
+    Docstrings and comments hold no such nodes."""
+    names = set()
+    for statement in ast.parse(source).body:
+        used = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            used.discard(statement.name)
+        names |= used
+    return names
+
+
+def callers() -> set[str]:
+    paths = [path for path in glob.glob(os.path.join(SOURCE, "*.py"))
+             if os.path.basename(path) != "__init__.py"]
+    paths += glob.glob(os.path.join(BENCH, "*.py"))
+    names = set()
+    for path in paths:
+        with open(path) as handle:
+            names |= references(handle.read())
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    unused = sorted(set(chemovir.__all__) - callers() - set(TEST_REFERENCES))
+    assert unused == [], f"public names that only the tests call: {unused}"
+
+
+def test_every_exception_is_public_and_has_no_other_caller():
+    # an exception that gains a caller, or stops being public, leaves the list
+    assert set(TEST_REFERENCES) <= set(chemovir.__all__)
+    assert set(TEST_REFERENCES).isdisjoint(callers())
+
+
+def test_docstrings_comments_and_own_definitions_do_not_count():
+    source = '''
+def helper():
+    """Calls helper() and run() in prose only."""
+    return helper()  # and step() in a comment
+
+
+def other():
+    return integrate
+'''
+    assert references(source) == {"integrate"}
