@@ -28,21 +28,14 @@ import numpy as np
 from .grid import Grid, _member_runs, _sup_norms, check_field
 
 
-# slice tuples selecting the lower/upper neighbours of the interior faces
-# along one grid axis, cached per (ndim, axis); counted from the last array
-# axis, so they also apply to the stacked (3, *shape) state array and to an
-# ensemble's (E, 3, *shape) array
-_FACE_SLICES: dict[tuple[int, int], tuple[tuple, tuple]] = {}
-
-
+@functools.cache
 def _face_slices(ndim: int, axis: int) -> tuple[tuple, tuple]:
-    key = (ndim, axis)
-    cached = _FACE_SLICES.get(key)
-    if cached is None:
-        trailing = (slice(None),) * (ndim - 1 - axis)
-        cached = ((Ellipsis, slice(None, -1)) + trailing, (Ellipsis, slice(1, None)) + trailing)
-        _FACE_SLICES[key] = cached
-    return cached
+    # slice tuples selecting the lower/upper neighbours of the interior faces
+    # along one grid axis; counted from the last array axis, so they also
+    # apply to the stacked (3, *shape) state array and to an ensemble's
+    # (E, 3, *shape) array
+    trailing = (slice(None),) * (ndim - 1 - axis)
+    return (Ellipsis, slice(None, -1)) + trailing, (Ellipsis, slice(1, None)) + trailing
 
 
 def _laplacian_raw(values: np.ndarray, grid: Grid) -> np.ndarray:

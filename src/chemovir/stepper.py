@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,16 +317,13 @@ def _step(state: State, params: tuple, grid: Grid, dt, control: StepControl) -> 
     return State.from_fields(new, times)
 
 
-def _monitor_targets(t_end: float, monitor_every: float) -> list[float]:
-    if monitor_every <= 0:
-        return [t_end]
-    targets = []
+def _monitor_targets(t_end: float, monitor_every: float) -> Iterator[float]:
+    """Record times after t = 0: the multiples of monitor_every short of t_end, then t_end."""
     k = 1
-    while k * monitor_every < t_end - 1e-9 * max(1.0, t_end):
-        targets.append(k * monitor_every)
+    while monitor_every > 0 and k * monitor_every < t_end - 1e-9 * max(1.0, t_end):
+        yield k * monitor_every
         k += 1
-    targets.append(t_end)
-    return targets
+    yield t_end
 
 
 def _start(initial: State, params: Params, grid: Grid) -> RunResult:

@@ -1,9 +1,10 @@
 """Alpha sweeps: run a base scenario across alpha values and seeds.
 
 Rows are independent runs keyed by (alpha, seed), sorted by key.  The rows
-are cut into ``jobs`` contiguous chunks, and each chunk advances as one
-ensemble run (in its own process when jobs > 1); an ensemble member equals
-its single run bit for bit, so the result is identical for any job count.
+are cut once into contiguous ensembles, each advanced as one ensemble run
+and reduced to its rows before the next starts (in a pool of processes when
+jobs > 1); an ensemble member equals its single run bit for bit, so the
+result is identical for any job count.
 Runs whose alpha sits at or below the boundedness threshold for the grid
 dimension are still executed, flagged as below-threshold and treated as
 exploratory (nothing is proven about them); their energy monitor is
@@ -14,8 +15,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .grid import Grid, State, atomic_write, require
 from .model import (Coefficients, ExponentInfeasibleError, Params, alpha_threshold,
                     select_energy_exponent)
 from .monitors import classify_boundedness
-from .stepper import StepControl, UnstableRunError, run
+from .stepper import StepControl, UnstableRunError, _monitor_targets, run
 
 PRESETS = ("steady-infection-free", "gaussian-bump-v", "random-smooth", "constant")
 
@@ -140,9 +143,11 @@ class SweepSpec(RunSpec):
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         require(bool(self.alphas) and all(a >= 0 for a in self.alphas), "alphas",
                 "a nonempty list, every alpha >= 0", self.alphas)
-        require(all(s >= 0 for s in self.seeds), "seeds", "every seed >= 0", self.seeds)
-        require(self.t_end / self.monitor_every >= 9, "monitor_every",
-                "t_end / monitor_every >= 9, at least 10 records per run", self.monitor_every)
+        require(bool(self.seeds) and all(s >= 0 for s in self.seeds), "seeds",
+                "a nonempty list, every seed >= 0", self.seeds)
+        targets = islice(_monitor_targets(self.t_end, self.monitor_every), 9)
+        require(len(list(targets)) == 9, "monitor_every",
+                "at least 10 records per run (t = 0 and 9 monitor targets)", self.monitor_every)
 
 
 @dataclass(frozen=True)
@@ -184,14 +189,10 @@ _MAX_ENSEMBLE_VALUES = 2 ** 21
 
 
 def _run_rows(spec: SweepSpec, keys: list[tuple[float, int]]) -> list[SweepRow]:
-    """The rows of keys; their runs advance together as ensembles."""
-    params = [spec.params(alpha) for alpha, _ in keys]
-    initials = [spec.initial_state(seed) for _, seed in keys]
-    size = max(1, _MAX_ENSEMBLE_VALUES // (3 * spec.grid.n_cells))
-    results = []
-    for start in range(0, len(keys), size):
-        results += run(initials[start:start + size], params[start:start + size], spec.grid,
-                       spec.control, spec.t_end, spec.monitor_every)
+    """The rows of keys, whose runs advance together as one ensemble."""
+    results = run([spec.initial_state(seed) for _, seed in keys],
+                  [spec.params(alpha) for alpha, _ in keys], spec.grid, spec.control,
+                  spec.t_end, spec.monitor_every)
     return [_row(spec, alpha, seed, result) for (alpha, seed), result in zip(keys, results)]
 
 
@@ -220,18 +221,18 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Execute one run per (alpha, seed) pair; rows come back sorted by key.
 
     A row whose run aborts is reported with run_status "aborted" instead
-    of failing the whole sweep.  The sorted rows are cut into ``jobs``
-    contiguous chunks of near-equal size, each run as one ensemble, in
-    parallel processes when there are several; the rows are byte-identical
-    for any job count.
+    of failing the whole sweep.  The sorted rows are cut into contiguous
+    ensembles of ceil(rows / jobs) rows, fewer when that would exceed
+    _MAX_ENSEMBLE_VALUES cell values; each is run and reduced to its rows
+    on its own, in a pool of min(jobs, ensembles) processes when that is
+    more than one.  The rows are byte-identical for any job count.
     """
+    require(jobs >= 1, "jobs", "jobs >= 1", jobs)
     keys = sorted((alpha, seed) for alpha in spec.alphas for seed in spec.seeds)
-    jobs = max(1, min(jobs, len(keys)))
-    bounds = [len(keys) * k // jobs for k in range(jobs + 1)]
-    chunks = [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [row for part in pool.map(_run_rows, [spec] * jobs, chunks) for row in part]
-    else:
-        rows = _run_rows(spec, keys)
-    return SweepResult(rows)
+    cap = max(1, _MAX_ENSEMBLE_VALUES // (3 * spec.grid.n_cells))
+    size = min(cap, math.ceil(len(keys) / jobs))
+    ensembles = [keys[start:start + size] for start in range(0, len(keys), size)]
+    workers = min(jobs, len(ensembles))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        parts = (pool.map if pool else map)(_run_rows, repeat(spec), ensembles)
+        return SweepResult([row for part in parts for row in part])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,7 @@ class TestSweepSpec:
         ({"growth_factor": 0.0}, "growth_factor"), ({"tail_fraction": 1.5}, "tail_fraction"),
         ({"slope_tol": math.nan}, "slope_tol"), ({"t_end": math.inf}, "t_end"),
         ({"constants": (1.0, -1.0, 0.0)}, "const_v"), ({"preset": "vortex"}, "preset"),
+        ({"seeds": ()}, "seeds"),
     ])
     def test_rejects(self, settings, name):
         with pytest.raises(ValueError, match=f"^{name} must"):
@@ -101,6 +103,23 @@ class TestSweepSpec:
     def test_rejects_sparse_cadence(self):
         with pytest.raises(ValueError, match="10 records"):
             small_spec(monitor_every=1.0)
+
+    @pytest.mark.parametrize("t_end,monitor_every,records", [
+        (2.07, 0.23, 10),  # 2.07 / 0.23 rounds to just below 9
+        (0.85, 0.1, 10),  # t_end is the last target
+        (0.8, 0.1, 9),
+    ])
+    def test_cadence_counts_the_records_of_the_run(self, t_end, monitor_every, records):
+        grid = Grid((16,))
+        initial = initial_condition_preset("gaussian-bump-v", grid, 1.0)
+        result = run(initial, Params(alpha=2.0, kappa=1.0), grid, StepControl(), t_end,
+                     monitor_every)
+        assert len(result.records) == records
+        if records < 10:
+            with pytest.raises(ValueError, match="10 records"):
+                small_spec(t_end=t_end, monitor_every=monitor_every)
+        else:
+            small_spec(t_end=t_end, monitor_every=monitor_every)
 
 
 class TestRunSweep:
@@ -183,6 +202,28 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_module, "_MAX_ENSEMBLE_VALUES", 4 * 3 * spec.grid.n_cells)
         assert run_sweep(spec).to_csv_text() == whole
         assert sizes == [4, 2]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="^jobs must"):
+            run_sweep(small_spec(), jobs=jobs)
+
+    def test_memory_holds_one_ensemble_at_a_time(self, monkeypatch):
+        grid = Grid((64, 64))
+        monkeypatch.setattr(sweep_module, "_MAX_ENSEMBLE_VALUES", 3 * grid.n_cells)
+
+        def peak(seeds):
+            spec = small_spec(alphas=(1.0, 1.5, 2.0, 2.5), seeds=seeds, grid=grid,
+                              preset="random-smooth", t_end=0.09, monitor_every=0.01)
+            tracemalloc.start()
+            try:
+                run_sweep(spec, jobs=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak((0,))  # fills the operator caches
+        assert peak(range(10)) <= 1.5 * peak((0,))
 
     def test_overflowing_rows_abort(self):
         # u*w overflows to inf for every dt (TestEnsemble in test_stepper
