@@ -14,8 +14,8 @@ the advective CFL bound.
 
 The implicit Helmholtz solve (I - tau lap) x = b is exact: the DCT-II
 diagonalises the zero-flux Laplacian on this grid (Strang, "The Discrete
-Cosine Transform", SIAM Review 41, 1999), so it is a transform by one
-matrix product per axis, a division and the inverse transform.
+Cosine Transform", SIAM Review 41, 1999), so b - x is b minus its mean,
+transformed (one matrix product per axis), scaled per mode and transformed back.
 """
 
 from __future__ import annotations
@@ -210,20 +210,28 @@ def _neighbour_sum(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _neighbour_weights(grid: Grid) -> np.ndarray:
+    """N(1), read-only and cached per grid."""
+    weights = _neighbour_sum(np.ones(grid.shape), grid)
+    weights.flags.writeable = False
+    return weights
+
+
 def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid) -> np.ndarray:
     """Solve (I - tau * lap) x = rhs exactly in the DCT-II eigenbasis.
 
     No tolerance, no iteration.  ``rhs`` has shape ``(..., *grid.shape)``
     and ``tau`` broadcasts to it, so stacked fields with per-field tau are
-    solved in one call.  The transform acts on the correction
-    x - rhs = (I - tau lap)^-1 tau lap rhs, so a constant rhs comes back
+    solved in one call.  With m each stacked field's mean, lam the
+    eigenvalues of -lap and T the transform, x = rhs - T^-1[tau lam/(1 +
+    tau lam) T(rhs - m)]; a constant field shifts to zeros and comes back
     bit for bit.  (I - tau lap)^-1 is entrywise positive: a negative entry
-    from rhs >= 0 is transform roundoff, below about 1e-16 max|rhs|, and
-    one Jacobi sweep x <- (rhs + tau N(max(x, 0))) / (1 + tau N(1)) removes
-    it without clamping and without growing the max-norm error.  Each
-    stacked field is its own solve and is repaired on its own, so a field's
-    result does not depend on what it is stacked with.  Non-finite input
-    gives a non-finite result.
+    from rhs >= 0 is transform roundoff, below about 1e-16 max|rhs|, and one
+    Jacobi sweep x <- (rhs + tau N(max(x, 0))) / (1 + tau N(1)) removes it
+    without clamping or growing the max-norm error.  Each stacked field is
+    solved and repaired on its own, independent of what it is stacked with.
+    Non-finite input gives a non-finite result.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[rhs.ndim - grid.ndim:] != grid.shape:
@@ -231,22 +239,19 @@ def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
     if not (tau > 0).all():
         raise ValueError(f"tau must be > 0, got {tau}")
-    # in-place steps and early dels keep at most three arrays of rhs's size alive
-    correction = _laplacian_raw(rhs, grid)
-    correction *= tau
-    correction = _transform(correction, grid)
+    # in-place steps keep at most two arrays of rhs's size alive
+    x = _transform(rhs - rhs.mean(axis=tuple(range(-grid.ndim, 0)), keepdims=True), grid)
     scale = tau * _eigenvalues(grid)
-    scale += 1.0
-    correction /= scale
+    x *= scale
+    x /= np.add(scale, 1.0, out=scale)
     del scale
-    x = _transform(correction, grid, inverse=True)
-    del correction
-    x += rhs
+    x = _transform(x, grid, inverse=True)
+    np.subtract(rhs, x, out=x)
     if float(x.min()) < 0.0:
         cells = (-1, grid.n_cells)
         repair = (x.reshape(cells).min(axis=1) < 0.0) & (rhs.reshape(cells).min(axis=1) >= 0.0)
         repaired = (rhs + tau * _neighbour_sum(np.maximum(x, 0.0), grid)) / (
-            1.0 + tau * _neighbour_sum(np.ones(grid.shape), grid))
+            1.0 + tau * _neighbour_weights(grid))
         x = np.where(repair.reshape(rhs.shape[:rhs.ndim - grid.ndim] + (1,) * grid.ndim),
                      repaired, x)
     return x

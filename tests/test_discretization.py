@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from chemovir import discretization
 from chemovir.discretization import chemotaxis_divergence, helmholtz_solve, laplacian_neumann
 from chemovir.grid import Grid, integrate, lp_norm
 
@@ -204,7 +206,7 @@ class TestHelmholtzSolve:
         assert np.abs(solution - dense).max() <= 1e-15
 
     @pytest.mark.parametrize("grid", [Grid((128,)), Grid((33,), (6.0,)),
-                                      Grid((24, 20), (12.0, 12.0))])
+                                      Grid((24, 20), (12.0, 12.0)), Grid((7, 5, 4))])
     def test_member_blocks_solved_as_alone(self, grid):
         # an ensemble member's (3, *shape) block, stacked with others, comes
         # out bit for bit as when solved alone, also when only some of its
@@ -220,6 +222,42 @@ class TestHelmholtzSolve:
         for member in range(4):
             np.testing.assert_array_equal(stacked[member],
                                           helmholtz_solve(rhs[member], tau[member], grid))
+
+    def test_constant_field_stacked_with_random_ones_exact(self):
+        # each field is shifted by its own mean: a constant u stacked with
+        # random v and w still comes back bit for bit
+        grid = Grid((7, 5, 4))
+        rhs = np.random.default_rng(5).normal(size=(3,) + grid.shape)
+        rhs[0] = 1.0 / 3.0
+        tau = np.array([0.7, 0.01, 0.2]).reshape(3, 1, 1, 1)
+        np.testing.assert_array_equal(helmholtz_solve(rhs, tau, grid)[0], rhs[0])
+
+    def test_no_finite_difference_laplacian(self, monkeypatch):
+        # the correction is a diagonal scaling in the eigenbasis; the spike
+        # row also takes the positivity repair
+        def forbidden(values, grid):
+            raise AssertionError("helmholtz_solve took a finite-difference Laplacian")
+
+        monkeypatch.setattr(discretization, "_laplacian_raw", forbidden)
+        grid = Grid((128,))
+        rhs = np.random.default_rng(6).uniform(0.5, 1.0, (3,) + grid.shape)
+        rhs[2] = 0.0
+        rhs[2, 0] = 1.0
+        solution = helmholtz_solve(rhs, np.array([0.1, 0.01, 1e-4]).reshape(3, 1), grid)
+        assert solution.min() >= 0.0
+
+    def test_memory_holds_two_arrays_of_rhs_size(self):
+        grid = Grid((40, 32, 24))
+        rhs = np.random.default_rng(7).uniform(0.5, 1.0, (3,) + grid.shape)
+        tau = np.array([0.01, 0.02, 0.03]).reshape(3, 1, 1, 1)
+        helmholtz_solve(rhs, tau, grid)  # fill the per-grid caches
+        tracemalloc.start()
+        try:
+            helmholtz_solve(rhs, tau, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * rhs.nbytes
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
