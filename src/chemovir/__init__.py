@@ -5,7 +5,6 @@ from .discretization import chemotaxis_divergence, helmholtz_solve, laplacian_ne
 from .grid import Grid, State, grad_norm_sq, integrate, lp_norm, read_snapshot, write_snapshot
 from .model import (
     Coefficients,
-    EnergyExponent,
     ExponentInfeasibleError,
     Params,
     alpha_threshold,
@@ -35,9 +34,8 @@ from .sweep import SweepResult, SweepRow, SweepSpec, initial_condition_preset, r
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundednessVerdict", "Coefficients", "DiagnosticsRecord",
-    "EnergyExponent", "ExponentInfeasibleError", "Grid",
-    "NegativityDetected", "Params", "RunResult", "State", "StepControl",
+    "BoundednessVerdict", "Coefficients", "DiagnosticsRecord", "ExponentInfeasibleError",
+    "Grid", "NegativityDetected", "Params", "RunResult", "State", "StepControl",
     "SweepResult", "SweepRow", "SweepSpec", "UnstableRunError",
     "alpha_threshold", "check_u_mass_bound", "check_v_mass_bound",
     "chemotaxis_divergence", "classify_boundedness",

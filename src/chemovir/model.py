@@ -16,15 +16,14 @@ stepper._rates and the sensitivity u/(1+u)^alpha in
 discretization._sensitivity.
 
 Threshold and exponent arithmetic is done in exact rationals
-(`fractions.Fraction`) whenever the inputs are exact, so that alpha chosen
-exactly on the threshold is never misclassified.
+(`fractions.Fraction`) for every alpha: a float is an exact rational too, so
+an alpha on the threshold, or one float step from it, is never misclassified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 
 from .grid import require
 
@@ -66,27 +65,6 @@ class Params:
         require(self.kappa >= 0, "kappa", "kappa >= 0", self.kappa)
 
 
-@dataclass(frozen=True)
-class EnergyExponent:
-    """Admissible exponent for the quasi-energy functional.
-
-    Satisfies lower_bound < p <= upper_bound with upper_bound = 2*alpha.
-    """
-
-    p: float
-    lower_bound: float
-    upper_bound: float
-
-    def __post_init__(self):
-        if not (self.lower_bound < self.p <= self.upper_bound):
-            raise ValueError(
-                f"energy exponent must satisfy {self.lower_bound} < p <= "
-                f"{self.upper_bound}, got p={self.p}"
-            )
-        if not self.p > 1:
-            raise ValueError(f"energy exponent must exceed 1, got {self.p}")
-
-
 def alpha_threshold(n: int) -> Fraction:
     """Exact rational threshold on alpha above which solutions stay bounded.
 
@@ -99,12 +77,7 @@ def alpha_threshold(n: int) -> Fraction:
     return Fraction(n, 4)
 
 
-def _positive_part(x):
-    zero = Fraction(0) if isinstance(x, Rational) else 0.0
-    return x if x > zero else zero
-
-
-def select_energy_exponent(alpha, n: int) -> EnergyExponent:
+def select_energy_exponent(alpha, n: int) -> Fraction:
     """Pick an exponent p for the quasi-energy functional.
 
     All four lower bounds
@@ -113,33 +86,23 @@ def select_energy_exponent(alpha, n: int) -> EnergyExponent:
 
     must be strictly exceeded while p <= 2*alpha; p is placed at the
     midpoint of the feasible interval so neither strict bound is grazed.
-    Raises ExponentInfeasibleError when the interval is empty.
-
-    Rational alpha keeps the computation exact; float alpha uses floats.
+    The interval is nonempty exactly when alpha > alpha_threshold(n);
+    otherwise ExponentInfeasibleError is raised.  The arithmetic is exact
+    for int, float and Fraction alpha, and p is returned as a Fraction.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"spatial dimension must be an integer >= 1, got {n!r}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    exact = isinstance(alpha, Rational)
-    a = Fraction(alpha) if exact else float(alpha)
-    one = Fraction(1) if exact else 1.0
-    deficit = _positive_part(one - a)
-    bounds = (
-        one + Fraction(n * n, 3 * n + 2) * one,
-        Fraction(n, 2) * one,
-        deficit * Fraction(n, 2),
-        (one + deficit) / (one + Fraction(1, n)),
-    )
-    lower = max(bounds)
-    upper = 2 * a
-    if not upper > lower:
+    require(alpha >= 0, "alpha", "alpha >= 0", alpha)
+    a = Fraction(alpha)
+    deficit = max(1 - a, 0)
+    lower = max(1 + Fraction(n * n, 3 * n + 2), Fraction(n, 2), deficit * Fraction(n, 2),
+                (1 + deficit) / (1 + Fraction(1, n)))
+    if not 2 * a > lower:
         raise ExponentInfeasibleError(
-            f"2*alpha = {upper} does not exceed the required lower bound {lower} "
+            f"2*alpha = {2 * a} does not exceed the required lower bound {lower} "
             f"for n={n}; alpha is at or below the boundedness threshold"
         )
-    p = (lower + upper) / 2
-    return EnergyExponent(p=p, lower_bound=lower, upper_bound=upper)
+    return (lower + 2 * a) / 2
 
 
 def homogeneous_steady_states(kappa: float):

@@ -29,13 +29,6 @@ from .grid import (Grid, State, _cell_sums, _grad_norms_sq, _integrals, _lp_norm
                    _member_runs, _sup_norms, atomic_write, check_field, grad_norm_sq)
 from .model import Coefficients, Params
 
-CSV_COLUMNS = (
-    "t", "mass_u", "mass_v", "mass_w", "sup_u", "sup_v", "sup_w", "lp_u",
-    "grad_v_sq", "grad_w_sq", "energy", "mass_identity_residual",
-    "u_bound_slack", "v_bound_slack",
-)
-
-
 @dataclass
 class DiagnosticsRecord:
     t: float
@@ -52,6 +45,10 @@ class DiagnosticsRecord:
     mass_identity_residual: float
     u_bound_slack: float
     v_bound_slack: float
+
+
+# the columns of diagnostics.csv, one per record field, in field order
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass(frozen=True)
@@ -247,22 +244,3 @@ def write_diagnostics_csv(records, path):
     for record in records:
         lines.append(",".join(repr(getattr(record, col)) for col in CSV_COLUMNS))
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def read_diagnostics_csv(path):
-    """Read back a diagnostics CSV into records."""
-    with open(path) as handle:
-        header = handle.readline().strip().split(",")
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected diagnostics header {header}")
-        records = []
-        for line in handle:
-            if not line.strip():
-                continue
-            values = [float(x) for x in line.split(",")]
-            records.append(DiagnosticsRecord(*values))
-    return records
-
-
-# DiagnosticsRecord must mirror the CSV schema exactly.
-assert tuple(f.name for f in fields(DiagnosticsRecord)) == CSV_COLUMNS

@@ -335,7 +335,7 @@ def _start(initial: State, params: Params, grid: Grid) -> RunResult:
         volume=grid.volume,
     )
     try:
-        exponent = float(select_energy_exponent(params.alpha, grid.ndim).p)
+        exponent = float(select_energy_exponent(params.alpha, grid.ndim))
     except ExponentInfeasibleError:
         exponent = None
     return RunResult([], initial.copy(), energy_exponent=exponent, baseline=baseline)

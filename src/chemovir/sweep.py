@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import islice, repeat
 
@@ -29,12 +29,6 @@ from .monitors import classify_boundedness
 from .stepper import StepControl, UnstableRunError, _monitor_targets, run
 
 PRESETS = ("steady-infection-free", "gaussian-bump-v", "random-smooth", "constant")
-
-SWEEP_CSV_COLUMNS = (
-    "alpha", "seed", "above_threshold", "p_feasible", "p_value", "verdict",
-    "peak_sup_u", "energy_max", "run_status",
-)
-
 
 def initial_condition_preset(name: str, grid: Grid, kappa: float, seed: int = 0,
                              constants: tuple[float, float, float] = (1.0, 0.0, 0.0)) -> State:
@@ -163,6 +157,16 @@ class SweepRow:
     run_status: str
 
 
+# the columns of sweep.csv, one per row field, in field order
+SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
+def _csv_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
@@ -170,13 +174,7 @@ class SweepResult:
     def to_csv_text(self) -> str:
         lines = [",".join(SWEEP_CSV_COLUMNS)]
         for row in self.rows:
-            lines.append(",".join([
-                repr(row.alpha), str(row.seed),
-                "true" if row.above_threshold else "false",
-                "true" if row.p_feasible else "false",
-                repr(row.p_value), row.verdict,
-                repr(row.peak_sup_u), repr(row.energy_max), row.run_status,
-            ]))
+            lines.append(",".join(_csv_value(getattr(row, col)) for col in SWEEP_CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
@@ -199,7 +197,7 @@ def _run_rows(spec: SweepSpec, keys: list[tuple[float, int]]) -> list[SweepRow]:
 def _row(spec: SweepSpec, alpha: float, seed: int, result) -> SweepRow:
     above = Fraction(alpha) > alpha_threshold(spec.grid.ndim)
     try:
-        p_value = float(select_energy_exponent(alpha, spec.grid.ndim).p)
+        p_value = float(select_energy_exponent(alpha, spec.grid.ndim))
         feasible = True
     except ExponentInfeasibleError:
         p_value = math.nan

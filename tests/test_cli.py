@@ -1,3 +1,5 @@
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,6 @@ import chemovir.cli as cli_module
 from chemovir.cli import main
 from chemovir.config import _SCHEMA, parse_config
 from chemovir.grid import read_snapshot, write_snapshot
-from chemovir.monitors import read_diagnostics_csv
 from chemovir.stepper import NegativityDetected, UnstableRunError
 from chemovir.sweep import SWEEP_CSV_COLUMNS, SweepResult
 
@@ -51,8 +52,9 @@ class TestSimulateCommand:
         config.write_text(SIMULATE_CONFIG)
         out_dir = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out_dir)]) == 0
-        records = read_diagnostics_csv(out_dir / "diagnostics.csv")
-        assert [round(r.t, 10) for r in records] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+        with open(out_dir / "diagnostics.csv", newline="") as handle:
+            times = [float(row["t"]) for row in csv.DictReader(handle)]
+        assert [round(t, 10) for t in times] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
         state, grid = read_snapshot(out_dir / "final_state.cvf")
         assert state.t == 0.5
         assert grid.shape == (16,)
@@ -97,6 +99,19 @@ class TestSimulateCommand:
                (out_dir / "snapshot_t0.5.cvf").read_bytes()
         assert (out_dir / "final_state.cvf").stat().st_mode == \
                (out_dir / "snapshot_t0.5.cvf").stat().st_mode
+
+    def test_alpha_one_float_step_above_threshold_runs(self, tmp_path, capsys):
+        # 3/4 is the 2D threshold; the float just above it once rounded p
+        # onto the bound of its interval and exited 2
+        config = tmp_path / "run.cfg"
+        config.write_text(SIMULATE_CONFIG.replace("alpha = 1.0", "alpha = 0.7500000000000001")
+                          .replace("ndim = 1\ncells = 16", "ndim = 2\ncells = 4, 4"))
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out_dir)]) == 0, \
+            capsys.readouterr().err
+        with open(out_dir / "diagnostics.csv", newline="") as handle:
+            energies = [float(row["energy"]) for row in csv.DictReader(handle)]
+        assert all(map(math.isfinite, energies))
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.cfg")])

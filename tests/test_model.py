@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -129,16 +130,14 @@ class TestAlphaThreshold:
 
 
 class TestSelectEnergyExponent:
+    # p = (lower + 2*alpha)/2, the midpoint of the admissible interval
     def test_example_alpha_one_n_two(self):
-        exponent = select_energy_exponent(1.0, 2)
-        assert exponent.lower_bound == pytest.approx(1.5, abs=0)
-        assert exponent.p == pytest.approx(1.75, abs=0)
-        assert exponent.upper_bound == 2.0
+        # lower bound 3/2, upper bound 2
+        assert select_energy_exponent(1.0, 2) == (Fraction(3, 2) + 2) / 2
 
     def test_example_alpha_1p2_n_four(self):
-        exponent = select_energy_exponent(1.2, 4)
-        assert exponent.lower_bound == pytest.approx(1 + 16 / 14, rel=1e-15)
-        assert exponent.p == pytest.approx((1 + 16 / 14 + 2.4) / 2, rel=1e-15)
+        # lower bound 1 + 16/14, upper bound 2*1.2 with 1.2 the float's exact value
+        assert select_energy_exponent(1.2, 4) == (1 + Fraction(16, 14) + 2 * Fraction(1.2)) / 2
 
     def test_infeasible_below_threshold(self):
         with pytest.raises(ExponentInfeasibleError):
@@ -155,8 +154,7 @@ class TestSelectEnergyExponent:
             threshold = float(alpha_threshold(n))
             for bump in (1e-9, 1e-6, 0.1, 1.0):
                 alpha = threshold + bump
-                exponent = select_energy_exponent(alpha, n)
-                p = exponent.p
+                p = select_energy_exponent(alpha, n)
                 assert p > n / 2
                 assert p > 1 + n * n / (3 * n + 2)
                 assert p > max(1 - alpha, 0.0) * n / 2
@@ -164,9 +162,35 @@ class TestSelectEnergyExponent:
                 assert p <= 2 * alpha
 
     def test_exact_rational_path(self):
-        exponent = select_energy_exponent(Fraction(1), 2)
-        assert isinstance(exponent.p, Fraction)
-        assert exponent.p == Fraction(7, 4)
+        # one exact path for int, float and Fraction alpha
+        for alpha in (1, 1.0, Fraction(1)):
+            exponent = select_energy_exponent(alpha, 2)
+            assert type(exponent) is Fraction
+            assert exponent == Fraction(7, 4)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_feasible_exactly_above_threshold_at_float_neighbours(self, n):
+        # the float path rounded p onto a bound, or misjudged feasibility,
+        # within a few float steps of the threshold
+        threshold = alpha_threshold(n)
+        alphas = [threshold, threshold - Fraction(1, 10 ** 30), threshold + Fraction(1, 10 ** 30)]
+        below = above = float(threshold)
+        alphas.append(below)
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            alphas += [below, above]
+        for alpha in alphas:
+            if Fraction(alpha) <= threshold:
+                with pytest.raises(ExponentInfeasibleError):
+                    select_energy_exponent(alpha, n)
+            else:
+                p = select_energy_exponent(alpha, n)
+                assert 1 < p <= 2 * Fraction(alpha)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must"):
+            select_energy_exponent(alpha, 2)
 
 
 class TestHomogeneousSteadyStates:

@@ -1,10 +1,11 @@
 """Every public name has a caller other than the tests.
 
-A name in ``chemovir.__all__`` must be referenced in code by a module of
-the package other than ``__init__.py``, outside the name's own
-definition, or by the benchmark in ``bench/*.py``.  A public helper that
-only the tests call is a second copy of something the solver does, tested
-but never run.
+A name in ``chemovir.__all__``, and every function or class that a module
+of the package defines at its top level under a name without a leading
+underscore, must be referenced in code by a module of the package other
+than ``__init__.py``, outside the name's own definition, or by the
+benchmark in ``bench/*.py``.  A public helper that only the tests call is
+a second copy of something the solver does, tested but never run.
 """
 
 import ast
@@ -19,6 +20,7 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(SOURCE)), "bench")
 # public names that only the tests call, each with its reason
 TEST_REFERENCES = {
     "quasi_energy": "the reference the batched records of compute_record are tested against",
+    "config_to_text": "the config echo of the run manifest planned to sit next to diagnostics.csv",
 }
 
 
@@ -42,10 +44,25 @@ def references(source: str) -> set[str]:
     return names
 
 
+def modules() -> list[str]:
+    """The package's modules, ``__init__.py`` left out."""
+    return [path for path in glob.glob(os.path.join(SOURCE, "*.py"))
+            if os.path.basename(path) != "__init__.py"]
+
+
+def definitions() -> set[str]:
+    """The public names of the top-level functions and classes of the package."""
+    names = set()
+    for path in modules():
+        with open(path) as handle:
+            names |= {statement.name for statement in ast.parse(handle.read()).body
+                      if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                      and not statement.name.startswith("_")}
+    return names
+
+
 def callers() -> set[str]:
-    paths = [path for path in glob.glob(os.path.join(SOURCE, "*.py"))
-             if os.path.basename(path) != "__init__.py"]
-    paths += glob.glob(os.path.join(BENCH, "*.py"))
+    paths = modules() + glob.glob(os.path.join(BENCH, "*.py"))
     names = set()
     for path in paths:
         with open(path) as handle:
@@ -54,13 +71,14 @@ def callers() -> set[str]:
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    unused = sorted(set(chemovir.__all__) - callers() - set(TEST_REFERENCES))
+    public = set(chemovir.__all__) | definitions()
+    unused = sorted(public - callers() - set(TEST_REFERENCES))
     assert unused == [], f"public names that only the tests call: {unused}"
 
 
 def test_every_exception_is_public_and_has_no_other_caller():
     # an exception that gains a caller, or stops being public, leaves the list
-    assert set(TEST_REFERENCES) <= set(chemovir.__all__)
+    assert set(TEST_REFERENCES) <= set(chemovir.__all__) | definitions()
     assert set(TEST_REFERENCES).isdisjoint(callers())
 
 
@@ -75,3 +93,9 @@ def other():
     return integrate
 '''
     assert references(source) == {"integrate"}
+
+
+def test_definitions_are_the_public_top_level_functions_and_classes():
+    names = definitions()
+    assert {"DiagnosticsRecord", "config_to_text", "write_diagnostics_csv"} <= names
+    assert names.isdisjoint({"CSV_COLUMNS", "_csv_value", "__init__", "__post_init__"})

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -147,6 +148,17 @@ class TestRunSweep:
         for row in result.rows:
             assert row.above_threshold == (row.alpha > float(threshold))
 
+    def test_alpha_one_float_step_above_threshold_3d(self):
+        # Fraction(0.9090909090909092) > 10/11: the row is above the threshold,
+        # so an exponent exists and the energy monitor runs
+        alpha = 0.9090909090909092
+        assert Fraction(alpha) > alpha_threshold(3)
+        row = run_sweep(small_spec(alphas=(alpha,), grid=Grid((4, 4, 4)))).rows[0]
+        assert row.above_threshold is True
+        assert row.p_feasible is True
+        assert math.isfinite(row.p_value)
+        assert math.isfinite(row.energy_max)
+
     def test_steady_preset_rows_plateau_at_initial(self):
         spec = small_spec(alphas=(1.0, 2.0), preset="steady-infection-free", kappa=1.5)
         result = run_sweep(spec)
@@ -270,7 +282,9 @@ class TestRunSweep:
         path = tmp_path / "sweep.csv"
         result.write_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == ",".join(SWEEP_CSV_COLUMNS)
+        assert lines[0] == ",".join(SWEEP_CSV_COLUMNS) == (
+            "alpha,seed,above_threshold,p_feasible,p_value,verdict,peak_sup_u,energy_max,"
+            "run_status")
         assert len(lines) == 2
         first = lines[1].split(",")
         assert first[0] == repr(2.0)
