@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .grid import Grid, _member_runs, _sup_norms, check_field
+from .grid import Grid, _member_runs, check_field
 
 
 @functools.cache
@@ -82,15 +82,6 @@ def _face_differences(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     return differences
 
 
-def _max_gradient(differences: list[np.ndarray], grid: Grid) -> list[float]:
-    """max |difference / h| over all axes per member (leading index; a state is one)."""
-    result = None
-    for d, h in zip(differences, grid.spacing):
-        largest = [x / h for x in _sup_norms(d, grid).ravel().tolist()]
-        result = largest if result is None else list(map(max, result, largest))
-    return result
-
-
 def _sensitivity(u: np.ndarray, alphas: tuple) -> np.ndarray:
     """phi(u) = u/(1+u)^alpha, one alpha per member on u's first axis; any u if all equal."""
     if alphas.count(alphas[0]) == len(alphas):
@@ -101,41 +92,14 @@ def _sensitivity(u: np.ndarray, alphas: tuple) -> np.ndarray:
     return phi
 
 
-def _donor_cell_divergence(u: np.ndarray, differences: list[np.ndarray], grid: Grid,
-                           alphas: tuple) -> np.ndarray:
-    """Unchecked kernel of chemotaxis_divergence, from the face differences of v.
-
-    The caller guarantees u >= 0 and alpha >= 0; the stepper calls it
-    directly with the differences it already took for the step size.  An
-    ensemble passes u with a leading member axis and one alpha per member.
-    """
-    ndim = grid.ndim
-    out = np.zeros(u.shape)  # a C call; zeros_like costs more Python than this kernel's arithmetic
-    phi = _sensitivity(u, alphas)
-    for axis, h in enumerate(grid.spacing):
-        lo, hi = _face_slices(ndim, axis)
-        g = differences[axis] / h
-        flux = np.where(g > 0, phi[lo], phi[hi]) * g
-        flux /= h
-        if ndim == 1:
-            out[lo] += flux
-            out[hi] -= flux
-        else:
-            # assemble each axis in a zero buffer and sum in axis order, so
-            # mirroring an axis mirrors the output bitwise (no reassociation)
-            part = np.zeros(u.shape)
-            part[lo] += flux
-            part[hi] -= flux
-            out += part
-    return out
-
-
 def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     """Conservative divergence of the chemotactic flux phi(u) * grad(v).
 
     The face flux takes phi from the donor cell (the cell the flux leaves,
     determined by the sign of the face gradient of v).  Returns div(phi(u)
     grad v); the PDE right-hand side contribution is minus this value.
+    The stepper fuses the same flux on the stacked fields and is tested
+    against this reference.
     """
     u = check_field(u, grid, "u")
     v = check_field(v, grid, "v")
@@ -146,7 +110,20 @@ def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, alpha: float
     differences = _face_differences(v, grid)
     if not any(d.any() for d in differences):
         return np.zeros_like(u)
-    return _donor_cell_divergence(u, differences, grid, (alpha,))
+    ndim, out, phi = grid.ndim, np.zeros(u.shape), _sensitivity(u, (alpha,))
+    for axis, (d, h) in enumerate(zip(differences, grid.spacing)):
+        lo, hi = _face_slices(ndim, axis)
+        g = d / h
+        flux = np.where(g > 0, phi[lo], phi[hi]) * g
+        flux /= h
+        # each axis in a zero buffer, summed in axis order, so that
+        # mirroring an axis mirrors the output bitwise (no reassociation)
+        part = out if ndim == 1 else np.zeros(u.shape)
+        part[lo] += flux
+        part[hi] -= flux
+        if part is not out:
+            out += part
+    return out
 
 
 @functools.cache
@@ -250,8 +227,10 @@ def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid) -> np.ndarray:
     if float(x.min()) < 0.0:
         cells = (-1, grid.n_cells)
         repair = (x.reshape(cells).min(axis=1) < 0.0) & (rhs.reshape(cells).min(axis=1) >= 0.0)
-        repaired = (rhs + tau * _neighbour_sum(np.maximum(x, 0.0), grid)) / (
-            1.0 + tau * _neighbour_weights(grid))
-        x = np.where(repair.reshape(rhs.shape[:rhs.ndim - grid.ndim] + (1,) * grid.ndim),
-                     repaired, x)
+        taus = np.broadcast_to(tau, np.broadcast_shapes(tau.shape, rhs.shape))
+        for index, flagged in zip(np.ndindex(rhs.shape[:rhs.ndim - grid.ndim]), repair):
+            if flagged:  # repaired alone and written back in place
+                field_tau, positive = taus[index], np.maximum(x[index], 0.0)
+                x[index] = (rhs[index] + field_tau * _neighbour_sum(positive, grid)) / (
+                    1.0 + field_tau * _neighbour_weights(grid))
     return x

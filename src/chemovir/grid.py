@@ -45,32 +45,13 @@ class Grid:
         require(all(L > 0 for L in lengths), "lengths", "every length > 0", lengths)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "lengths", lengths)
-        # geometry is immutable, cache the derived quantities
+        # geometry is immutable: the derived quantities are plain attributes,
+        # read on every step without a property call
         spacing = tuple(L / s for L, s in zip(lengths, shape))
-        object.__setattr__(self, "_spacing", spacing)
-        object.__setattr__(self, "_cell_volume", math.prod(spacing))
-        object.__setattr__(self, "_n_cells", math.prod(shape))
-        object.__setattr__(self, "_volume", math.prod(lengths))
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def spacing(self) -> tuple[float, ...]:
-        return self._spacing
-
-    @property
-    def cell_volume(self) -> float:
-        return self._cell_volume
-
-    @property
-    def n_cells(self) -> int:
-        return self._n_cells
-
-    @property
-    def volume(self) -> float:
-        return self._volume
+        for name, value in (("ndim", len(shape)), ("spacing", spacing),
+                            ("cell_volume", math.prod(spacing)), ("n_cells", math.prod(shape)),
+                            ("volume", math.prod(lengths))):
+            object.__setattr__(self, name, value)
 
     def cell_centers(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
@@ -107,9 +88,10 @@ class State:
 
     The three fields are held in one read-only ``(3, *shape)`` array,
     ``fields``, of which ``u``, ``v`` and ``w`` are row views.  Because a
-    state's values cannot change, the stepper memoises quantities derived
-    from them (face differences of v, the explicit rates, the extrema) in
-    ``memo``.  The stepper holds an ensemble this way too: ``fields`` of
+    state's values cannot change, the stepper memoises what it derives from
+    them in ``memo``: the extrema and the face differences, each taken once
+    per state, and the run's plan, which every step hands on to the state
+    it makes.  The stepper holds an ensemble this way too: ``fields`` of
     shape ``(E, 3, *shape)`` and ``t`` a list (or array) of the members'
     times; its ``u``, ``v`` and ``w`` stack the members' fields.
     """
@@ -117,20 +99,17 @@ class State:
     __slots__ = ("fields", "t", "memo")
 
     def __init__(self, u, v, w, t: float = 0.0):
-        self._adopt(np.stack([np.asarray(f, dtype=float) for f in (u, v, w)]), t)
+        fields = np.stack([np.asarray(f, dtype=float) for f in (u, v, w)])
+        fields.setflags(write=False)
+        self.fields, self.t, self.memo = fields, t, {}
 
     @classmethod
     def from_fields(cls, fields: np.ndarray, t: float = 0.0) -> "State":
         """Wrap a ``(3, *shape)`` float array without copying; it becomes read-only."""
         state = cls.__new__(cls)
-        state._adopt(fields, t)
+        fields.setflags(write=False)
+        state.fields, state.t, state.memo = fields, t, {}
         return state
-
-    def _adopt(self, fields: np.ndarray, t: float):
-        fields.flags.writeable = False
-        self.fields = fields
-        self.t = t
-        self.memo = {}
 
     @property
     def u(self) -> np.ndarray:

@@ -27,6 +27,11 @@ ensemble of one member.  Every kernel acts on each member's (3, *shape)
 block as on a lone state, so a member's trajectory does not depend on its
 ensemble, bit for bit.
 
+One ensemble step is one call of step, straight-line numpy on the stacked
+array, with the Laplacian and the donor-cell divergence of the discretization
+module fused in.  Each state is differenced once (_differences), and a _Plan
+made once per run holds the constants and the arrays the rates fill.
+
 Negative values are never clamped: a member whose step produces a
 negative or non-finite value retries alone with half the step, and its
 run aborts after 20 halvings.  Clamping would silently break the mass
@@ -42,13 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (
-    _donor_cell_divergence,
-    _face_differences,
-    _laplacian_raw,
-    _max_gradient,
-    helmholtz_solve,
-)
+from .discretization import _face_differences, _face_slices, _sensitivity, helmholtz_solve
 from .grid import Grid, State, _trailing_axes, integrate, require
 from .model import ExponentInfeasibleError, Params, select_energy_exponent
 from .monitors import DiagnosticsRecord, RunBaseline, compute_record
@@ -119,35 +118,53 @@ class RunResult:
     baseline: RunBaseline | None = None
 
 
-class _StepSize:
-    """The step-size formula of stable_dt, for each member of an ensemble state.
+class _Plan:
+    """What every step of one ensemble shares, made once per run: the step-size
+    formula's state-independent parts, the kinetics' coefficients and the arrays
+    every step refills, with views of their cells either side of each face.  step
+    hands the plan on from each state to the next in State.memo."""
 
-    Its state-independent parts, the fixed caps (dt_max and the
-    explicit-diffusion cap) and the constant factors of the others, are
-    evaluated once at construction; run builds one per run and calls it on
-    every state.
-    """
-
-    def __init__(self, params: Params, grid: Grid, control: StepControl):
-        self.grid = grid
-        c = params.coeffs
+    def __init__(self, params: tuple, grid: Grid, control: StepControl, shape=None):
+        self.params, self.grid, self.control = params, grid, control
+        c, ndim = params[0].coeffs, grid.ndim
+        self.explicit = control.scheme == "explicit-euler"
+        self.alphas = tuple([p.alpha for p in params])
         h_min = min(grid.spacing)
         self.fixed_cap = control.dt_max
-        if control.scheme == "explicit-euler":
-            diffusivity = max(c.d_u, c.d_v, c.d_w)
+        if self.explicit:
             self.fixed_cap = min(self.fixed_cap, control.cfl_advect * h_min ** 2
-                                 / (2.0 * grid.ndim * diffusivity))
+                                 / (2.0 * ndim * max(c.d_u, c.d_v, c.d_w)))
         self.cfl_react, self.decay_u = control.cfl_react, c.decay_u
         self.other_decays = max(c.decay_v, c.decay_w)
-        self.advect_length, self.faces = control.cfl_advect * h_min, 2.0 * grid.ndim
+        self.advect_length, self.faces = control.cfl_advect * h_min, 2.0 * ndim
+        # the default unit coefficients skip their scaling pass, a numpy call per step
+        self.kappa, self.production = params[0].kappa, c.production
+        diffusivities, decays = (c.d_u, c.d_v, c.d_w), (c.decay_u, c.decay_v, c.decay_w)
+        self.diffusivities = None if diffusivities == (1.0,) * 3 else _column(diffusivities, ndim)
+        self.decays = None if decays == (1.0,) * 3 else _column(decays, ndim)
+        self.slices = [_face_slices(ndim, axis) for axis in range(ndim)]
+        self.cells = tuple(range(1, ndim + 1))  # of a member-first field
+        # indices of u, v and w, and of v's last-axis faces, in member-first arrays
+        self.components_index = tuple((slice(None), k) for k in range(3))
+        self.last_faces_v = (slice(None), 1, Ellipsis, slice(None, -1))
+        if shape is None:  # for stable_dt, the step-size formula alone
+            return
+        self.rates = rates = np.empty(shape)
+        self.components = rates[:, 0], rates[:, 1], rates[:, 2]
+        self.divergence = divergence = np.empty(shape[:1] + grid.shape)
+        # per axis, the cells either side of its faces (flat for the last axis), and h
+        flat = rates.reshape(-1)
+        faces = [(rates[lo], rates[hi]) for lo, hi in self.slices[:-1]] + [(flat[:-1], flat[1:])]
+        self.laplacian = [(below, above, h * h) for (below, above), h in zip(faces, grid.spacing)]
+        self.donor_cell = [(lo, hi, divergence[lo], divergence[hi], h)
+                           for (lo, hi), h in zip(self.slices, grid.spacing)]
 
-    def members(self, state: State, alphas, until: float = math.inf) -> list[float]:
-        """Each member's step, one alpha per member, clipped so as not to pass
-        ``until``; min u and max w come from the positivity check's extrema."""
+    def step_sizes(self, state: State, until: float = math.inf) -> list[float]:
+        """Each member's step from its extrema and max |grad v|, clipped at ``until``."""
         low, high = _extrema(state)
-        _, gmax = _velocity(state, self.grid)
+        gmax = _differences(state, self)[2]
         steps = []
-        for lo, hi, g, alpha, t in zip(low, high, gmax, alphas, state.t):
+        for lo, hi, g, alpha, t in zip(low, high, gmax, self.alphas, state.t):
             dt = min(self.fixed_cap, self.cfl_react / max(hi[2] + self.decay_u, self.other_decays))
             if g > 0.0:
                 dt = min(dt, self.advect_length / (self.faces * g * (1.0 + lo[0]) ** (-alpha)))
@@ -171,7 +188,7 @@ def stable_dt(state: State, params: Params, grid: Grid, control: StepControl) ->
     result is dt_max, so the step is always positive.
     """
     member = State.from_fields(state.fields[None], [state.t])  # the ensemble of one member
-    return _StepSize(params, grid, control).members(member, [params.alpha])[0]
+    return _Plan((params,), grid, control).step_sizes(member)[0]
 
 
 def _extrema(state: State) -> tuple[list, list]:
@@ -179,8 +196,8 @@ def _extrema(state: State) -> tuple[list, list]:
     cached = state.memo.get("extrema")
     if cached is None:
         fields, cells = state.fields, _trailing_axes(state.fields.ndim, state.fields.ndim - 2)
-        cached = state.memo["extrema"] = (np.minimum.reduce(fields, axis=cells).tolist(),
-                                          np.maximum.reduce(fields, axis=cells).tolist())
+        cached = state.memo["extrema"] = (np.minimum.reduce(fields, cells).tolist(),
+                                          np.maximum.reduce(fields, cells).tolist())
     return cached
 
 
@@ -198,67 +215,84 @@ def _violation(low: list, high: list, dt: float) -> NegativityDetected:
     raise AssertionError("no component violates positivity")
 
 
-def _velocity(state: State, grid: Grid) -> tuple[list[np.ndarray], list[float]]:
-    """Face differences of v and each member's max |grad v|, computed once per state."""
-    cached = state.memo.get("velocity")
-    if cached is None or cached[0] is not grid:
-        differences = _face_differences(state.fields[_component_index(grid.ndim)[1]], grid)
-        cached = state.memo["velocity"] = (grid, differences, _max_gradient(differences, grid))
-    return cached[1], cached[2]
+def _differences(state: State, plan: _Plan) -> tuple:
+    """An ensemble state's face differences, taken once and memoised: the
+    stacked fields' under explicit-euler (None under imex), the last axis
+    in one pass over the flat array with the differences across two rows
+    zeroed; v's, for the advective cap and the donor-cell flux, views of
+    them (imex differences v alone); and each member's max |grad v|."""
+    cached = state.memo.get("differences")
+    fields, grid, stacked = state.fields, plan.grid, plan.explicit
+    if cached is not None and cached[3] is grid and cached[4] >= stacked:
+        return cached
+    if stacked:
+        differences, velocity = [], []
+        for lo, hi in plan.slices[:-1]:
+            differences.append(fields[hi] - fields[lo])
+            velocity.append(differences[-1][:, 1])
+        n, flat, last = grid.shape[-1], fields.ravel(), np.empty(fields.shape)
+        flat_last = last.ravel()
+        differences.append(np.subtract(flat[1:], flat[:-1], flat_last[:-1]))
+        flat_last[n - 1::n] = 0.0
+        velocity.append(last[plan.last_faces_v])
+    else:
+        differences, velocity = None, _face_differences(fields[:, 1], grid)
+    gmax = None
+    for d, h in zip(velocity, grid.spacing):
+        largest = list(map(h.__rtruediv__, np.maximum.reduce(np.abs(d), plan.cells).tolist()))
+        gmax = largest if gmax is None else list(map(max, gmax, largest))
+    cached = state.memo["differences"] = (differences, velocity, gmax, grid, stacked)
+    return cached
 
 
-def _rates(state: State, params: tuple, grid: Grid, scheme: str) -> np.ndarray:
-    """The dt-independent part of a step, stacked like state.fields.
+def _rates(state: State, plan: _Plan) -> np.ndarray:
+    """The dt-independent part of a step of an ensemble state, in plan.rates.
 
     The only place the kinetics are written: the kappa source, the u*w
     conversion, production*v and the decay, plus chemotaxis, on top of
     zeros for imex, which treats diffusion implicitly, or of d*lap(fields)
-    for explicit-euler.  Memoised on the state, so a dt-halving retry only
-    redoes the dt-dependent part of the step.  ``params`` is a tuple of
-    per-member Params, which share kappa and the coefficients, one Params
-    for one member.
+    for explicit-euler; laplacian_neumann and chemotaxis_divergence are the
+    references of the fused stencils.
     """
-    key = (params, grid, scheme)
-    cached = state.memo.get("rates")
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    c, kappa = params[0].coeffs, params[0].kappa
-    fields = state.fields
-    index_u, index_v, index_w = _component_index(grid.ndim)
+    fields, rates = state.fields, plan.rates
+    index_u, index_v, index_w = plan.components_index
     u, v, w = fields[index_u], fields[index_v], fields[index_w]
-    differences, gmax = _velocity(state, grid)
+    differences, velocity, gmax, _, _ = _differences(state, plan)
+    rates.fill(0.0)
+    if plan.explicit:
+        for (below, above, h2), d in zip(plan.laplacian, differences):
+            flux = d / h2
+            below += flux
+            above -= flux
+        if plan.diffusivities is not None:
+            rates *= plan.diffusivities
+    rates_u, rates_v, rates_w = plan.components
     # a member without a gradient gets a divergence of exact zeros; with none, it is skipped
-    divergence = (_donor_cell_divergence(u, differences, grid, tuple([p.alpha for p in params]))
-                  if any(gmax) else None)
-    conversion = u * w  # the identical array enters u and v: exact mass budget
-    if scheme == "explicit-euler":
-        rates = _laplacian_raw(fields, grid)
-        diffusivities = (c.d_u, c.d_v, c.d_w)
-        if diffusivities != _UNIT:
-            rates *= _column(diffusivities, grid.ndim)
-    else:
-        rates = np.zeros(fields.shape)
-    rates_u, rates_v, rates_w = rates[index_u], rates[index_v], rates[index_w]
-    if divergence is not None:
+    if any(gmax):
+        divergence, phi = plan.divergence, _sensitivity(u, plan.alphas)
+        divergence.fill(0.0)
+        for (lo, hi, below, above, h), d in zip(plan.donor_cell, velocity):
+            g = d / h
+            flux = np.where(g > 0.0, phi[lo], phi[hi]) * g
+            flux /= h
+            if len(plan.donor_cell) == 1:
+                below += flux
+                above -= flux
+            else:
+                # each axis in a zero buffer, summed in axis order, so that
+                # mirroring an axis mirrors the output bitwise
+                part = np.zeros(divergence.shape)
+                part[lo] += flux
+                part[hi] -= flux
+                divergence += part
         rates_u -= divergence
+    conversion = u * w  # the identical array enters u and v: exact mass budget
     rates_u -= conversion
     rates_v += conversion
-    rates_u += kappa
-    rates_w += v if c.production == 1.0 else c.production * v
-    decays = (c.decay_u, c.decay_v, c.decay_w)
-    rates -= fields if decays == _UNIT else _column(decays, grid.ndim) * fields
-    state.memo["rates"] = (key, rates)
+    rates_u += plan.kappa
+    rates_w += v if plan.production == 1.0 else plan.production * v
+    rates -= fields if plan.decays is None else plan.decays * fields
     return rates
-
-
-@functools.cache
-def _component_index(ndim: int) -> tuple[tuple, tuple, tuple]:
-    # u, v and w, counted from the last axis, of a state or of an ensemble
-    return tuple((Ellipsis, k) + (slice(None),) * ndim for k in range(3))
-
-
-# the default unit coefficients skip their scaling pass, a numpy call per step
-_UNIT = (1.0, 1.0, 1.0)
 
 
 @functools.cache
@@ -282,18 +316,13 @@ def step(state: State, params, grid: Grid, dt, control: StepControl) -> State:
     for one member.  The new ensemble state is returned as it is: a member
     with a negative or non-finite value is for the caller to retry.
     """
-    if isinstance(params, Params):
-        dt = float(dt)
-        new = _step(State.from_fields(state.fields[None], [state.t]), (params,), grid, dt, control)
-        (lo,), (hi,) = _extrema(new)
-        if not _valid(lo, hi):
-            raise _violation(lo, hi, dt)
-        return State.from_fields(new.fields[0], new.t[0])
-    return _step(state, params, grid, dt, control)
-
-
-def _step(state: State, params: tuple, grid: Grid, dt, control: StepControl) -> State:
-    # the core of step, on an ensemble state
+    single = isinstance(params, Params)
+    if single:
+        state, params, dt = State.from_fields(state.fields[None], [state.t]), (params,), float(dt)
+    plan = state.memo.get("plan")
+    if (plan is None or plan.params is not params or plan.grid is not grid
+            or plan.control is not control):
+        plan = _Plan(params, grid, control, state.fields.shape)
     if isinstance(dt, float):  # one member: it scales like a (1, 1, ...) array, and faster
         positive, scale, times = dt > 0, dt, [t + dt for t in state.t]
     else:
@@ -306,15 +335,22 @@ def _step(state: State, params: tuple, grid: Grid, dt, control: StepControl) -> 
     # phi = (1 - e^(-decay*dt)) / decay per field and member, and then solves
     # (I - phi*d*lap) x = fields + phi*rates for all three fields in one call
     factor = scale
-    if control.scheme == "imex":
+    if not plan.explicit:
         c = params[0].coeffs
         decays = _column((-c.decay_u, -c.decay_v, -c.decay_w), grid.ndim)
         factor = np.expm1(scale * decays) / decays
-    new = _rates(state, params, grid, control.scheme) * factor
+    new = _rates(state, plan) * factor
     new += state.fields
-    if control.scheme == "imex":
+    if not plan.explicit:
         new = helmholtz_solve(new, factor * _column((c.d_u, c.d_v, c.d_w), grid.ndim), grid)
-    return State.from_fields(new, times)
+    new = State.from_fields(new, times)
+    new.memo["plan"] = plan
+    if single:
+        (lo,), (hi,) = _extrema(new)
+        if not _valid(lo, hi):
+            raise _violation(lo, hi, dt)
+        return State.from_fields(new.fields[0], new.t[0])
+    return new
 
 
 def _monitor_targets(t_end: float, monitor_every: float) -> Iterator[float]:
@@ -394,7 +430,7 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
     times = [initial.t for initial in initials]
     live = list(range(len(initials)))
     steps, retries, max_dt = [0 for _ in live], [0 for _ in live], [0.0 for _ in live]
-    step_size = _StepSize(params[0], grid, control)
+    planned = None
 
     def abort(i, values, t, last_error, dt):
         results[i] = UnstableRunError(t, State.from_fields(values.copy(), t), last_error, dt)
@@ -417,12 +453,15 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
         index = [i for i in live if times[i] < cutoff]
         state = State.from_fields(fields[index], [times[i] for i in index])
         while index:
-            # the same members step until one of them leaves the step loop
-            members = tuple(params[i] for i in index)
-            alphas, taken, largest = tuple([p.alpha for p in members]), 0, [0.0] * len(index)
-            failed = {}
+            # the same members step until one of them leaves the step loop,
+            # with one plan for as long as they are the members
+            if index != planned:
+                planned, members = index, tuple(params[i] for i in index)
+                plan = _Plan(members, grid, control, state.fields.shape)
+            state.memo["plan"] = plan
+            taken, largest, failed = 0, [0.0] * len(index), {}
             while True:
-                dt = step_size.members(state, alphas, target)
+                dt = plan.step_sizes(state, target)
                 # a dt that cannot change the target time aborts its member,
                 # at once when it is 0, else after its step
                 stuck = () if target + min(dt) > target else {

@@ -259,6 +259,29 @@ class TestHelmholtzSolve:
             tracemalloc.stop()
         assert peak <= 2.1 * rhs.nbytes
 
+    def test_repair_memory_holds_the_flagged_field_only(self, monkeypatch):
+        # the positivity repair builds its candidate for the flagged spike
+        # field alone, in place, not for the whole stack
+        grid = Grid((40, 32, 24))
+        rhs = np.random.default_rng(8).uniform(0.5, 1.0, (3,) + grid.shape)
+        rhs[2] = 0.0
+        rhs[2].flat[0] = 1.0
+        tau = np.array([0.01, 0.02, 1e-5]).reshape(3, 1, 1, 1)
+        helmholtz_solve(rhs, tau, grid)  # fill the per-grid caches
+        repaired = []
+        neighbour_sum = discretization._neighbour_sum
+        monkeypatch.setattr(discretization, "_neighbour_sum",
+                            lambda values, grid_: repaired.append(values.shape)
+                            or neighbour_sum(values, grid_))
+        tracemalloc.start()
+        try:
+            solution = helmholtz_solve(rhs, tau, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repaired and solution.min() >= 0.0
+        assert peak <= 2.5 * rhs.nbytes
+
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             helmholtz_solve(np.ones(8), 0.0, Grid((8,)))

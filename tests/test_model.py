@@ -22,6 +22,13 @@ def sensitivity(u, alpha):
     return _sensitivity(np.asarray(u, dtype=float), (alpha,))
 
 
+def single_rates(state, params, grid, scheme):
+    """stepper._rates of a single state, stepped as the ensemble of one member."""
+    member = State.from_fields(state.fields[None], [state.t])
+    plan = stepper._Plan((params,), grid, stepper.StepControl(scheme=scheme), member.fields.shape)
+    return stepper._rates(member, plan)[0]
+
+
 def kinetics(u, v, w, params):
     """stepper._rates on uniform fields under each scheme, checked to agree.
 
@@ -30,8 +37,7 @@ def kinetics(u, v, w, params):
     """
     grid = Grid((4,))
     state = State(*(grid.new_field(value) for value in (u, v, w)))
-    first, *others = [stepper._rates(state, (params,), grid, scheme)
-                      for scheme in stepper.SCHEMES]
+    first, *others = [single_rates(state, params, grid, scheme) for scheme in stepper.SCHEMES]
     for rates in others:
         np.testing.assert_array_equal(rates, first)
     assert (first == first[:, :1]).all()
@@ -94,7 +100,7 @@ class TestReactionRates:
         v = grid.new_field(1.1)
         laplacian = laplacian_neumann(u, grid)
         for scheme, diffusion in (("imex", 0.0), ("explicit-euler", laplacian)):
-            du, dv, _ = stepper._rates(State(u, v, w), (params,), grid, scheme)
+            du, dv, _ = single_rates(State(u, v, w), params, grid, scheme)
             np.testing.assert_allclose(du + dv, params.kappa - u - v + diffusion, rtol=0,
                                        atol=1e-12 * max(1.0, np.abs(diffusion).max()))
 

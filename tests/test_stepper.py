@@ -23,6 +23,13 @@ def constant_state(grid, u, v, w):
     return State(grid.new_field(u), grid.new_field(v), grid.new_field(w))
 
 
+def single_rates(state, params, grid, scheme):
+    """stepper._rates of a single state, stepped as the ensemble of one member."""
+    member = State.from_fields(state.fields[None], [state.t])
+    plan = stepper_module._Plan((params,), grid, StepControl(scheme=scheme), member.fields.shape)
+    return stepper_module._rates(member, plan)[0]
+
+
 class TestStepControl:
     def test_defaults(self):
         control = StepControl()
@@ -225,11 +232,11 @@ class TestStep:
         # the stacked solve equals three per-field solves of
         # (I - phi*d*lap) x = f + phi*rates, phi = (1 - e^(-decay*dt))/decay
         c, dt = params.coeffs, 0.01
-        rates = stepper_module._rates(state, (params,), grid, "imex")
+        imex_rates = single_rates(state, params, grid, "imex")
         for k, (d, decay) in enumerate(((c.d_u, c.decay_u), (c.d_v, c.decay_v),
                                         (c.d_w, c.decay_w))):
             phi = -math.expm1(-decay * dt) / decay
-            want = helmholtz_solve(state.fields[k] + phi * rates[k], phi * d, grid)
+            want = helmholtz_solve(state.fields[k] + phi * imex_rates[k], phi * d, grid)
             np.testing.assert_allclose(out.fields[k], want, rtol=0, atol=1e-14)
 
     def test_negativity_detected_on_oversized_dt(self):
@@ -447,7 +454,7 @@ class TestEnsemble:
                                 grid.new_field(1e308))
         return initials, [Params(alpha=alpha, kappa=kappa) for alpha in self.ALPHAS]
 
-    @pytest.mark.parametrize("shape", [(32,), (33,), (7, 6)])
+    @pytest.mark.parametrize("shape", [(32,), (33,), (7, 6), (5, 4, 3)])
     @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
     def test_members_equal_single_runs(self, shape, scheme):
         control = StepControl(scheme=scheme, dt_max=0.01 if scheme == "imex" else 1.0)
@@ -488,16 +495,15 @@ class TestEnsemble:
         params = tuple(Params(alpha=alpha, kappa=1.0) for alpha in alphas)
         control = StepControl(scheme=scheme)
         ensemble = State.from_fields(fields, np.zeros(len(alphas)))
-        step_size = stepper_module._StepSize(params[0], grid, control)
-        dt = np.array(step_size.members(ensemble, list(alphas)))
+        plan = stepper_module._Plan(params, grid, control, fields.shape)
+        dt = np.array(plan.step_sizes(ensemble))
         new = step(ensemble, params, grid, dt, control)
         assert np.isfinite(new.fields).all() and new.fields.min() >= 0.0
         for member, p in enumerate(params):
             single = State.from_fields(fields[member], 0.0)
             assert dt[member] == stable_dt(single, p, grid, control)
-            np.testing.assert_array_equal(
-                stepper_module._rates(ensemble, params, grid, scheme)[member],
-                stepper_module._rates(single, (p,), grid, scheme))
+            np.testing.assert_array_equal(stepper_module._rates(ensemble, plan)[member],
+                                          single_rates(single, p, grid, scheme))
             np.testing.assert_array_equal(new.fields[member],
                                           step(single, p, grid, dt[member], control).fields)
 
