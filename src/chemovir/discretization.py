@@ -38,38 +38,20 @@ def _face_slices(ndim: int, axis: int) -> tuple[tuple, tuple]:
     return (Ellipsis, slice(None, -1)) + trailing, (Ellipsis, slice(1, None)) + trailing
 
 
-def _laplacian_raw(values: np.ndarray, grid: Grid) -> np.ndarray:
-    # hot path: assumes float values whose trailing axes are grid.shape
-    spacing, ndim = grid.spacing, grid.ndim
-    out = np.zeros(values.shape)
-    if ndim > 1:
-        # one leading batch axis: numpy slices (1, 3, *shape) more slowly than (3, *shape)
-        batch, batch_out = values.reshape((-1,) + grid.shape), out.reshape((-1,) + grid.shape)
-        for axis, h in enumerate(spacing[:-1]):
-            lo, hi = _face_slices(ndim, axis)
-            flux = batch[hi] - batch[lo]
-            flux /= h * h
-            batch_out[lo] += flux
-            batch_out[hi] -= flux
-    # the last axis is contiguous: difference the flat array in one pass and
-    # zero the differences that straddle two rows (they are not faces)
-    n, h = grid.shape[-1], spacing[-1]
-    flat, flat_out = values.reshape(-1), out.reshape(-1)
-    flux = flat[1:] - flat[:-1]
-    flux[n - 1::n] = 0.0
-    flux /= h * h
-    flat_out[:-1] += flux
-    flat_out[1:] -= flux
-    return out
-
-
 def laplacian_neumann(values: np.ndarray, grid: Grid) -> np.ndarray:
     """2*ndim+1 point Laplacian with zero-flux boundary faces.
 
     Assembled as the divergence of interior face differences, so the
     integral of the output telescopes to zero up to roundoff.
     """
-    return _laplacian_raw(check_field(values, grid), grid)
+    values = check_field(values, grid)
+    out = np.zeros(values.shape)
+    for axis, (flux, h) in enumerate(zip(_face_differences(values, grid), grid.spacing)):
+        lo, hi = _face_slices(grid.ndim, axis)
+        flux /= h * h
+        out[lo] += flux
+        out[hi] -= flux
+    return out
 
 
 def _face_differences(values: np.ndarray, grid: Grid) -> list[np.ndarray]:

@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,8 @@ class Grid:
 
     def __post_init__(self):
         shape = self.shape if isinstance(self.shape, (tuple, list)) else (self.shape,)
+        require(all(isinstance(s, (int, np.integer)) or isinstance(s, float) and s.is_integer()
+                    for s in shape), "cells", "a whole number of cells per axis", shape)
         shape = tuple(int(s) for s in shape)
         require(1 <= len(shape) <= 3, "ndim", "ndim in {1, 2, 3}", f"shape {shape}")
         require(all(s >= 3 for s in shape), "cells", "every axis >= 3 cells", shape)
@@ -230,17 +231,17 @@ def _grad_norms_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def atomic_write(path, data: str | bytes):
-    """Write text or bytes to a file fully or not at all (temp file + rename)."""
+    """Write text or bytes to a file fully or not at all (temp file + rename).
+
+    The temporary file is created with mode 0o666, so the kernel applies the
+    umask as open() would, without the process-wide umask being touched.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as handle:
             handle.write(data)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -267,13 +268,12 @@ def write_snapshot(path, state: State, grid: Grid) -> None:
 
 
 def read_snapshot(path) -> tuple[State, Grid]:
-    """Read a CVF2 snapshot, or an older CVF1 text one, back into (State, Grid)."""
+    """Read a CVF2 snapshot back into (State, Grid); CVF1 text is refused."""
     with open(path, "rb") as handle:
         header = [handle.readline().rstrip(b"\r\n") for _ in range(4)]
         payload = handle.read()
-    magic = header[0].decode(errors="replace")
-    if magic not in (SNAPSHOT_MAGIC, "CVF1"):
-        raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} (or CVF1) snapshot")
+    if header[0] != SNAPSHOT_MAGIC.encode():
+        raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot (CVF1 text is no longer read)")
     dims, lengths, time_line = (line.decode() for line in header[1:])
     numbers = [int(s) for s in dims.split()]  # ndim, then the cells per axis
     if not numbers or len(numbers) != numbers[0] + 1:
@@ -282,29 +282,10 @@ def read_snapshot(path) -> tuple[State, Grid]:
     if not time_line.startswith("t="):
         raise ValueError(f"{path}: missing time line, got {time_line!r}")
     n = grid.n_cells
-    if magic == "CVF1":
-        fields = _cvf1_blocks(path, payload.decode().splitlines(), n)
-    elif len(payload) != 3 * n * 8:
+    if len(payload) != 3 * n * 8:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, "
                          f"not the 3 * {n} * 8 = {3 * n * 8} of its grid")
-    else:
-        fields = np.frombuffer(payload, "<f8").astype(float, copy=False)
+    fields = np.frombuffer(payload, "<f8").astype(float, copy=False)
     state = State.from_fields(fields.reshape((3,) + grid.shape), float(time_line[2:]))
     state.validate(grid)
     return state, grid
-
-
-def _cvf1_blocks(path, lines: list[str], n: int) -> np.ndarray:
-    """The u, v and w blocks of a CVF1 snapshot: a label line, then one value per line."""
-    fields = np.empty((3, n))
-    cursor = 0
-    for values, label in zip(fields, "uvw"):
-        if cursor >= len(lines) or lines[cursor] != label:
-            # the four header lines come first
-            raise ValueError(f"{path}: expected block label {label!r} at line {cursor + 5}")
-        cursor += 1
-        if len(lines) - cursor < n:
-            raise ValueError(f"{path}: block {label!r} is truncated")
-        values[:] = np.fromiter(map(float, lines[cursor:cursor + n]), float, n)
-        cursor += n
-    return fields

@@ -238,9 +238,17 @@ def energy_plateau_exceedance(records, window_fraction: float = 0.2) -> float:
     return (late - early) / scale
 
 
+def _csv_text(columns, rows) -> str:
+    """The header ``columns``, then a line per row of its attributes of those
+    names: bools as true/false, floats by repr, anything else by str."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = (getattr(row, col) for col in columns)
+        lines.append(",".join(str(c).lower() if isinstance(c, bool) else
+                              repr(c) if isinstance(c, float) else str(c) for c in cells))
+    return "\n".join(lines) + "\n"
+
+
 def write_diagnostics_csv(records, path):
     """Write records to CSV with the fixed column schema (atomically)."""
-    lines = [",".join(CSV_COLUMNS)]
-    for record in records:
-        lines.append(",".join(repr(getattr(record, col)) for col in CSV_COLUMNS))
-    atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, _csv_text(CSV_COLUMNS, records))

@@ -25,7 +25,7 @@ import numpy as np
 from .grid import Grid, State, atomic_write, require
 from .model import (Coefficients, ExponentInfeasibleError, Params, alpha_threshold,
                     select_energy_exponent)
-from .monitors import classify_boundedness
+from .monitors import _csv_text, classify_boundedness
 from .stepper import StepControl, UnstableRunError, _monitor_targets, run
 
 PRESETS = ("steady-infection-free", "gaussian-bump-v", "random-smooth", "constant")
@@ -161,21 +161,12 @@ class SweepRow:
 SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def _csv_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
 
     def to_csv_text(self) -> str:
-        lines = [",".join(SWEEP_CSV_COLUMNS)]
-        for row in self.rows:
-            lines.append(",".join(_csv_value(getattr(row, col)) for col in SWEEP_CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
+        return _csv_text(SWEEP_CSV_COLUMNS, self.rows)
 
     def write_csv(self, path):
         atomic_write(path, self.to_csv_text())

@@ -238,7 +238,8 @@ class TestHelmholtzSolve:
         def forbidden(values, grid):
             raise AssertionError("helmholtz_solve took a finite-difference Laplacian")
 
-        monkeypatch.setattr(discretization, "_laplacian_raw", forbidden)
+        monkeypatch.setattr(discretization, "laplacian_neumann", forbidden)
+        monkeypatch.setattr(discretization, "_face_differences", forbidden)
         grid = Grid((128,))
         rhs = np.random.default_rng(6).uniform(0.5, 1.0, (3,) + grid.shape)
         rhs[2] = 0.0

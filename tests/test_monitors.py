@@ -304,6 +304,16 @@ class TestDiagnosticsCsv:
             os.umask(previous)
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
 
+    def test_write_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        # the umask is process-wide: while it is changed, a file that another
+        # thread creates gets the wrong mode
+        def forbidden(mask):
+            raise AssertionError("the write changed the process umask")
+
+        monkeypatch.setattr(os, "umask", forbidden)
+        write_diagnostics_csv([make_record()], tmp_path / "diagnostics.csv")
+        assert os.listdir(tmp_path) == ["diagnostics.csv"]
+
     def test_header_schema(self):
         assert ",".join(CSV_COLUMNS) == (
             "t,mass_u,mass_v,mass_w,sup_u,sup_v,sup_w,lp_u,grad_v_sq,grad_w_sq,"

@@ -1,11 +1,12 @@
-"""Every public name has a caller other than the tests.
+"""Every public name and every private helper has a caller other than the tests.
 
 A name in ``chemovir.__all__``, and every function or class that a module
-of the package defines at its top level under a name without a leading
-underscore, must be referenced in code by a module of the package other
-than ``__init__.py``, outside the name's own definition, or by the
-benchmark in ``bench/*.py``.  A public helper that only the tests call is
-a second copy of something the solver does, tested but never run.
+of the package defines at its top level, must be referenced in code by a
+module of the package other than ``__init__.py``, outside the name's own
+definition, or by the benchmark in ``bench/*.py``.  A public helper that
+only the tests call is a second copy of something the solver does, tested
+but never run; a private one that nothing calls is left over from a
+deletion.  Only the public names in ``TEST_REFERENCES`` are excused.
 """
 
 import ast
@@ -50,14 +51,15 @@ def modules() -> list[str]:
             if os.path.basename(path) != "__init__.py"]
 
 
-def definitions() -> set[str]:
-    """The public names of the top-level functions and classes of the package."""
+def definitions(private: bool = False) -> set[str]:
+    """The names of the top-level functions and classes of the package: the
+    public ones, or with ``private`` those with a leading underscore."""
     names = set()
     for path in modules():
         with open(path) as handle:
             names |= {statement.name for statement in ast.parse(handle.read()).body
                       if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
-                      and not statement.name.startswith("_")}
+                      and statement.name.startswith("_") == private}
     return names
 
 
@@ -74,6 +76,12 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     public = set(chemovir.__all__) | definitions()
     unused = sorted(public - callers() - set(TEST_REFERENCES))
     assert unused == [], f"public names that only the tests call: {unused}"
+
+
+def test_every_private_helper_has_a_caller():
+    # a helper whose last caller went is dead code that still looks in use
+    unused = sorted(definitions(private=True) - callers())
+    assert unused == [], f"private helpers that nothing calls: {unused}"
 
 
 def test_every_exception_is_public_and_has_no_other_caller():
@@ -98,4 +106,5 @@ def other():
 def test_definitions_are_the_public_top_level_functions_and_classes():
     names = definitions()
     assert {"DiagnosticsRecord", "config_to_text", "write_diagnostics_csv"} <= names
-    assert names.isdisjoint({"CSV_COLUMNS", "_csv_value", "__init__", "__post_init__"})
+    assert names.isdisjoint({"CSV_COLUMNS", "_csv_text", "__init__", "__post_init__"})
+    assert {"_Plan", "_csv_text", "_face_differences"} <= definitions(private=True)
