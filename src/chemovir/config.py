@@ -6,10 +6,14 @@ name the offending line.  ``#`` starts a comment anywhere.  Every key has
 a documented default except alpha, which simulate requires and sweep
 ignores.
 
-_SCHEMA is the only list of the keys.  A key's value goes to the dataclass
-field of the same name, except the grid and constant-preset keys, which
-are assembled into a Grid and a tuple.  The constraints live in those
-dataclasses; their ValueError names the key, and is re-raised here as a
+_SCHEMA is the only list of the keys, with each key's kind.  A key's value
+goes to the dataclass field of the same name, except the grid and
+constant-preset keys, which are assembled into a Grid and a tuple.  A key
+left out is not passed, so the default is the dataclass's; only the grid
+keys, which feed no field, have theirs here.  An int, alone or in a list,
+is read exactly, or from a whole-valued float such as 64.0.  The
+constraints live in the dataclasses (kappa's in RunSpec, where every spec
+is built); their ValueError names the key, and is re-raised here as a
 ConfigError with the key's line.
 """
 
@@ -27,45 +31,26 @@ class ConfigError(ValueError):
     """Configuration file problem, with the offending line in the message."""
 
 
-_CONTROL = StepControl()  # the stepper keys' defaults are StepControl's
-
-# section -> key -> (kind, default); kind in float/int/str/float_list/int_list.
-# Key names are unique across sections.
+# section -> key -> kind: float, int, str, or a list of one of them.  Key
+# names are unique across sections.
 _SCHEMA = {
     "model": {
-        "alpha": ("float", None),
-        "kappa": ("float", 0.0),
-        "d_u": ("float", 1.0), "d_v": ("float", 1.0), "d_w": ("float", 1.0),
-        "decay_u": ("float", 1.0), "decay_v": ("float", 1.0), "decay_w": ("float", 1.0),
-        "production": ("float", 1.0),
-        "preset": ("str", "gaussian-bump-v"),
-        "seed": ("int", 0),
-        "const_u": ("float", 1.0), "const_v": ("float", 0.0), "const_w": ("float", 0.0),
+        "alpha": "float", "kappa": "float",
+        "d_u": "float", "d_v": "float", "d_w": "float",
+        "decay_u": "float", "decay_v": "float", "decay_w": "float", "production": "float",
+        "preset": "str", "seed": "int",
+        "const_u": "float", "const_v": "float", "const_w": "float",
     },
-    "grid": {
-        "ndim": ("int", 1),
-        "cells": ("int_list", (64,)),
-        "lengths": ("float_list", (1.0,)),
-    },
+    "grid": {"ndim": "int", "cells": "list of int", "lengths": "list of float"},
     "stepper": {
-        "scheme": ("str", _CONTROL.scheme),
-        "dt_max": ("float", _CONTROL.dt_max),
-        "cfl_advect": ("float", _CONTROL.cfl_advect),
-        "cfl_react": ("float", _CONTROL.cfl_react),
-        "t_end": ("float", 5.0),
+        "scheme": "str", "dt_max": "float", "cfl_advect": "float", "cfl_react": "float",
+        "t_end": "float",
     },
     "monitors": {
-        "monitor_every": ("float", 0.1),
-        "snapshot_every": ("float", 0.0),
-        "growth_factor": ("float", 1000.0),
-        "tail_fraction": ("float", 0.2),
-        "slope_tol": ("float", 1e-4),
-        "out_dir": ("str", "out"),
+        "monitor_every": "float", "snapshot_every": "float", "growth_factor": "float",
+        "tail_fraction": "float", "slope_tol": "float", "out_dir": "str",
     },
-    "sweep": {
-        "alphas": ("float_list", None),
-        "seeds": ("int_list", (0,)),
-    },
+    "sweep": {"alphas": "list of float", "seeds": "list of int"},
 }
 
 _CONSTANTS = ("const_u", "const_v", "const_w")
@@ -87,7 +72,7 @@ class Config(RunSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        self.params(0.0 if self.alpha is None else self.alpha)  # Params checks alpha and kappa
+        require(self.alpha is None or self.alpha >= 0, "alpha", "alpha >= 0", self.alpha)
         require(self.seed >= 0, "seed", "seed >= 0", self.seed)
         require(self.snapshot_every >= 0, "snapshot_every", "snapshot_every >= 0",
                 self.snapshot_every)
@@ -114,26 +99,29 @@ def _cite_line(lines: dict, build, **kwargs):
 
 
 def _parse_scalar(kind: str, raw: str, line_no: int, key: str):
+    """The value of a key of this kind; a list's entries each follow its element kind."""
+    element = kind.removeprefix("list of ")
+    parse = {"float": float, "int": _whole, "str": str}[element]
     try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            value = float(raw)
-            if value != int(value):
-                raise ValueError
-            return int(value)
-        if kind == "str":
-            return raw
-        items = [piece.strip() for piece in raw.replace(",", " ").split()]
-        if not items:
+        if element == kind:
+            return parse(raw)
+        values = tuple(map(parse, raw.replace(",", " ").split()))
+        if not values:
             raise ValueError
-        if kind == "int_list":
-            return tuple(int(piece) for piece in items)
-        return tuple(float(piece) for piece in items)
-    except (ValueError, OverflowError):
-        raise ConfigError(
-            f"line {line_no}: key {key!r} expects {kind.replace('_', ' of ')}, got {raw!r}"
-        ) from None
+        return values
+    except ValueError:
+        raise ConfigError(f"line {line_no}: key {key!r} expects {kind}, got {raw!r}") from None
+
+
+def _whole(text: str) -> int:
+    """An int, exactly by int() at any size, or from a whole-valued float such as 64.0."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+        if not value.is_integer():
+            raise
+        return int(value)
 
 
 def _tokenize(text: str):
@@ -162,7 +150,7 @@ def _tokenize(text: str):
             raise ConfigError(
                 f"line {line_no}: duplicate key {key!r} in [{section}] "
                 f"(first set on line {lines[key]})")
-        values[key] = _parse_scalar(_SCHEMA[section][key][0], raw_value, line_no, key)
+        values[key] = _parse_scalar(_SCHEMA[section][key], raw_value, line_no, key)
         lines[key] = line_no
     return values, lines
 
@@ -174,16 +162,16 @@ def parse_config(text: str) -> Config:
     Config.sweep_spec builds the sweep; simulate checks that alpha is set.
     """
     values, lines = _tokenize(text)
-    for keys in _SCHEMA.values():
-        for key, (_, default) in keys.items():
-            values.setdefault(key, default)
-
-    ndim = values["ndim"]
-    if len(values["cells"]) not in (1, ndim):
+    # the grid keys feed no dataclass field, so their defaults are stated here
+    ndim = values.get("ndim", 1)
+    cells, lengths = values.get("cells", (64,)), values.get("lengths", (1.0,))
+    if len(cells) not in (1, ndim):
         raise ConfigError(f"line {lines['cells']}: cells must satisfy one entry or {ndim} "
-                          f"entries, got {values['cells']}")
-    cells, lengths = (values[key] * ndim if len(values[key]) == 1 else values[key]
-                      for key in ("cells", "lengths"))
+                          f"entries, got {cells}")
+    cells, lengths = (entries * ndim if len(entries) == 1 else entries
+                      for entries in (cells, lengths))
+    constants = tuple(values.get(key, default)
+                      for key, default in zip(_CONSTANTS, RunSpec.constants))
 
     def pick(cls) -> dict:
         return {f.name: values[f.name] for f in fields(cls) if f.name in values}
@@ -192,7 +180,7 @@ def parse_config(text: str) -> Config:
         return Config(**pick(Config), grid=Grid(cells, lengths),
                       coeffs=Coefficients(**pick(Coefficients)),
                       control=StepControl(**pick(StepControl)),
-                      constants=tuple(values[key] for key in _CONSTANTS), lines=lines)
+                      constants=constants, lines=lines)
 
     return _cite_line(lines, build)
 
@@ -213,9 +201,9 @@ def config_to_text(config: Config) -> str:
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, (kind, _) in keys.items():
+        for key, kind in keys.items():
             value = values[key]
-            if kind.endswith("list") and value is not None:
+            if kind.startswith("list") and value is not None:
                 lines.append(f"{key} = {', '.join(map(repr, value))}")
             elif value is not None:
                 lines.append(f"{key} = {value if kind == 'str' else repr(value)}")

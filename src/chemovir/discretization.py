@@ -120,12 +120,9 @@ def _dct_matrix(n: int) -> np.ndarray:
 @functools.cache
 def _eigenvalues(grid: Grid) -> np.ndarray:
     """Eigenvalues of -lap on the DCT-II basis, sum_k (2 - 2 cos(pi j_k/n_k))/h_k^2."""
-    total = 0.0
-    for axis, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
-        shape = [1] * grid.ndim
-        shape[axis] = n
-        total = total + ((2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / (h * h)).reshape(shape)
-    return total
+    per_axis = ((2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / (h * h)
+                for n, h in zip(grid.shape, grid.spacing))
+    return sum(np.ix_(*per_axis), 0.0)
 
 
 def _transform(values: np.ndarray, grid: Grid, inverse: bool = False) -> np.ndarray:

@@ -268,24 +268,28 @@ def write_snapshot(path, state: State, grid: Grid) -> None:
 
 
 def read_snapshot(path) -> tuple[State, Grid]:
-    """Read a CVF2 snapshot back into (State, Grid); CVF1 text is refused."""
+    """Read a CVF2 snapshot back into (State, Grid); CVF1 text is refused.
+    Every error names the file."""
     with open(path, "rb") as handle:
         header = [handle.readline().rstrip(b"\r\n") for _ in range(4)]
         payload = handle.read()
-    if header[0] != SNAPSHOT_MAGIC.encode():
-        raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot (CVF1 text is no longer read)")
-    dims, lengths, time_line = (line.decode() for line in header[1:])
-    numbers = [int(s) for s in dims.split()]  # ndim, then the cells per axis
-    if not numbers or len(numbers) != numbers[0] + 1:
-        raise ValueError(f"{path}: dimension header {dims!r} is inconsistent")
-    grid = Grid(tuple(numbers[1:]), tuple(float(x) for x in lengths.split()))
-    if not time_line.startswith("t="):
-        raise ValueError(f"{path}: missing time line, got {time_line!r}")
-    n = grid.n_cells
-    if len(payload) != 3 * n * 8:
-        raise ValueError(f"{path}: payload holds {len(payload)} bytes, "
-                         f"not the 3 * {n} * 8 = {3 * n * 8} of its grid")
-    fields = np.frombuffer(payload, "<f8").astype(float, copy=False)
-    state = State.from_fields(fields.reshape((3,) + grid.shape), float(time_line[2:]))
-    state.validate(grid)
+    try:
+        if header[0] != SNAPSHOT_MAGIC.encode():
+            raise ValueError(f"not a {SNAPSHOT_MAGIC} snapshot (CVF1 text is no longer read)")
+        dims, lengths, time_line = (line.decode() for line in header[1:])
+        numbers = [int(s) for s in dims.split()]  # ndim, then the cells per axis
+        if not numbers or len(numbers) != numbers[0] + 1:
+            raise ValueError(f"dimension header {dims!r} is inconsistent")
+        grid = Grid(tuple(numbers[1:]), tuple(float(x) for x in lengths.split()))
+        if not time_line.startswith("t="):
+            raise ValueError(f"missing time line, got {time_line!r}")
+        n = grid.n_cells
+        if len(payload) != 3 * n * 8:
+            raise ValueError(f"payload holds {len(payload)} bytes, "
+                             f"not the 3 * {n} * 8 = {3 * n * 8} of its grid")
+        fields = np.frombuffer(payload, "<f8").astype(float, copy=False)
+        state = State.from_fields(fields.reshape((3,) + grid.shape), float(time_line[2:]))
+        state.validate(grid)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
     return state, grid

@@ -48,16 +48,13 @@ def initial_condition_preset(name: str, grid: Grid, kappa: float, seed: int = 0,
         return State(grid.new_field(constants[0]), grid.new_field(constants[1]),
                      grid.new_field(constants[2]))
     if name == "gaussian-bump-v":
-        radius_sq = grid.new_field(0.0)
-        for axis in range(grid.ndim):
-            x = grid.cell_centers(axis) - grid.lengths[axis] / 2.0
-            shape = [1] * grid.ndim
-            shape[axis] = -1
-            radius_sq = radius_sq + (x ** 2).reshape(shape)
+        offsets = (grid.cell_centers(axis) - grid.lengths[axis] / 2.0 for axis in range(grid.ndim))
+        radius_sq = sum((x ** 2 for x in np.ix_(*offsets)), grid.new_field(0.0))
         return State(grid.new_field(kappa + 1.0), np.exp(-50.0 * radius_sq),
                      grid.new_field(0.0))
     # random-smooth
     rng = np.random.default_rng(seed)
+    coordinates = [grid.cell_centers(axis) / grid.lengths[axis] for axis in range(grid.ndim)]
     fields = []
     for offset in (1.0, 0.5, 0.25):
         total = grid.new_field(0.0)
@@ -66,11 +63,8 @@ def initial_condition_preset(name: str, grid: Grid, kappa: float, seed: int = 0,
         amplitudes *= 0.5 * offset / max(np.abs(amplitudes).sum(), 1e-12)
         for amp, mode in zip(amplitudes, modes):
             term = grid.new_field(1.0)
-            for axis in range(grid.ndim):
-                x = grid.cell_centers(axis) / grid.lengths[axis]
-                shape = [1] * grid.ndim
-                shape[axis] = -1
-                term = term * np.cos(math.pi * mode[axis] * x).reshape(shape)
+            for k, x in zip(mode, np.ix_(*coordinates)):
+                term = term * np.cos(math.pi * k * x)
             total = total + amp * term
         fields.append(offset + total)
     return State(*fields)
@@ -89,8 +83,8 @@ class RunSpec:
 
     ``constants`` feeds the constant preset; ``growth_factor``,
     ``tail_fraction`` and ``slope_tol`` go to classify_boundedness.
-    Coefficients checks the coefficients, and Params checks kappa when
-    params() builds one.
+    Coefficients checks the coefficients; kappa is checked here, so that a
+    bad kappa is refused when the spec is built rather than in a run.
     """
 
     grid: Grid
@@ -115,6 +109,7 @@ class RunSpec:
         require(0 < self.tail_fraction <= 1, "tail_fraction", "0 < tail_fraction <= 1",
                 self.tail_fraction)
         require(self.slope_tol > 0, "slope_tol", "slope_tol > 0", self.slope_tol)
+        require(self.kappa >= 0, "kappa", "kappa >= 0", self.kappa)
 
     def params(self, alpha: float) -> Params:
         return Params(alpha=alpha, kappa=self.kappa, coeffs=self.coeffs)

@@ -9,7 +9,7 @@ import pytest
 
 import chemovir.cli as cli_module
 from chemovir.cli import main
-from chemovir.config import _SCHEMA, parse_config
+from chemovir.config import _SCHEMA, _key_values, parse_config
 from chemovir.grid import read_snapshot, write_snapshot
 from chemovir.stepper import NegativityDetected, UnstableRunError
 from chemovir.sweep import SWEEP_CSV_COLUMNS, SweepResult
@@ -194,11 +194,9 @@ class TestSweepCommand:
 
 
 def other_value(kind, default):
-    """A valid value of a key other than its default."""
+    """A valid value of a key other than its default (SWEEP_BASE's, for alpha and alphas)."""
     if kind == "str":
         return {"gaussian-bump-v": "constant", "imex": "explicit-euler", "out": "elsewhere"}[default]
-    if default is None:
-        return "2.0"  # alphas and alpha, set to 1.0 in SWEEP_BASE
     values = default if isinstance(default, tuple) else (default,)
     # ints step up (ndim 2, 65 cells, seed 1); positive floats halve, which
     # keeps the CFL numbers below 1 and tail_fraction at most 1; zeros become 0.5
@@ -227,7 +225,7 @@ class TestEveryKeyReachesBothCommands:
     @pytest.mark.parametrize("section,key", [(section, key) for section, keys in _SCHEMA.items()
                                              for key in keys])
     def test_non_default_value_reaches(self, tmp_path, monkeypatch, section, key):
-        kind, default = _SCHEMA[section][key]
+        kind, default = _SCHEMA[section][key], _key_values(parse_config(SWEEP_BASE))[key]
         text = SWEEP_BASE + f"[{section}]\n{key} = {other_value(kind, default)}\n"
         text = text.replace(f"{key} = 1.0\n", "", 1) if key in ("alpha", "alphas") else text
         config, base_config = parse_config(text), parse_config(SWEEP_BASE)

@@ -1,12 +1,8 @@
-import dataclasses
-
 import pytest
 
 from chemovir.cli import main
 from chemovir.config import (_SCHEMA, Config, ConfigError, config_to_text, load_config,
                              parse_config)
-from chemovir.model import Coefficients
-from chemovir.stepper import StepControl
 
 MINIMAL = """
 [model]
@@ -47,17 +43,17 @@ class TestParsing:
         assert config.grid.shape == (32, 16)
         assert config.grid.lengths == (1.0, 2.0)
 
-    def test_defaults_are_the_dataclass_defaults(self):
-        # a key's value goes to the field of the same name; the grid and
-        # constant-preset keys are assembled into a Grid and a tuple instead
-        defaults = {f.name: f.default
-                    for cls in (Config, Coefficients, StepControl) for f in dataclasses.fields(cls)}
-        for keys in _SCHEMA.values():
-            for key, (_, default) in keys.items():
-                if key in defaults:
-                    assert default == defaults[key], key
-        assert {"alpha", "kappa", "t_end", "dt_max", "scheme", "cfl_advect", "cfl_react",
-                "decay_u", "seeds", "out_dir"} <= set(defaults)
+    @pytest.mark.parametrize("line,key,value", [
+        ("[model]\nseed = 9007199254740993", "seed", 9007199254740993),  # above 2**53
+        ("[grid]\ncells = 64.0", "cells", (64,)),
+        ("[sweep]\nseeds = 1.0, 2", "seeds", (1, 2)),
+    ], ids=["exact-seed", "whole-float-cells", "whole-float-seeds"])
+    def test_ints_follow_one_rule(self, line, key, value):
+        # exact by int(), or from a whole-valued float, alone or in a list
+        config = parse_config(MINIMAL.replace("cells = 64\n", "") + line + "\n")
+        parsed = config.grid.shape if key == "cells" else getattr(config, key)
+        assert parsed == value
+        assert all(type(v) is int for v in (parsed if isinstance(parsed, tuple) else (parsed,)))
 
     def test_sweep_section(self):
         text = MINIMAL + "\n[sweep]\nalphas = 0.8, 1.0, 1.5\nseeds = 0, 1\n"
@@ -97,6 +93,10 @@ class TestErrors:
     def test_type_mismatch_with_line(self):
         with pytest.raises(ConfigError, match=r"line 2: key 'alpha' expects float"):
             parse_config("[model]\nalpha = fast\n")
+
+    def test_int_list_rejects_a_fraction(self):
+        with pytest.raises(ConfigError, match=r"line 4: key 'cells' expects list of int, got '4.5'"):
+            parse_config("[model]\nalpha = 1.0\n[grid]\ncells = 4.5\n")
 
     def test_key_outside_section(self):
         with pytest.raises(ConfigError, match="outside"):
@@ -147,7 +147,7 @@ def with_key(section, key, value):
 def violations():
     # one value per constrained key that breaks its constraint
     for section, keys in _SCHEMA.items():
-        for key, (kind, _) in keys.items():
+        for key, kind in keys.items():
             if key == "out_dir":
                 yield section, key, ""
             else:
@@ -156,7 +156,7 @@ def violations():
 
 def non_finite():
     for section, keys in _SCHEMA.items():
-        for key, (kind, _) in keys.items():
+        for key, kind in keys.items():
             if kind != "str":
                 yield from ((section, key, value) for value in ("inf", "nan"))
 

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -221,6 +222,18 @@ class TestSnapshotIO:
         payload = struct.pack("<9d", *[1.0] * 9)
         path.write_bytes(header + (payload[:extra] if extra < 0 else payload + b"\0" * extra))
         with pytest.raises(ValueError, match=r"payload holds \d+ bytes, not the 3 \* 3 \* 8 = 72"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("header,cells", [
+        (b"1 x\n1\nt=0", 3),  # the dimension line does not parse
+        (b"1 3\nzz\nt=0", 3),  # nor do the lengths
+        (b"4 3 3 3 3\n1 1 1 1\nt=0", 81),  # a dimension Grid refuses
+        (b"1 3\n1\nt=abc", 3),  # nor does the time, with a full payload
+    ], ids=["dimensions", "lengths", "four-dimensional", "time"])
+    def test_header_errors_name_the_file(self, tmp_path, header, cells):
+        path = tmp_path / "state.cvf"
+        path.write_bytes(b"CVF2\n" + header + b"\n" + np.ones(3 * cells).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             read_snapshot(path)
 
     @pytest.mark.parametrize("value,message", [(math.nan, "non-finite"), (math.inf, "non-finite"),

@@ -95,7 +95,7 @@ class TestSweepSpec:
         ({"growth_factor": 0.0}, "growth_factor"), ({"tail_fraction": 1.5}, "tail_fraction"),
         ({"slope_tol": math.nan}, "slope_tol"), ({"t_end": math.inf}, "t_end"),
         ({"constants": (1.0, -1.0, 0.0)}, "const_v"), ({"preset": "vortex"}, "preset"),
-        ({"seeds": ()}, "seeds"),
+        ({"seeds": ()}, "seeds"), ({"kappa": -1.0}, "kappa"), ({"kappa": math.nan}, "kappa"),
     ])
     def test_rejects(self, settings, name):
         with pytest.raises(ValueError, match=f"^{name} must"):
