@@ -1,12 +1,13 @@
 """Command-line entry point: simulate, sweep, verify, threshold.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical abort.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error
+(a grid too large for the memory at hand included), 3 numerical abort.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -23,6 +24,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+@contextlib.contextmanager
+def _memory_for(grid):
+    """Report a MemoryError as a usage error that gives the grid's cell count."""
+    try:
+        yield
+    except MemoryError as error:
+        raise ValueError(f"cells: {grid.n_cells} cells need more memory than is available "
+                         f"({error})") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,8 +79,10 @@ def _cmd_simulate(args) -> int:
             # the first multiple of snapshot_every after this record
             next_snapshot[0] = ((record.t + 1e-9) // snapshot_every + 1) * snapshot_every
 
-    result = run(config.initial_state(config.seed), config.params(config.alpha), config.grid,
-                 config.control, config.t_end, config.monitor_every, on_record=on_record)
+    with _memory_for(config.grid):
+        result = run(config.initial_state(config.seed), config.params(config.alpha),
+                     config.grid, config.control, config.t_end, config.monitor_every,
+                     on_record=on_record)
     write_diagnostics_csv(result.records, os.path.join(out_dir, "diagnostics.csv"))
     write_snapshot(os.path.join(out_dir, "final_state.cvf"), result.final_state, config.grid)
     print(f"simulate: t_end={config.t_end} reached in {result.steps} steps "
@@ -83,7 +96,8 @@ def _cmd_sweep(args) -> int:
     spec = config.sweep_spec()
     out_dir = args.out or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    result = run_sweep(spec, jobs=args.jobs)
+    with _memory_for(spec.grid):
+        result = run_sweep(spec, jobs=args.jobs)
     path = os.path.join(out_dir, "sweep.csv")
     result.write_csv(path)
     aborted = sum(1 for row in result.rows if row.run_status != "completed")

@@ -67,7 +67,7 @@ class Config(RunSpec):
     snapshot_every: float = 0.0
     out_dir: str = "out"
     alphas: tuple[float, ...] | None = None
-    seeds: tuple[int, ...] = (0,)
+    seeds: tuple[int, ...] = SweepSpec.seeds  # the default is SweepSpec's
     lines: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .grid import Grid, _member_runs, check_field
+from .grid import Grid, check_field
 
 
 @functools.cache
@@ -64,14 +64,21 @@ def _face_differences(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     return differences
 
 
-def _sensitivity(u: np.ndarray, alphas: tuple) -> np.ndarray:
-    """phi(u) = u/(1+u)^alpha, one alpha per member on u's first axis; any u if all equal."""
-    if alphas.count(alphas[0]) == len(alphas):
-        return u / (1.0 + u) ** alphas[0]
-    phi = np.empty_like(u)
-    for alpha, members in _member_runs(alphas):
-        phi[members] = _sensitivity(u[members], (alpha,))
-    return phi
+def _sensitivity(u: np.ndarray, runs) -> np.ndarray:
+    """phi(u) = u/(1+u)^alpha, a new array.  ``runs`` holds (alpha, members)
+    pairs, ``members`` slicing u's first axis; a lone run's index is not read.
+
+    Several runs raise each block of 1 + u to its scalar alpha in place,
+    which saves two temporaries per run; a lone run takes the plain formula,
+    which measured faster than the blocks on single runs.
+    """
+    if len(runs) == 1:
+        return u / (1.0 + u) ** runs[0][0]
+    phi = u + 1.0
+    for alpha, members in runs:
+        block = phi[members]
+        block **= alpha
+    return np.divide(u, phi, out=phi)
 
 
 def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
@@ -92,7 +99,8 @@ def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, alpha: float
     differences = _face_differences(v, grid)
     if not any(d.any() for d in differences):
         return np.zeros_like(u)
-    ndim, out, phi = grid.ndim, np.zeros(u.shape), _sensitivity(u, (alpha,))
+    ndim, out = grid.ndim, np.zeros(u.shape)
+    phi = _sensitivity(u, ((alpha, Ellipsis),))
     for axis, (d, h) in enumerate(zip(differences, grid.spacing)):
         lo, hi = _face_slices(ndim, axis)
         g = d / h

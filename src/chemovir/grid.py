@@ -40,6 +40,9 @@ class Grid:
         shape = tuple(int(s) for s in shape)
         require(1 <= len(shape) <= 3, "ndim", "ndim in {1, 2, 3}", f"shape {shape}")
         require(all(s >= 3 for s in shape), "cells", "every axis >= 3 cells", shape)
+        # the (3, *shape) float64 state array must fit numpy's largest array
+        require(24 * math.prod(shape) <= np.iinfo(np.intp).max, "cells",
+                f"at most {np.iinfo(np.intp).max // 24} cells in all", shape)
         lengths = self.lengths if self.lengths else (1.0,) * len(shape)
         lengths = tuple(float(L) for L in lengths)
         require(len(lengths) == len(shape), "lengths", f"one entry per axis of {shape}", lengths)

@@ -15,7 +15,8 @@ discretisation becomes a pure function of diagnostic records here:
   every coefficient is 1 (NaN otherwise).
 
 The monitors are stateless; each record is evaluated independently, and
-compute_record evaluates a whole ensemble's records in one call.
+compute_record evaluates a whole ensemble's records in one call.  The mass
+helpers take floats or, elementwise, arrays of masses.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def compute_record(state: State, grid: Grid, params, p, baseline):
         raise ValueError(f"fields shape {fields.shape[1:]} does not match grid {grid.shape}")
     if not len(times) == len(params) == len(exponents) == len(baseline) == count:
         raise ValueError(f"{count} members need as many times, Params, exponents and baselines")
-    masses = _integrals(fields, grid).tolist()
+    masses = _integrals(fields, grid)
     sups = _sup_norms(fields, grid).tolist()
     grads = _grad_norms_sq(fields[:, 1:], grid).tolist()
     integrals_vv = _integrals(fields[:, 1] * fields[:, 1], grid).tolist()
@@ -157,30 +158,39 @@ def compute_record(state: State, grid: Grid, params, p, baseline):
             if not p > 1:
                 raise ValueError(f"energy exponent must exceed 1, got {p}")
             sums_up[members] = _cell_sums(fields[members, 0] ** float(p), grid.ndim).tolist()
+    # the oracles once per run of members that share t, kappa, the
+    # coefficients and the volume, on arrays of their masses: one exponential
+    # per oracle, and one comparison of the coefficients, for all of them
+    residuals, u_slacks, v_slacks, unit = [], [], [], []
+    keys = [(t, member.kappa, member.coeffs, base.volume)
+            for t, member, base in zip(times, params, baseline)]
+    for (t, kappa, c, volume), members in _member_runs(keys):
+        mass_u, mass_v = masses[members, 0], masses[members, 1]
+        mass_u0 = np.array([base.mass_u0 for base in baseline[members]])
+        mass_uv0 = np.array([base.mass_uv0 for base in baseline[members]])
+        if c.decay_u == c.decay_v:
+            residuals += mass_identity_residual(mass_u, mass_v, t, mass_uv0, kappa, volume,
+                                                c.decay_u).tolist()
+        else:  # no exact identity when u and v decay at different rates
+            residuals += [math.nan] * len(mass_u)
+        u_slacks += check_u_mass_bound(mass_u, mass_u0, kappa, volume, t, c.decay_u).tolist()
+        v_slacks += check_v_mass_bound(mass_v, mass_uv0, kappa, volume, t,
+                                       min(c.decay_u, c.decay_v)).tolist()
+        unit += [c == _UNIT_COEFFICIENTS] * len(mass_u)
 
     records = []
-    for i, (t, member, p, base) in enumerate(zip(times, params, exponents, baseline)):
-        (mass_u, mass_v, mass_w), (grad_v_sq, grad_w_sq) = masses[i], grads[i]
-        kappa, c, volume = member.kappa, member.coeffs, base.volume
+    for i, (t, p, (mass_u, mass_v, mass_w), (grad_v_sq, grad_w_sq)) in enumerate(
+            zip(times, exponents, masses.tolist(), grads)):
         if p is None:
             lp_u = energy = math.nan
         else:
             p = float(p)
             lp_u = _lp_norm_from_sum(sums_up[i], grid, p)
-            if c == _UNIT_COEFFICIENTS:
-                energy = _energy(grid.cell_volume * sums_up[i], integrals_vv[i], grad_w_sq, p)
-            else:
-                energy = math.nan
-        if c.decay_u == c.decay_v:
-            residual = mass_identity_residual(mass_u, mass_v, t, base.mass_uv0, kappa, volume,
-                                              c.decay_u)
-        else:
-            residual = math.nan  # no exact identity when u and v decay at different rates
+            energy = (_energy(grid.cell_volume * sums_up[i], integrals_vv[i], grad_w_sq, p)
+                      if unit[i] else math.nan)
         records.append(DiagnosticsRecord(
-            t, mass_u, mass_v, mass_w, *sups[i], lp_u, grad_v_sq, grad_w_sq, energy, residual,
-            check_u_mass_bound(mass_u, base.mass_u0, kappa, volume, t, c.decay_u),
-            check_v_mass_bound(mass_v, base.mass_uv0, kappa, volume, t,
-                               min(c.decay_u, c.decay_v))))
+            t, mass_u, mass_v, mass_w, *sups[i], lp_u, grad_v_sq, grad_w_sq, energy,
+            residuals[i], u_slacks[i], v_slacks[i]))
     return records
 
 

@@ -30,7 +30,10 @@ ensemble, bit for bit.
 One ensemble step is one call of step, straight-line numpy on the stacked
 array, with the Laplacian and the donor-cell divergence of the discretization
 module fused in.  Each state is differenced once (_differences), and a _Plan
-made once per run holds the constants and the arrays the rates fill.
+made once per run holds the constants, the runs of equal alphas and the
+arrays the rates fill.  Members that reach a monitor target together are
+recorded from the state they reached, which goes on to the next target as
+it is: no copy, and its memoised extrema and differences are kept.
 
 Negative values are never clamped: a member whose step produces a
 negative or non-finite value retries alone with half the step, and its
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import _face_differences, _face_slices, _sensitivity, helmholtz_solve
-from .grid import Grid, State, _trailing_axes, integrate, require
+from .grid import Grid, State, _member_runs, _trailing_axes, integrate, require
 from .model import ExponentInfeasibleError, Params, select_energy_exponent
 from .monitors import DiagnosticsRecord, RunBaseline, compute_record
 
@@ -129,6 +132,8 @@ class _Plan:
         c, ndim = params[0].coeffs, grid.ndim
         self.explicit = control.scheme == "explicit-euler"
         self.alphas = tuple([p.alpha for p in params])
+        # the runs of equal alphas, each raised as one block with its scalar alpha
+        self.alpha_runs = tuple(_member_runs(self.alphas))
         h_min = min(grid.spacing)
         self.fixed_cap = control.dt_max
         if self.explicit:
@@ -269,7 +274,7 @@ def _rates(state: State, plan: _Plan) -> np.ndarray:
     rates_u, rates_v, rates_w = plan.components
     # a member without a gradient gets a divergence of exact zeros; with none, it is skipped
     if any(gmax):
-        divergence, phi = plan.divergence, _sensitivity(u, plan.alphas)
+        divergence, phi = plan.divergence, _sensitivity(u, plan.alpha_runs)
         divergence.fill(0.0)
         for (lo, hi, below, above, h), d in zip(plan.donor_cell, velocity):
             g = d / h
@@ -415,7 +420,10 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
     Toward each monitor target, the members short of it step together, one
     step call per ensemble step, each with its own dt.  A member that
     exhausts its dt halvings, or whose dt cannot advance the time, drops
-    out, its UnstableRunError taking its place in the returned list.
+    out, its UnstableRunError taking its place in the returned list.  When
+    every live member reaches the target in one step, that state is
+    recorded and carried on to the next target as it is; otherwise the
+    rows of the members at the target are stacked into a new state.
     """
     if len(params) != len(initials):
         raise ValueError(f"{len(initials)} initial states but {len(params)} Params")
@@ -425,10 +433,10 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
     if t_end == 0 or not initials:
         return results
 
-    # each member's state whenever it is not in the step loop, and its counters
-    fields = np.stack([initial.fields for initial in initials])
-    times = [initial.t for initial in initials]
+    # the live members' state at the last target, and each member's counters
     live = list(range(len(initials)))
+    state = State.from_fields(np.stack([initial.fields for initial in initials]),
+                              [initial.t for initial in initials])
     steps, retries, max_dt = [0 for _ in live], [0 for _ in live], [0.0 for _ in live]
     planned = None
 
@@ -436,23 +444,49 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
         results[i] = UnstableRunError(t, State.from_fields(values.copy(), t), last_error, dt)
         live.remove(i)
 
-    def record():
-        if live:
-            state = State.from_fields(fields[live], [times[i] for i in live])
-            records = compute_record(
-                state, grid, [params[i] for i in live],
-                [results[i].energy_exponent for i in live], [results[i].baseline for i in live])
-            for i, member_record in zip(live, records):
-                results[i].records.append(member_record)
-            if on_record is not None:
-                on_record(State.from_fields(state.fields[0], times[0]), records[0])
+    def record(state):
+        records = compute_record(
+            state, grid, [params[i] for i in live],
+            [results[i].energy_exponent for i in live], [results[i].baseline for i in live])
+        for i, member_record in zip(live, records):
+            results[i].records.append(member_record)
+        if on_record is not None:
+            on_record(State.from_fields(state.fields[0], state.t[0]), records[0])
 
-    record()
+    record(state)
     for target in _monitor_targets(t_end, monitor_every):
         cutoff = target - 1e-12 * max(1.0, target)
-        index = [i for i in live if times[i] < cutoff]
-        state = State.from_fields(fields[index], [times[i] for i in index])
-        while index:
+        # the members of the step loop, index, are those of state, and new is
+        # where their last steps took them; reached holds the row of each
+        # member that left the loop at the target
+        index, new, reached = live.copy(), state, {}
+        taken, largest, failed, stuck = 0, [0.0] * len(live), {}, ()
+        while True:
+            keep, arrived = [], []
+            for k, i in enumerate(index):
+                steps[i] += taken
+                max_dt[i] = max(max_dt[i], largest[k])
+                if k in failed:
+                    abort(i, state.fields[k], state.t[k], *failed[k])
+                elif k in stuck:
+                    abort(i, new.fields[k], new.t[k], None, stuck[k])
+                elif new.t[k] < cutoff:
+                    keep.append(k)
+                else:
+                    arrived.append((i, k))
+            if len(arrived) == len(index) == len(live):
+                state = new  # every member is at the target in it: carried on as it is
+                break
+            for i, k in arrived:
+                # a row whose state the loop leaves behind is copied
+                reached[i] = new.fields[k].copy() if keep else new.fields[k]
+            index = [index[k] for k in keep]
+            if not index:
+                state = State.from_fields(np.stack([reached[i] for i in live])) if live else None
+                break
+            if len(keep) < len(new.t):
+                new = State.from_fields(new.fields[keep], [new.t[k] for k in keep])
+            state = new
             # the same members step until one of them leaves the step loop,
             # with one plan for as long as they are the members
             if index != planned:
@@ -469,36 +503,22 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
                 if stuck:
                     failed = {k: (None, tried) for k, tried in stuck.items() if not tried > 0.0}
                     if failed:
-                        new, after, stuck = state, state.t, ()
+                        new, stuck = state, ()
                         break
                 new = step(state, members, grid, dt[0] if len(dt) == 1 else dt, control)
                 if not all(map(_valid, *_extrema(new))):
                     new, failed = _retry(state, new, members, grid, dt, control, index, retries)
                 taken, largest = taken + 1, [*map(max, largest, dt)]
-                after = new.t
-                if failed or stuck or not max(after) < cutoff:
+                if failed or stuck or not max(new.t) < cutoff:
                     break
                 state = new
-            keep = []
-            for k, i in enumerate(index):
-                steps[i] += taken
-                max_dt[i] = max(max_dt[i], largest[k])
-                if k in failed:
-                    abort(i, state.fields[k], state.t[k], *failed[k])
-                elif k in stuck:
-                    abort(i, new.fields[k], after[k], None, stuck[k])
-                elif after[k] < cutoff:
-                    keep.append(k)
-                else:  # at the target
-                    fields[i], times[i] = new.fields[k], after[k]
-            index = [index[k] for k in keep]
-            state = State.from_fields(new.fields[keep], [after[k] for k in keep])
-        for i in live:
-            times[i] = target  # snap off the accumulated roundoff
-        record()
+        if state is None:
+            break  # every member aborted
+        state.t = [target] * len(live)  # snap off the accumulated roundoff
+        record(state)
 
-    for i in live:
-        results[i].final_state = State.from_fields(fields[i], times[i])
+    for k, i in enumerate(live):
+        results[i].final_state = State.from_fields(state.fields[k], state.t[k])
         results[i].steps, results[i].negativity_retries = steps[i], retries[i]
         results[i].max_dt = max_dt[i]
     return results

@@ -2,9 +2,10 @@
 
 Rows are independent runs keyed by (alpha, seed), sorted by key.  The rows
 are cut once into contiguous ensembles, each advanced as one ensemble run
-and reduced to its rows before the next starts (in a pool of processes when
-jobs > 1); an ensemble member equals its single run bit for bit, so the
-result is identical for any job count.
+and reduced to its rows before the next starts (when jobs > 1, the calling
+process runs its share beside a pool of worker processes); an ensemble
+member equals its single run bit for bit, so the result is identical for
+any job count.
 Runs whose alpha sits at or below the boundedness threshold for the grid
 dimension are still executed, flagged as below-threshold and treated as
 exploratory (nothing is proven about them); their energy monitor is
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import islice, repeat
@@ -208,15 +208,23 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     of failing the whole sweep.  The sorted rows are cut into contiguous
     ensembles of ceil(rows / jobs) rows, fewer when that would exceed
     _MAX_ENSEMBLE_VALUES cell values; each is run and reduced to its rows
-    on its own, in a pool of min(jobs, ensembles) processes when that is
-    more than one.  The rows are byte-identical for any job count.
+    on its own.  With n = min(jobs, ensembles) above one, n - 1 worker
+    processes run their share while this process runs every n-th
+    ensemble, the first among them, so that no process idles while others
+    work.  The rows are byte-identical for any job count.
     """
     require(jobs >= 1, "jobs", "jobs >= 1", jobs)
     keys = sorted((alpha, seed) for alpha in spec.alphas for seed in spec.seeds)
     cap = max(1, _MAX_ENSEMBLE_VALUES // (3 * spec.grid.n_cells))
     size = min(cap, math.ceil(len(keys) / jobs))
     ensembles = [keys[start:start + size] for start in range(0, len(keys), size)]
-    workers = min(jobs, len(ensembles))
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        parts = (pool.map if pool else map)(_run_rows, repeat(spec), ensembles)
-        return SweepResult([row for part in parts for row in part])
+    processes = min(jobs, len(ensembles))
+    if processes == 1:
+        return SweepResult([row for ensemble in ensembles for row in _run_rows(spec, ensemble)])
+    with ProcessPoolExecutor(processes - 1) as pool:
+        # the workers start on theirs before this process runs its own
+        theirs = pool.map(_run_rows, repeat(spec),
+                          [ensemble for k, ensemble in enumerate(ensembles) if k % processes])
+        mine = iter([_run_rows(spec, ensemble) for ensemble in ensembles[::processes]])
+        parts = [next(theirs if k % processes else mine) for k in range(len(ensembles))]
+    return SweepResult([row for part in parts for row in part])

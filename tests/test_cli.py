@@ -113,6 +113,25 @@ class TestSimulateCommand:
             energies = [float(row["energy"]) for row in csv.DictReader(handle)]
         assert all(map(math.isfinite, energies))
 
+    def test_oversized_cells_exit_two_citing_the_line(self, tmp_path, capsys):
+        config, out_dir = tmp_path / "run.cfg", tmp_path / "out"
+        config.write_text(SIMULATE_CONFIG.replace("cells = 16", "cells = 1e300"))
+        assert main(["simulate", "--config", str(config), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 9: cells must")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_grid_beyond_memory_exits_two_with_its_cell_count(self, tmp_path, capsys, command):
+        # 10^15 cells: within numpy's size limit, but no allocation succeeds
+        config = tmp_path / "run.cfg"
+        config.write_text(SIMULATE_CONFIG.replace("ndim = 1\ncells = 16", "ndim = 3\ncells = 100000")
+                          .replace("t_end = 0.5", "t_end = 2.0") + "[sweep]\nalphas = 1.0\n")
+        jobs = ["--jobs", "1"] if command == "sweep" else []
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")] + jobs) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cells: 1000000000000000 cells need more memory")
+        assert "Traceback" not in err
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2

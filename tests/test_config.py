@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
 from chemovir.cli import main
 from chemovir.config import (_SCHEMA, Config, ConfigError, config_to_text, load_config,
                              parse_config)
+from chemovir.sweep import SweepSpec
 
 MINIMAL = """
 [model]
@@ -54,6 +57,14 @@ class TestParsing:
         parsed = config.grid.shape if key == "cells" else getattr(config, key)
         assert parsed == value
         assert all(type(v) is int for v in (parsed if isinstance(parsed, tuple) else (parsed,)))
+
+    def test_seeds_have_one_default(self):
+        # Config takes the default of seeds from SweepSpec, the only place it is stated
+        config_field, = (f for f in fields(Config) if f.name == "seeds")
+        sweep_field, = (f for f in fields(SweepSpec) if f.name == "seeds")
+        assert config_field.default is sweep_field.default
+        spec = parse_config(MINIMAL + "[sweep]\nalphas = 1.0\n").sweep_spec()
+        assert spec.seeds == sweep_field.default
 
     def test_sweep_section(self):
         text = MINIMAL + "\n[sweep]\nalphas = 0.8, 1.0, 1.5\nseeds = 0, 1\n"

@@ -38,6 +38,14 @@ class TestGridGeometry:
         with pytest.raises(ValueError, match="^cells must"):
             Grid((4, cells))
 
+    @pytest.mark.parametrize("shape", [(10 ** 300,), (2 ** 60, 3), (2 ** 21,) * 3])
+    def test_rejects_state_arrays_beyond_numpy_size(self, shape):
+        # numpy cannot make the (3, *shape) float64 array: the message names
+        # cells rather than numpy's "Maximum allowed size exceeded"
+        with pytest.raises(ValueError, match="^cells must satisfy at most"):
+            Grid(shape)
+        Grid((2 ** 19,) * 3)  # 24 bytes for each of 2^57 cells still fit
+
     def test_whole_float_cell_count(self):
         assert Grid((4.0, np.int64(5))).shape == (4, 5)
 

@@ -19,7 +19,7 @@ from chemovir.model import (
 
 def sensitivity(u, alpha):
     """The sensitivity the solver runs, phi(u) = u/(1+u)^alpha, for one alpha."""
-    return _sensitivity(np.asarray(u, dtype=float), (alpha,))
+    return _sensitivity(np.asarray(u, dtype=float), ((alpha, Ellipsis),))
 
 
 def single_rates(state, params, grid, scheme):

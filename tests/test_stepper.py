@@ -571,3 +571,59 @@ class TestEnsemble:
         assert calls == [count, count - 1, count - 1]
         assert [len(r.records) for r in results if not isinstance(r, UnstableRunError)] == \
                [3] * (count - 1)
+
+
+class TestCarriedState:
+    """Members that reach a target together go on from the state they reached."""
+
+    def ensemble(self):
+        # gentle gradients and a small w: dt_max limits every member's step,
+        # so the members reach each target together
+        grid = Grid((32,))
+        x = grid.cell_centers(0)
+        initials = [State(1.0 + 0.1 * k * np.cos(np.pi * x), 0.5 + 0.01 * np.cos(2 * np.pi * x),
+                          grid.new_field(0.1)) for k in range(4)]
+        return grid, initials, [Params(alpha=alpha, kappa=2.0) for alpha in (0.7, 1.0, 1.5, 2.0)]
+
+    @pytest.mark.parametrize("members", [1, 4])
+    def test_records_read_the_last_stepped_state(self, monkeypatch, members):
+        events = []
+
+        def recording_step(state, params, grid_, dt, control):
+            new = step(state, params, grid_, dt, control)
+            events.append(("step", new.fields))
+            return new
+
+        def recording_record(state, *args):
+            events.append(("record", state.fields))
+            return compute_record(state, *args)
+
+        monkeypatch.setattr(stepper_module, "step", recording_step)
+        monkeypatch.setattr(stepper_module, "compute_record", recording_record)
+        grid, initials, params = self.ensemble()
+        if members == 1:
+            run(initials[0], params[0], grid, StepControl(), 1.0, 0.1)
+        else:
+            run(initials, params, grid, StepControl(), 1.0, 0.1)
+        records = [k for k, (kind, _) in enumerate(events) if kind == "record"]
+        assert len(records) == 11
+        for k in records[1:]:
+            assert events[k - 1][0] == "step"
+            assert np.shares_memory(events[k][1], events[k - 1][1])
+            assert events[k][1].shape[0] == members
+
+    def test_extrema_reduce_once_per_step(self, monkeypatch):
+        # the initial state's, then one per step: none again at a target
+        reductions = []
+        original = stepper_module._extrema
+
+        def counting_extrema(state):
+            reductions.append("extrema" not in state.memo)
+            return original(state)
+
+        monkeypatch.setattr(stepper_module, "_extrema", counting_extrema)
+        grid, initials, params = self.ensemble()
+        results = run(initials, params, grid, StepControl(), 1.0, 0.1)
+        assert sum(reductions) == results[0].steps + 1
+        assert [r.steps for r in results] == [results[0].steps] * 4
+

@@ -215,6 +215,48 @@ class TestRunSweep:
         assert run_sweep(spec).to_csv_text() == whole
         assert sizes == [4, 2]
 
+    @pytest.mark.parametrize("jobs,alphas,workers,own", [
+        (1, (1.0, 2.0), [], [2]), (2, (1.0, 2.0), [1], [1]), (3, (0.5, 1.0, 2.0), [2], [1]),
+    ])
+    def test_caller_runs_the_first_ensemble_beside_its_workers(self, monkeypatch, jobs, alphas,
+                                                              workers, own):
+        # min(jobs, ensembles) - 1 worker processes; the caller runs the first ensemble
+        spec = small_spec(alphas=alphas, preset="random-smooth", kappa=2.0)
+        expected = run_sweep(spec).to_csv_text()
+        started, sizes = [], []
+        original_run = sweep_module.run
+
+        class RecordingPool(sweep_module.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        def recording_run(initials, *args):
+            sizes.append(len(initials))  # in the workers too, but kept only here
+            return original_run(initials, *args)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweep_module, "run", recording_run)
+        assert run_sweep(spec, jobs=jobs).to_csv_text() == expected
+        assert started == workers
+        assert sizes == own
+
+    def test_caller_takes_every_nth_of_many_ensembles(self, monkeypatch):
+        # six one-row ensembles on two processes: the caller runs 0, 2 and 4
+        spec = small_spec(alphas=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0), preset="random-smooth")
+        expected = run_sweep(spec).to_csv_text()
+        alphas = []
+        original_run = sweep_module.run
+
+        def recording_run(initials, params, *args):
+            alphas.extend(p.alpha for p in params)
+            return original_run(initials, params, *args)
+
+        monkeypatch.setattr(sweep_module, "run", recording_run)
+        monkeypatch.setattr(sweep_module, "_MAX_ENSEMBLE_VALUES", 3 * spec.grid.n_cells)
+        assert run_sweep(spec, jobs=2).to_csv_text() == expected
+        assert alphas == [0.5, 1.5, 2.5]
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(ValueError, match="^jobs must"):
