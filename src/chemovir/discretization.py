@@ -64,21 +64,20 @@ def _face_differences(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     return differences
 
 
-def _sensitivity(u: np.ndarray, runs) -> np.ndarray:
-    """phi(u) = u/(1+u)^alpha, a new array.  ``runs`` holds (alpha, members)
-    pairs, ``members`` slicing u's first axis; a lone run's index is not read.
-
-    Several runs raise each block of 1 + u to its scalar alpha in place,
-    which saves two temporaries per run; a lone run takes the plain formula,
-    which measured faster than the blocks on single runs.
+def _sensitivity(u: np.ndarray, runs, out: np.ndarray | None = None) -> np.ndarray:
+    """phi(u) = u/(1+u)^alpha, in ``out`` or a new array.  ``runs`` holds
+    (alpha, members) pairs, ``members`` slicing u's first axis; a lone run's
+    index is not read.  Each run's block of 1 + u is raised to its scalar
+    alpha in place.
     """
+    phi = np.add(u, 1.0, out=out)
     if len(runs) == 1:
-        return u / (1.0 + u) ** runs[0][0]
-    phi = u + 1.0
-    for alpha, members in runs:
-        block = phi[members]
-        block **= alpha
-    return np.divide(u, phi, out=phi)
+        phi **= runs[0][0]
+    else:
+        for alpha, members in runs:
+            block = phi[members]
+            block **= alpha
+    return np.divide(u, phi, out=out)
 
 
 def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
@@ -133,8 +132,13 @@ def _eigenvalues(grid: Grid) -> np.ndarray:
     return sum(np.ix_(*per_axis), 0.0)
 
 
-def _transform(values: np.ndarray, grid: Grid, inverse: bool = False) -> np.ndarray:
-    """The DCT (or its inverse) along every grid axis; overwrites ``values``.
+def _transform(values: np.ndarray, grid: Grid, spare: np.ndarray,
+               inverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The DCT (or its inverse) along every grid axis, ping-ponging between
+    ``values`` and ``spare``, an array of its shape: returns the buffer that
+    holds the result and the other one.  Both are overwritten; the result
+    is in ``values`` after an even number of axes and in ``spare`` after an
+    odd one.
 
     Leading (stacked) axes ride along as a batch.  Each axis multiplies its
     n x n matrix into blocks of n_last columns: up to about 64 cells per
@@ -146,7 +150,6 @@ def _transform(values: np.ndarray, grid: Grid, inverse: bool = False) -> np.ndar
     product of more rows differently.
     """
     shape, last = values.shape, grid.shape[-1]
-    spare = np.empty(shape)
     for axis, n in enumerate(grid.shape):
         matrix = _dct_matrix(n).T if inverse else _dct_matrix(n)
         if axis == grid.ndim - 1:
@@ -157,7 +160,7 @@ def _transform(values: np.ndarray, grid: Grid, inverse: bool = False) -> np.ndar
             np.matmul(matrix, values.reshape(blocks).swapaxes(1, 2),
                       out=spare.reshape(blocks).swapaxes(1, 2))
         values, spare = spare, values
-    return values
+    return values, spare
 
 
 def _neighbour_sum(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -182,7 +185,8 @@ def _neighbour_weights(grid: Grid) -> np.ndarray:
     return weights
 
 
-def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid) -> np.ndarray:
+def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid, *,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
     """Solve (I - tau * lap) x = rhs exactly in the DCT-II eigenbasis.
 
     No tolerance, no iteration.  ``rhs`` has shape ``(..., *grid.shape)``
@@ -196,6 +200,12 @@ def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid) -> np.ndarray:
     without clamping or growing the max-norm error.  Each stacked field is
     solved and repaired on its own, independent of what it is stacked with.
     Non-finite input gives a non-finite result.
+
+    x is the one array the solve returns; the transform's spare buffer, which
+    also holds the scale tau*lam between the transforms, is ``scratch`` when
+    given (a C-contiguous float array of rhs's shape apart from rhs, which
+    the solve overwrites), else a new array.  Either way at most two
+    arrays of rhs's size are alive, and the result is the same bit for bit.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[rhs.ndim - grid.ndim:] != grid.shape:
@@ -203,13 +213,18 @@ def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
     if not (tau > 0).all():
         raise ValueError(f"tau must be > 0, got {tau}")
-    # in-place steps keep at most two arrays of rhs's size alive
-    x = _transform(rhs - rhs.mean(axis=tuple(range(-grid.ndim, 0)), keepdims=True), grid)
-    scale = tau * _eigenvalues(grid)
+    if scratch is not None and (scratch.shape != rhs.shape or not scratch.flags.c_contiguous
+                                or np.may_share_memory(scratch, rhs)):
+        raise ValueError(f"scratch must be a C-contiguous array of shape {rhs.shape} "
+                         "apart from rhs")
+    x = rhs - rhs.mean(axis=tuple(range(-grid.ndim, 0)), keepdims=True)
+    x, spare = _transform(x, grid, np.empty(rhs.shape) if scratch is None else scratch)
+    scale = np.multiply(tau, _eigenvalues(grid), out=spare)
     x *= scale
     x /= np.add(scale, 1.0, out=scale)
-    del scale
-    x = _transform(x, grid, inverse=True)
+    # 2 * ndim transforms in all: the result is back in the array rhs - m made
+    x = _transform(x, grid, spare, inverse=True)[0]
+    del spare, scale  # a new spare is freed before the repair
     np.subtract(rhs, x, out=x)
     if float(x.min()) < 0.0:
         cells = (-1, grid.n_cells)

@@ -207,7 +207,11 @@ def _integrals(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _sup_norms(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.maximum.reduce(np.abs(values), axis=_trailing_axes(values.ndim, grid.ndim))
+    # max |values| from the max and the min, with no |values| array; the abs
+    # of both turns an extremum of -0.0 into 0.0, and NaN propagates
+    cells = _trailing_axes(values.ndim, grid.ndim)
+    return np.maximum(np.abs(np.maximum.reduce(values, axis=cells)),
+                      np.abs(np.minimum.reduce(values, axis=cells)))
 
 
 @functools.cache
@@ -223,19 +227,25 @@ def _lp_norm_from_sum(total, grid: Grid, p: float) -> float:
 
 def _grad_norms_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
     ndim = grid.ndim
-    total = 0.0
+    scratch, total = np.empty(values.size), 0.0
     for axis, h in zip(range(values.ndim - ndim, values.ndim), grid.spacing):
-        d = np.diff(values, axis=axis) / h
-        sq = d * d
+        inner = (slice(None),) * axis
+        above, below = values[inner + (slice(1, None),)], values[inner + (slice(None, -1),)]
+        # (difference/h)^2, in place in a view of the one scratch buffer
+        sq = np.subtract(above, below, out=scratch[:above.size].reshape(above.shape))
+        sq /= h
+        sq *= sq
         boundary = (_cell_sums(np.take(sq, 0, axis), ndim - 1)
                     + _cell_sums(np.take(sq, -1, axis), ndim - 1))
         total += grid.cell_volume * (_cell_sums(sq, ndim) + 0.5 * boundary)
     return total
 
 
-def atomic_write(path, data: str | bytes):
-    """Write text or bytes to a file fully or not at all (temp file + rename).
+def atomic_write(path, data):
+    """Write a file fully or not at all (temp file + rename).
 
+    ``data`` is text, bytes, or a tuple of bytes-like chunks written in order,
+    such as a header and an array's buffer, so that no joined copy is made.
     The temporary file is created with mode 0o666, so the kernel applies the
     umask as open() would, without the process-wide umask being touched.
     """
@@ -243,8 +253,9 @@ def atomic_write(path, data: str | bytes):
     tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as handle:
-            handle.write(data)
+        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as handle:
+            for chunk in data if isinstance(data, tuple) else (data,):
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -267,7 +278,8 @@ def write_snapshot(path, state: State, grid: Grid) -> None:
         " ".join(f"{L:.17g}" for L in grid.lengths),
         f"t={state.t:.17g}",
     ]) + "\n"
-    atomic_write(path, header.encode() + state.fields.astype("<f8", copy=False).tobytes())
+    payload = np.ascontiguousarray(state.fields.astype("<f8", copy=False))
+    atomic_write(path, (header.encode(), payload))
 
 
 def read_snapshot(path) -> tuple[State, Grid]:

@@ -30,10 +30,13 @@ ensemble, bit for bit.
 One ensemble step is one call of step, straight-line numpy on the stacked
 array, with the Laplacian and the donor-cell divergence of the discretization
 module fused in.  Each state is differenced once (_differences), and a _Plan
-made once per run holds the constants, the runs of equal alphas and the
-arrays the rates fill.  Members that reach a monitor target together are
-recorded from the state they reached, which goes on to the next target as
-it is: no copy, and its memoised extrema and differences are kept.
+made once per run holds the constants, the runs of equal alphas and one
+workspace for every intermediate of a step: the rates, which under imex
+become the right-hand side in place, and the solve's scratch.  A step thus
+allocates only the new state's fields.  Members that reach a monitor
+target together are recorded from the state they reached, which goes on to
+the next target as it is: no copy, and its memoised extrema and
+differences are kept.
 
 Negative values are never clamped: a member whose step produces a
 negative or non-finite value retries alone with half the step, and its
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import _face_differences, _face_slices, _sensitivity, helmholtz_solve
+from .discretization import _face_slices, _sensitivity, helmholtz_solve
 from .grid import Grid, State, _member_runs, _trailing_axes, integrate, require
 from .model import ExponentInfeasibleError, Params, select_energy_exponent
 from .monitors import DiagnosticsRecord, RunBaseline, compute_record
@@ -123,11 +126,25 @@ class RunResult:
 
 class _Plan:
     """What every step of one ensemble shares, made once per run: the step-size
-    formula's state-independent parts, the kinetics' coefficients and the arrays
-    every step refills, with views of their cells either side of each face.  step
-    hands the plan on from each state to the next in State.memo."""
+    formula's state-independent parts, the kinetics' coefficients and a
+    workspace, one buffer that every step refills, with views of its cells
+    either side of each face.  step hands the plan on from each state to the
+    next in State.memo.
 
-    def __init__(self, params: tuple, grid: Grid, control: StepControl, shape=None):
+    The workspace holds ``rates``, the stacked rates and then the imex
+    right-hand side; under explicit-euler the stacked fields' face
+    differences; and ``phi`` (|grad v| for the advective cap, then phi(u),
+    u*w and production*v), ``part`` (one axis's share of the divergence)
+    and ``divergence``.  Under imex v's face differences lie in ``rates``,
+    which the rates overwrite only once the donor-cell flux has been taken
+    from them, in place.  ``spare`` spans phi, part and divergence, each
+    free again whenever it is used: as the Laplacian's flux under
+    explicit-euler, for decays*fields, and as the solve's scratch.  A step
+    therefore allocates only the new state's fields, and no state's fields
+    lie in the workspace.
+    """
+
+    def __init__(self, params: tuple, grid: Grid, control: StepControl, shape: tuple):
         self.params, self.grid, self.control = params, grid, control
         c, ndim = params[0].coeffs, grid.ndim
         self.explicit = control.scheme == "explicit-euler"
@@ -149,25 +166,53 @@ class _Plan:
         self.decays = None if decays == (1.0,) * 3 else _column(decays, ndim)
         self.slices = [_face_slices(ndim, axis) for axis in range(ndim)]
         self.cells = tuple(range(1, ndim + 1))  # of a member-first field
-        # indices of u, v and w, and of v's last-axis faces, in member-first arrays
+        # indices of u, v and w in member-first arrays
         self.components_index = tuple((slice(None), k) for k in range(3))
-        self.last_faces_v = (slice(None), 1, Ellipsis, slice(None, -1))
-        if shape is None:  # for stable_dt, the step-size formula alone
-            return
-        self.rates = rates = np.empty(shape)
-        self.components = rates[:, 0], rates[:, 1], rates[:, 2]
-        self.divergence = divergence = np.empty(shape[:1] + grid.shape)
-        # per axis, the cells either side of its faces (flat for the last axis), and h
-        flat = rates.reshape(-1)
-        faces = [(rates[lo], rates[hi]) for lo, hi in self.slices[:-1]] + [(flat[:-1], flat[1:])]
-        self.laplacian = [(below, above, h * h) for (below, above), h in zip(faces, grid.spacing)]
-        self.donor_cell = [(lo, hi, divergence[lo], divergence[hi], h)
-                           for (lo, hi), h in zip(self.slices, grid.spacing)]
+        self.fills = 0  # how often the difference buffers were filled
+
+        field = shape[:1] + grid.shape  # one component of every member
+        size = math.prod(field)
+        faces = [field[:axis + 1] + (field[axis + 1] - 1,) + field[axis + 2:]
+                 for axis in range(ndim)]
+        # under explicit-euler the stacked fields' differences, the last
+        # axis's in a full array, differenced in one pass over its flat view
+        # with the differences across two rows zeroed after
+        stacked = [shape[:axis + 2] + (shape[axis + 2] - 1,) + shape[axis + 3:]
+                   for axis in range(ndim - 1)] + [shape] if self.explicit else []
+        workspace = np.empty(6 * size + sum(map(math.prod, stacked)))
+        self.rates, *differences, self.phi, part, self.divergence = _views(
+            workspace, [shape, *stacked, field, field, field])
+        self.components = self.rates[:, 0], self.rates[:, 1], self.rates[:, 2]
+        self.spare = spare = workspace[-3 * size:].reshape(shape)
+        self.magnitudes = [_views(self.phi, [face])[0] for face in faces]
+        if self.explicit:
+            last = differences[-1]
+            self.last_flat = last.reshape(-1)
+            self.differences = differences[:-1] + [self.last_flat[:-1]]
+            self.velocity = [d[:, 1] for d in differences[:-1]] + [last[:, 1, ..., :-1]]
+            # per axis, the cells of rates either side of its faces (flat for
+            # the last axis), the flux's buffer in spare, and h^2
+            flat = self.rates.reshape(-1)
+            sides = [(self.rates[lo], self.rates[hi]) for lo, hi in self.slices[:-1]]
+            sides.append((flat[:-1], flat[1:]))
+            self.laplacian = [(below, above, _views(spare, [d.shape])[0], h * h)
+                              for (below, above), d, h
+                              in zip(sides, self.differences, grid.spacing)]
+        else:
+            self.differences = self.velocity = _views(self.rates, faces)
+        # per axis, phi either side of the faces, and the array the flux is
+        # summed into with its cells either side: the first axis's straight
+        # into divergence, each other's in part
+        self.donor_cell = []
+        for axis, ((lo, hi), h) in enumerate(zip(self.slices, grid.spacing)):
+            target = self.divergence if axis == 0 else part
+            self.donor_cell.append((self.phi[lo], self.phi[hi], target, target[lo],
+                                    target[hi], h))
 
     def step_sizes(self, state: State, until: float = math.inf) -> list[float]:
         """Each member's step from its extrema and max |grad v|, clipped at ``until``."""
         low, high = _extrema(state)
-        gmax = _differences(state, self)[2]
+        gmax = _differences(state, self)[-1]
         steps = []
         for lo, hi, g, alpha, t in zip(low, high, gmax, self.alphas, state.t):
             dt = min(self.fixed_cap, self.cfl_react / max(hi[2] + self.decay_u, self.other_decays))
@@ -175,6 +220,17 @@ class _Plan:
                 dt = min(dt, self.advect_length / (self.faces * g * (1.0 + lo[0]) ** (-alpha)))
             steps.append(min(dt, until - t))
         return steps
+
+
+def _views(buffer: np.ndarray, shapes: list) -> list[np.ndarray]:
+    """Views of one of each shape, laid out one after another from the
+    start of a C-contiguous buffer."""
+    flat, views, start = buffer.reshape(-1), [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
 
 
 def stable_dt(state: State, params: Params, grid: Grid, control: StepControl) -> float:
@@ -193,7 +249,7 @@ def stable_dt(state: State, params: Params, grid: Grid, control: StepControl) ->
     result is dt_max, so the step is always positive.
     """
     member = State.from_fields(state.fields[None], [state.t])  # the ensemble of one member
-    return _Plan((params,), grid, control).step_sizes(member)[0]
+    return _Plan((params,), grid, control, member.fields.shape).step_sizes(member)[0]
 
 
 def _extrema(state: State) -> tuple[list, list]:
@@ -221,33 +277,33 @@ def _violation(low: list, high: list, dt: float) -> NegativityDetected:
 
 
 def _differences(state: State, plan: _Plan) -> tuple:
-    """An ensemble state's face differences, taken once and memoised: the
-    stacked fields' under explicit-euler (None under imex), the last axis
-    in one pass over the flat array with the differences across two rows
-    zeroed; v's, for the advective cap and the donor-cell flux, views of
-    them (imex differences v alone); and each member's max |grad v|."""
+    """An ensemble state's face differences in the plan's workspace, taken
+    once and memoised until the rates consume them: the stacked fields'
+    under explicit-euler (none under imex), v's for the advective cap and
+    the donor-cell flux (views of them under explicit-euler), and each
+    member's max |grad v|."""
     cached = state.memo.get("differences")
-    fields, grid, stacked = state.fields, plan.grid, plan.explicit
-    if cached is not None and cached[3] is grid and cached[4] >= stacked:
-        return cached
-    if stacked:
-        differences, velocity = [], []
-        for lo, hi in plan.slices[:-1]:
-            differences.append(fields[hi] - fields[lo])
-            velocity.append(differences[-1][:, 1])
-        n, flat, last = grid.shape[-1], fields.ravel(), np.empty(fields.shape)
-        flat_last = last.ravel()
-        differences.append(np.subtract(flat[1:], flat[:-1], flat_last[:-1]))
-        flat_last[n - 1::n] = 0.0
-        velocity.append(last[plan.last_faces_v])
+    if cached is not None and cached[0] is plan and cached[1] == plan.fills:
+        return cached[2:]
+    fields, grid = state.fields, plan.grid
+    plan.fills += 1
+    if plan.explicit:
+        for (lo, hi), d in zip(plan.slices[:-1], plan.differences):
+            np.subtract(fields[hi], fields[lo], out=d)
+        flat, n = fields.reshape(-1), grid.shape[-1]
+        np.subtract(flat[1:], flat[:-1], out=plan.differences[-1])
+        plan.last_flat[n - 1::n] = 0.0
     else:
-        differences, velocity = None, _face_differences(fields[:, 1], grid)
+        v = fields[:, 1]
+        for (lo, hi), d in zip(plan.slices, plan.differences):
+            np.subtract(v[hi], v[lo], out=d)
     gmax = None
-    for d, h in zip(velocity, grid.spacing):
-        largest = list(map(h.__rtruediv__, np.maximum.reduce(np.abs(d), plan.cells).tolist()))
+    for d, magnitude, h in zip(plan.velocity, plan.magnitudes, grid.spacing):
+        largest = np.maximum.reduce(np.abs(d, out=magnitude), plan.cells).tolist()
+        largest = list(map(h.__rtruediv__, largest))
         gmax = largest if gmax is None else list(map(max, gmax, largest))
-    cached = state.memo["differences"] = (differences, velocity, gmax, grid, stacked)
-    return cached
+    state.memo["differences"] = plan, plan.fills, plan.differences, plan.velocity, gmax
+    return plan.differences, plan.velocity, gmax
 
 
 def _rates(state: State, plan: _Plan) -> np.ndarray:
@@ -257,46 +313,53 @@ def _rates(state: State, plan: _Plan) -> np.ndarray:
     conversion, production*v and the decay, plus chemotaxis, on top of
     zeros for imex, which treats diffusion implicitly, or of d*lap(fields)
     for explicit-euler; laplacian_neumann and chemotaxis_divergence are the
-    references of the fused stencils.
+    references of the fused stencils.  Every intermediate lies in the
+    plan's workspace, and the state's differences are consumed.
     """
     fields, rates = state.fields, plan.rates
     index_u, index_v, index_w = plan.components_index
     u, v, w = fields[index_u], fields[index_v], fields[index_w]
-    differences, velocity, gmax, _, _ = _differences(state, plan)
-    rates.fill(0.0)
+    differences, velocity, gmax = _differences(state, plan)
+    plan.fills += 1  # the flux is taken in place in them, and imex zeroes rates over v's
     if plan.explicit:
-        for (below, above, h2), d in zip(plan.laplacian, differences):
-            flux = d / h2
+        rates.fill(0.0)
+        for (below, above, flux, h2), d in zip(plan.laplacian, differences):
+            np.divide(d, h2, out=flux)
             below += flux
             above -= flux
         if plan.diffusivities is not None:
             rates *= plan.diffusivities
-    rates_u, rates_v, rates_w = plan.components
     # a member without a gradient gets a divergence of exact zeros; with none, it is skipped
-    if any(gmax):
-        divergence, phi = plan.divergence, _sensitivity(u, plan.alpha_runs)
+    chemotaxis = any(gmax)
+    if chemotaxis:
+        divergence, phi = plan.divergence, _sensitivity(u, plan.alpha_runs, plan.phi)
         divergence.fill(0.0)
-        for (lo, hi, below, above, h), d in zip(plan.donor_cell, velocity):
-            g = d / h
-            flux = np.where(g > 0.0, phi[lo], phi[hi]) * g
-            flux /= h
-            if len(plan.donor_cell) == 1:
-                below += flux
-                above -= flux
+        for (phi_below, phi_above, part, below, above, h), g in zip(plan.donor_cell, velocity):
+            g /= h  # the flux, in place in v's differences
+            np.multiply(np.where(g > 0.0, phi_below, phi_above), g, out=g)
+            g /= h
+            if part is divergence:
+                below += g
+                above -= g
             else:
-                # each axis in a zero buffer, summed in axis order, so that
-                # mirroring an axis mirrors the output bitwise
-                part = np.zeros(divergence.shape)
-                part[lo] += flux
-                part[hi] -= flux
+                # each further axis in a zeroed buffer, summed in axis order,
+                # so that mirroring an axis mirrors the output bitwise
+                part.fill(0.0)
+                below += g
+                above -= g
                 divergence += part
+    if not plan.explicit:
+        rates.fill(0.0)
+    rates_u, rates_v, rates_w = plan.components
+    if chemotaxis:
         rates_u -= divergence
-    conversion = u * w  # the identical array enters u and v: exact mass budget
+    # the identical array enters u and v: exact mass budget
+    conversion = np.multiply(u, w, out=plan.phi)
     rates_u -= conversion
     rates_v += conversion
     rates_u += plan.kappa
-    rates_w += v if plan.production == 1.0 else plan.production * v
-    rates -= fields if plan.decays is None else plan.decays * fields
+    rates_w += v if plan.production == 1.0 else np.multiply(plan.production, v, out=plan.phi)
+    rates -= fields if plan.decays is None else np.multiply(plan.decays, fields, out=plan.spare)
     return rates
 
 
@@ -336,18 +399,22 @@ def step(state: State, params, grid: Grid, dt, control: StepControl) -> State:
         positive, scale = bool((dt > 0).all()), dt.reshape((-1,) + (1,) * (grid.ndim + 1))
     if not positive:
         raise ValueError(f"dt must be > 0, got {dt}")
-    # explicit Euler scales the rates by dt; exponential Euler by
-    # phi = (1 - e^(-decay*dt)) / decay per field and member, and then solves
-    # (I - phi*d*lap) x = fields + phi*rates for all three fields in one call
-    factor = scale
-    if not plan.explicit:
+    if plan.explicit:  # the rates scaled by dt
+        new = _rates(state, plan) * scale
+        new += state.fields
+    else:
+        # exponential Euler scales the rates by phi = (1 - e^(-decay*dt)) / decay
+        # per field and member, and then solves (I - phi*d*lap) x = fields +
+        # phi*rates for all three fields in one call; the right-hand side is
+        # built in plan.rates, so the solve's result is the one new array
         c = params[0].coeffs
         decays = _column((-c.decay_u, -c.decay_v, -c.decay_w), grid.ndim)
         factor = np.expm1(scale * decays) / decays
-    new = _rates(state, plan) * factor
-    new += state.fields
-    if not plan.explicit:
-        new = helmholtz_solve(new, factor * _column((c.d_u, c.d_v, c.d_w), grid.ndim), grid)
+        rhs = _rates(state, plan)
+        rhs *= factor
+        rhs += state.fields
+        new = helmholtz_solve(rhs, factor * _column((c.d_u, c.d_v, c.d_w), grid.ndim), grid,
+                              scratch=plan.spare)
     new = State.from_fields(new, times)
     new.memo["plan"] = plan
     if single:
@@ -368,7 +435,9 @@ def _monitor_targets(t_end: float, monitor_every: float) -> Iterator[float]:
 
 
 def _start(initial: State, params: Params, grid: Grid) -> RunResult:
-    """A result holding the validated initial state, its baseline and energy exponent."""
+    """A result holding the validated initial state, its baseline and energy
+    exponent; the initial state stands in for the final one until the run
+    sets it, so that no copy is held while the run steps."""
     initial.validate(grid)
     baseline = RunBaseline(
         mass_u0=integrate(initial.u, grid),
@@ -379,7 +448,7 @@ def _start(initial: State, params: Params, grid: Grid) -> RunResult:
         exponent = float(select_energy_exponent(params.alpha, grid.ndim))
     except ExponentInfeasibleError:
         exponent = None
-    return RunResult([], initial.copy(), energy_exponent=exponent, baseline=baseline)
+    return RunResult([], initial, energy_exponent=exponent, baseline=baseline)
 
 
 def run(initial, params, grid: Grid, control: StepControl,
@@ -431,6 +500,8 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
         raise ValueError("ensemble members may differ only in alpha")
     results = [_start(initial, p, grid) for initial, p in zip(initials, params)]
     if t_end == 0 or not initials:
+        for result in results:
+            result.final_state = result.final_state.copy()
         return results
 
     # the live members' state at the last target, and each member's counters

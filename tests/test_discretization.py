@@ -283,6 +283,61 @@ class TestHelmholtzSolve:
         assert repaired and solution.min() >= 0.0
         assert peak <= 2.5 * rhs.nbytes
 
+    @pytest.mark.parametrize("shape,members", [
+        ((33,), 1), ((9, 7), 1), ((6, 5, 4), 1), ((7, 6, 5), 4), ((40, 32, 24), 2),
+    ], ids=["1d", "2d", "3d", "3d-stacked", "3d-large"])
+    def test_scratch_gives_the_same_solution(self, shape, members):
+        # the transform's result lands in the scratch after an odd number of
+        # axes, in x after an even one; either way x is returned, bit for bit
+        grid = Grid(shape)
+        rng = np.random.default_rng(12)
+        rhs = rng.uniform(0.5, 1.0, (members, 3) + shape)
+        tau = rng.uniform(1e-3, 0.1, (members, 3) + (1,) * len(shape))
+        scratch = np.full(rhs.shape, np.nan)
+        solution = helmholtz_solve(rhs, tau, grid, scratch=scratch)
+        np.testing.assert_array_equal(solution, helmholtz_solve(rhs, tau, grid))
+        assert not np.shares_memory(solution, scratch)
+
+    def test_scratch_gives_the_same_repair(self, monkeypatch):
+        grid = Grid((128,))
+        rhs = np.random.default_rng(6).uniform(0.5, 1.0, (2, 3) + grid.shape)
+        rhs[1, 2] = 0.0
+        rhs[1, 2, 0] = 1.0
+        tau = np.array([0.1, 0.01, 1e-4]).reshape(3, 1)
+        repaired = []
+        neighbour_sum = discretization._neighbour_sum
+        monkeypatch.setattr(discretization, "_neighbour_sum",
+                            lambda values, grid_: repaired.append(values.shape)
+                            or neighbour_sum(values, grid_))
+        solution = helmholtz_solve(rhs, tau, grid, scratch=np.empty(rhs.shape))
+        assert repaired and solution.min() >= 0.0
+        np.testing.assert_array_equal(solution, helmholtz_solve(rhs, tau, grid))
+
+    def test_memory_with_scratch_holds_the_solution_alone(self):
+        grid = Grid((40, 32, 24))
+        rhs = np.random.default_rng(7).uniform(0.5, 1.0, (1, 3) + grid.shape)
+        tau = np.array([0.01, 0.02, 0.03]).reshape(1, 3, 1, 1, 1)
+        scratch = np.empty(rhs.shape)
+        helmholtz_solve(rhs, tau, grid, scratch=scratch)  # fill the per-grid caches
+        tracemalloc.start()
+        try:
+            helmholtz_solve(rhs, tau, grid, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * rhs.nbytes
+
+    @pytest.mark.parametrize("make_scratch", [
+        lambda rhs: np.empty(rhs.shape[1:]),
+        lambda rhs: rhs,
+        lambda rhs: np.empty(rhs.shape[::-1]).T,
+    ], ids=["shape", "aliases-rhs", "not-contiguous"])
+    def test_rejects_unusable_scratch(self, make_scratch):
+        grid = Grid((8, 6))
+        rhs = np.ones((3, 8, 6))
+        with pytest.raises(ValueError, match="scratch"):
+            helmholtz_solve(rhs, 0.1, grid, scratch=make_scratch(rhs))
+
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             helmholtz_solve(np.ones(8), 0.0, Grid((8,)))

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from chemovir.grid import (
     Grid,
     State,
+    _grad_norms_sq,
+    _sup_norms,
+    atomic_write,
     grad_norm_sq,
     integrate,
     lp_norm,
@@ -124,6 +128,21 @@ class TestLpNorm:
                 assert lp_norm(smaller, grid, p) <= lp_norm(f, grid, p) + 1e-12
 
 
+    def test_sup_norms_equal_the_max_of_abs_bit_for_bit(self):
+        # from the max and the min alone: signs, -0.0 (an all-zero field reads
+        # 0.0, not -0.0) and NaN as np.abs(values).max() gives them
+        grid = Grid((6, 5))
+        values = np.random.default_rng(3).normal(size=(4, 3) + grid.shape)
+        values[0, 0] = -0.0
+        values[0, 1] = -np.abs(values[0, 1])
+        values[1, 2, 3, 1] = math.nan
+        values[2, 0, 0, 0] = -math.inf
+        sups = _sup_norms(values, grid)
+        np.testing.assert_array_equal(sups, np.abs(values).max(axis=(2, 3)))
+        assert repr(float(sups[0, 0])) == "0.0"
+        assert repr(lp_norm(np.full(grid.shape, -0.0), grid, math.inf)) == "0.0"
+
+
 class TestGradNormSq:
     def test_constant_is_zero_exactly(self):
         grid = Grid((9, 9))
@@ -147,6 +166,22 @@ class TestGradNormSq:
         y = grid.cell_centers(1)[None, :]
         field = 2.0 * x - 1.0 * y
         assert grad_norm_sq(field, grid) == pytest.approx(5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(9,), (7, 6), (5, 4, 3)])
+    def test_equals_the_diff_formula_bit_for_bit(self, shape):
+        # the squared differences are formed in place in one scratch buffer;
+        # the sums equal those of np.diff's arrays, NaN included
+        grid = Grid(shape)
+        values = np.random.default_rng(8).normal(size=(3, 2) + shape)
+        values[1, 0].flat[2] = math.nan
+        expected = 0.0
+        for axis, h in zip(range(2, values.ndim), grid.spacing):
+            sq = (np.diff(values, axis=axis) / h) ** 2
+            boundary = (np.take(sq, 0, axis).reshape(3, 2, -1).sum(-1)
+                        + np.take(sq, -1, axis).reshape(3, 2, -1).sum(-1))
+            expected += grid.cell_volume * (sq.reshape(3, 2, -1).sum(-1) + 0.5 * boundary)
+        np.testing.assert_array_equal(_grad_norms_sq(values, grid), expected)
+        assert math.isnan(_grad_norms_sq(values, grid)[1, 0])
 
     def test_translation_invariance_exact(self):
         rng = np.random.default_rng(5)
@@ -208,6 +243,27 @@ class TestSnapshotIO:
         assert loaded_grid == grid
         assert loaded.fields.shape == (3, 5, 4, 3)
         np.testing.assert_array_equal(loaded.fields, values)
+
+    def test_write_makes_no_copy_of_the_fields(self, tmp_path):
+        # the header and the array's own buffer go to the file in turn
+        grid = Grid((40, 32, 24))
+        values = np.random.default_rng(4).uniform(0.0, 1.0, (3,) + grid.shape)
+        state = State.from_fields(values, 0.25)
+        write_snapshot(tmp_path / "warm.cvf", state, grid)
+        tracemalloc.start()
+        try:
+            write_snapshot(tmp_path / "state.cvf", state, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * values.nbytes
+        loaded, _ = read_snapshot(tmp_path / "state.cvf")
+        assert loaded.fields.tobytes() == values.tobytes()
+
+    def test_atomic_write_of_chunks(self, tmp_path):
+        path = tmp_path / "chunks.bin"
+        atomic_write(path, (b"head\n", np.arange(3.0), memoryview(b"tail")))
+        assert path.read_bytes() == b"head\n" + np.arange(3.0).tobytes() + b"tail"
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cvf"

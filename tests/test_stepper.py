@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,9 +218,9 @@ class TestStep:
     def test_imex_makes_one_solve_per_step(self, monkeypatch):
         calls = []
 
-        def counting_solve(rhs, tau, grid_):
+        def counting_solve(rhs, tau, grid_, **scratch):
             calls.append(rhs.shape)
-            return helmholtz_solve(rhs, tau, grid_)
+            return helmholtz_solve(rhs, tau, grid_, **scratch)
 
         monkeypatch.setattr(stepper_module, "helmholtz_solve", counting_solve)
         grid = Grid((6, 5))
@@ -627,3 +628,69 @@ class TestCarriedState:
         assert sum(reductions) == results[0].steps + 1
         assert [r.steps for r in results] == [results[0].steps] * 4
 
+
+class TestWorkspace:
+    """A planned step writes its intermediates into the plan's workspace."""
+
+    @staticmethod
+    def planned(scheme):
+        grid = Grid((40, 32, 24))
+        params = (Params(alpha=1.5, kappa=1.0),)
+        control = StepControl(dt_max=0.01, scheme=scheme)
+        initial = initial_condition_preset("gaussian-bump-v", grid, 1.0)
+        state = State.from_fields(initial.fields[None].copy(), [0.0])
+        return grid, params, control, state
+
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_step_allocates_only_its_fields(self, scheme):
+        grid, params, control, state = self.planned(scheme)
+        plan = stepper_module._Plan(params, grid, control, state.fields.shape)
+        state.memo["plan"] = plan
+        state = step(state, params, grid, plan.step_sizes(state)[0], control)  # warm-up
+        tracemalloc.start()
+        try:
+            new = step(state, params, grid, plan.step_sizes(state)[0], control)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * state.fields.nbytes
+        assert new.memo["plan"] is plan
+        for buffer in (plan.rates, plan.spare, plan.phi):
+            assert not np.shares_memory(new.fields, buffer)
+
+    def test_plan_and_step_within_their_former_memory(self):
+        # when every step allocated its temporaries, the plan held 1.34x and
+        # a step peaked 3.97x above it, in units of the fields' size
+        grid, params, control, state = self.planned("imex")
+        tracemalloc.start()
+        try:
+            plan = stepper_module._Plan(params, grid, control, state.fields.shape)
+            plan_bytes = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        state.memo["plan"] = plan
+        state = step(state, params, grid, plan.step_sizes(state)[0], control)
+        tracemalloc.start()
+        try:
+            step(state, params, grid, plan.step_sizes(state)[0], control)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan_bytes + peak <= 5.31 * state.fields.nbytes
+
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_rates_never_read_differences_of_another_state(self, scheme):
+        # the rates consume the differences in the workspace, and another
+        # state's differences overwrite them: each is taken again when needed
+        grid = Grid((7, 6))
+        params = (Params(alpha=0.7, kappa=1.0),)
+        control = StepControl(scheme=scheme)
+        first, second = (State.from_fields(initial_condition_preset(
+            "random-smooth", grid, 1.0, seed=seed).fields[None], [0.0]) for seed in (1, 2))
+        expected = single_rates(State.from_fields(first.fields[0]), params[0], grid, scheme)
+        plan = stepper_module._Plan(params, grid, control, first.fields.shape)
+        dt = plan.step_sizes(first)
+        plan.step_sizes(second)
+        np.testing.assert_array_equal(stepper_module._rates(first, plan)[0], expected)
+        np.testing.assert_array_equal(stepper_module._rates(first, plan)[0], expected)
+        assert plan.step_sizes(first) == dt
