@@ -92,12 +92,12 @@ class State:
 
     The three fields are held in one read-only ``(3, *shape)`` array,
     ``fields``, of which ``u``, ``v`` and ``w`` are row views.  Because a
-    state's values cannot change, the stepper memoises what it derives from
-    them in ``memo``: the extrema and the face differences, each taken once
-    per state, and the run's plan, which every step hands on to the state
-    it makes.  The stepper holds an ensemble this way too: ``fields`` of
-    shape ``(E, 3, *shape)`` and ``t`` a list (or array) of the members'
-    times; its ``u``, ``v`` and ``w`` stack the members' fields.
+    state's values cannot change, the stepper memoises its extrema in
+    ``memo``, beside the run's plan, which every step hands on to the state
+    it makes and which records whose face differences its workspace holds.
+    The stepper holds an ensemble this way too: ``fields`` of shape
+    ``(E, 3, *shape)`` and ``t`` a list (or array) of the members' times;
+    its ``u``, ``v`` and ``w`` stack the members' fields.
     """
 
     __slots__ = ("fields", "t", "memo")

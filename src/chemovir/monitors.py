@@ -28,7 +28,7 @@ import numpy as np
 
 from .grid import (Grid, State, _cell_sums, _grad_norms_sq, _integrals, _lp_norm_from_sum,
                    _member_runs, _sup_norms, atomic_write, check_field, grad_norm_sq)
-from .model import Coefficients, Params
+from .model import Coefficients
 
 @dataclass
 class DiagnosticsRecord:
@@ -54,11 +54,11 @@ CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 @dataclass(frozen=True)
 class RunBaseline:
-    """Initial masses and geometry needed to evaluate the bounds later."""
+    """A run's initial masses of u and of u + v, from which the mass oracles
+    relax; the volume they relax with is the grid's."""
 
     mass_u0: float
     mass_uv0: float
-    volume: float
 
 
 @dataclass(frozen=True)
@@ -124,28 +124,27 @@ _UNIT_COEFFICIENTS = Coefficients()
 
 
 def compute_record(state: State, grid: Grid, params, p, baseline):
-    """Evaluate all diagnostics for one state.
-
-    ``p`` is the selected energy exponent, or None when infeasible, in
-    which case the energy and lp_u columns are NaN (energy monitoring is
-    disabled below the threshold).  The energy is NaN as well when any
-    coefficient is not 1: the quasi-energy inequality is derived for the
-    unit system.
-
-    An ensemble state, ``fields`` of shape (E, 3, *shape) and ``t`` an
-    array of member times, comes with per-member sequences of Params,
-    exponents and RunBaselines and gives a list of E records, each equal
-    bit for bit to its member's single-state record.
+    """The records of an ensemble state, (E, 3, *shape) with its members'
+    times, from per-member sequences of Params, energy exponents and
+    RunBaselines.  The members must share t, kappa and the coefficients,
+    as a run's do at each record (ValueError otherwise): each mass oracle
+    is evaluated once, on the arrays of their masses.  An exponent is None
+    when infeasible, and then its member's energy and lp_u are NaN (energy
+    monitoring is disabled below the threshold).  The energy is NaN as
+    well when any coefficient is not 1: the quasi-energy inequality is
+    derived for the unit system.
     """
-    if isinstance(params, Params):
-        member = State.from_fields(state.fields[None], [state.t])
-        return compute_record(member, grid, [params], [p], [baseline])[0]
     # every quantity comes from per-member reductions of the (E, 3, *shape) array
     fields, times, exponents, count = state.fields, list(map(float, state.t)), p, len(state.fields)
     if fields.shape[1:] != (3,) + grid.shape:
         raise ValueError(f"fields shape {fields.shape[1:]} does not match grid {grid.shape}")
     if not len(times) == len(params) == len(exponents) == len(baseline) == count:
         raise ValueError(f"{count} members need as many times, Params, exponents and baselines")
+    # compared, not hashed: a tuple compares the members' one Coefficients by identity
+    keys = [(t, member.kappa, member.coeffs) for t, member in zip(times, params)]
+    if keys.count(keys[0]) != count:
+        raise ValueError("ensemble members must share t, kappa and the coefficients")
+    t, kappa, c = keys[0]
     masses = _integrals(fields, grid)
     sups = _sup_norms(fields, grid).tolist()
     grads = _grad_norms_sq(fields[:, 1:], grid).tolist()
@@ -158,36 +157,29 @@ def compute_record(state: State, grid: Grid, params, p, baseline):
             if not p > 1:
                 raise ValueError(f"energy exponent must exceed 1, got {p}")
             sums_up[members] = _cell_sums(fields[members, 0] ** float(p), grid.ndim).tolist()
-    # the oracles once per run of members that share t, kappa, the
-    # coefficients and the volume, on arrays of their masses: one exponential
-    # per oracle, and one comparison of the coefficients, for all of them
-    residuals, u_slacks, v_slacks, unit = [], [], [], []
-    keys = [(t, member.kappa, member.coeffs, base.volume)
-            for t, member, base in zip(times, params, baseline)]
-    for (t, kappa, c, volume), members in _member_runs(keys):
-        mass_u, mass_v = masses[members, 0], masses[members, 1]
-        mass_u0 = np.array([base.mass_u0 for base in baseline[members]])
-        mass_uv0 = np.array([base.mass_uv0 for base in baseline[members]])
-        if c.decay_u == c.decay_v:
-            residuals += mass_identity_residual(mass_u, mass_v, t, mass_uv0, kappa, volume,
-                                                c.decay_u).tolist()
-        else:  # no exact identity when u and v decay at different rates
-            residuals += [math.nan] * len(mass_u)
-        u_slacks += check_u_mass_bound(mass_u, mass_u0, kappa, volume, t, c.decay_u).tolist()
-        v_slacks += check_v_mass_bound(mass_v, mass_uv0, kappa, volume, t,
-                                       min(c.decay_u, c.decay_v)).tolist()
-        unit += [c == _UNIT_COEFFICIENTS] * len(mass_u)
+    mass_u, mass_v, volume = masses[:, 0], masses[:, 1], grid.volume
+    mass_u0 = np.array([base.mass_u0 for base in baseline])
+    mass_uv0 = np.array([base.mass_uv0 for base in baseline])
+    if c.decay_u == c.decay_v:
+        residuals = mass_identity_residual(mass_u, mass_v, t, mass_uv0, kappa, volume,
+                                           c.decay_u).tolist()
+    else:  # no exact identity when u and v decay at different rates
+        residuals = [math.nan] * count
+    u_slacks = check_u_mass_bound(mass_u, mass_u0, kappa, volume, t, c.decay_u).tolist()
+    v_slacks = check_v_mass_bound(mass_v, mass_uv0, kappa, volume, t,
+                                  min(c.decay_u, c.decay_v)).tolist()
+    unit = c == _UNIT_COEFFICIENTS
 
     records = []
-    for i, (t, p, (mass_u, mass_v, mass_w), (grad_v_sq, grad_w_sq)) in enumerate(
-            zip(times, exponents, masses.tolist(), grads)):
+    for i, (p, (mass_u, mass_v, mass_w), (grad_v_sq, grad_w_sq)) in enumerate(
+            zip(exponents, masses.tolist(), grads)):
         if p is None:
             lp_u = energy = math.nan
         else:
             p = float(p)
             lp_u = _lp_norm_from_sum(sums_up[i], grid, p)
             energy = (_energy(grid.cell_volume * sums_up[i], integrals_vv[i], grad_w_sq, p)
-                      if unit[i] else math.nan)
+                      if unit else math.nan)
         records.append(DiagnosticsRecord(
             t, mass_u, mass_v, mass_w, *sups[i], lp_u, grad_v_sq, grad_w_sq, energy,
             residuals[i], u_slacks[i], v_slacks[i]))

@@ -29,14 +29,14 @@ ensemble, bit for bit.
 
 One ensemble step is one call of step, straight-line numpy on the stacked
 array, with the Laplacian and the donor-cell divergence of the discretization
-module fused in.  Each state is differenced once (_differences), and a _Plan
-made once per run holds the constants, the runs of equal alphas and one
-workspace for every intermediate of a step: the rates, which under imex
-become the right-hand side in place, and the solve's scratch.  A step thus
-allocates only the new state's fields.  Members that reach a monitor
-target together are recorded from the state they reached, which goes on to
-the next target as it is: no copy, and its memoised extrema and
-differences are kept.
+module fused in.  A _Plan made once per run holds the constants, the runs
+of equal alphas and one workspace for every intermediate of a step: the
+face differences, taken once per state (the plan records whose they are),
+the rates, which under imex become the right-hand side in place, and the
+solve's scratch.  A step thus allocates only the new state's fields.
+Members that reach a monitor target together are recorded from the state
+they reached, which goes on to the next target as it is: no copy, and its
+memoised extrema are kept.
 
 Negative values are never clamped: a member whose step produces a
 negative or non-finite value retries alone with half the step, and its
@@ -168,7 +168,7 @@ class _Plan:
         self.cells = tuple(range(1, ndim + 1))  # of a member-first field
         # indices of u, v and w in member-first arrays
         self.components_index = tuple((slice(None), k) for k in range(3))
-        self.fills = 0  # how often the difference buffers were filled
+        self.source = self.gmax = None  # the fields whose differences the workspace holds
 
         field = shape[:1] + grid.shape  # one component of every member
         size = math.prod(field)
@@ -277,16 +277,15 @@ def _violation(low: list, high: list, dt: float) -> NegativityDetected:
 
 
 def _differences(state: State, plan: _Plan) -> tuple:
-    """An ensemble state's face differences in the plan's workspace, taken
-    once and memoised until the rates consume them: the stacked fields'
-    under explicit-euler (none under imex), v's for the advective cap and
-    the donor-cell flux (views of them under explicit-euler), and each
-    member's max |grad v|."""
-    cached = state.memo.get("differences")
-    if cached is not None and cached[0] is plan and cached[1] == plan.fills:
-        return cached[2:]
+    """An ensemble state's face differences in the plan's workspace: the
+    stacked fields' under explicit-euler (none under imex), v's for the
+    advective cap and the donor-cell flux (views of them under
+    explicit-euler), and each member's max |grad v|.  They are taken only
+    when plan.source, the fields array they came from, is not the state's;
+    _rates consumes them and clears it."""
     fields, grid = state.fields, plan.grid
-    plan.fills += 1
+    if plan.source is fields:
+        return plan.differences, plan.velocity, plan.gmax
     if plan.explicit:
         for (lo, hi), d in zip(plan.slices[:-1], plan.differences):
             np.subtract(fields[hi], fields[lo], out=d)
@@ -302,7 +301,7 @@ def _differences(state: State, plan: _Plan) -> tuple:
         largest = np.maximum.reduce(np.abs(d, out=magnitude), plan.cells).tolist()
         largest = list(map(h.__rtruediv__, largest))
         gmax = largest if gmax is None else list(map(max, gmax, largest))
-    state.memo["differences"] = plan, plan.fills, plan.differences, plan.velocity, gmax
+    plan.source, plan.gmax = fields, gmax
     return plan.differences, plan.velocity, gmax
 
 
@@ -314,13 +313,13 @@ def _rates(state: State, plan: _Plan) -> np.ndarray:
     zeros for imex, which treats diffusion implicitly, or of d*lap(fields)
     for explicit-euler; laplacian_neumann and chemotaxis_divergence are the
     references of the fused stencils.  Every intermediate lies in the
-    plan's workspace, and the state's differences are consumed.
+    plan's workspace, and the differences are consumed: plan.source is cleared.
     """
     fields, rates = state.fields, plan.rates
     index_u, index_v, index_w = plan.components_index
     u, v, w = fields[index_u], fields[index_v], fields[index_w]
     differences, velocity, gmax = _differences(state, plan)
-    plan.fills += 1  # the flux is taken in place in them, and imex zeroes rates over v's
+    plan.source = None  # the flux is taken in place in them, and imex zeroes rates over v's
     if plan.explicit:
         rates.fill(0.0)
         for (below, above, flux, h2), d in zip(plan.laplacian, differences):
@@ -439,11 +438,8 @@ def _start(initial: State, params: Params, grid: Grid) -> RunResult:
     exponent; the initial state stands in for the final one until the run
     sets it, so that no copy is held while the run steps."""
     initial.validate(grid)
-    baseline = RunBaseline(
-        mass_u0=integrate(initial.u, grid),
-        mass_uv0=integrate(initial.u, grid) + integrate(initial.v, grid),
-        volume=grid.volume,
-    )
+    mass_u0 = integrate(initial.u, grid)
+    baseline = RunBaseline(mass_u0=mass_u0, mass_uv0=mass_u0 + integrate(initial.v, grid))
     try:
         exponent = float(select_energy_exponent(params.alpha, grid.ndim))
     except ExponentInfeasibleError:
@@ -463,7 +459,8 @@ def run(initial, params, grid: Grid, control: StepControl,
     dt too small to change the next monitor time (target + dt == target):
     at once when that dt is 0, else after its step, so that a positivity
     failure of that step is the one reported.  on_record(state, record) is
-    called with the state of every record.
+    called with the state of every record.  The oracles count t from 0, so
+    an initial state at any other t is refused with a ValueError.
 
     A list of initial states with a matching list of Params, differing only
     in alpha, runs as one ensemble and returns a list with one entry per
@@ -498,6 +495,9 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
         raise ValueError(f"{len(initials)} initial states but {len(params)} Params")
     if any(p.kappa != params[0].kappa or p.coeffs != params[0].coeffs for p in params):
         raise ValueError("ensemble members may differ only in alpha")
+    for initial in initials:  # the oracles count t from 0
+        if initial.t != 0:
+            raise ValueError(f"a run starts at t = 0, got an initial state at t={initial.t}")
     results = [_start(initial, p, grid) for initial, p in zip(initials, params)]
     if t_end == 0 or not initials:
         for result in results:

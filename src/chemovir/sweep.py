@@ -23,8 +23,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .grid import Grid, State, atomic_write, require
-from .model import (Coefficients, ExponentInfeasibleError, Params, alpha_threshold,
-                    select_energy_exponent)
+from .model import Coefficients, Params, alpha_threshold, select_energy_exponent
 from .monitors import _csv_text, classify_boundedness
 from .stepper import StepControl, UnstableRunError, _monitor_targets, run
 
@@ -181,15 +180,11 @@ def _run_rows(spec: SweepSpec, keys: list[tuple[float, int]]) -> list[SweepRow]:
 
 
 def _row(spec: SweepSpec, alpha: float, seed: int, result) -> SweepRow:
+    # an energy exponent exists exactly above the threshold
     above = Fraction(alpha) > alpha_threshold(spec.grid.ndim)
-    try:
-        p_value = float(select_energy_exponent(alpha, spec.grid.ndim))
-        feasible = True
-    except ExponentInfeasibleError:
-        p_value = math.nan
-        feasible = False
+    p_value = float(select_energy_exponent(alpha, spec.grid.ndim)) if above else math.nan
     if isinstance(result, UnstableRunError):
-        return SweepRow(alpha, seed, above, feasible, p_value, verdict="",
+        return SweepRow(alpha, seed, above, above, p_value, verdict="",
                         peak_sup_u=math.nan, energy_max=math.nan, run_status="aborted")
     verdict = classify_boundedness(result.records, spec.growth_factor, spec.tail_fraction,
                                    spec.slope_tol)
@@ -197,7 +192,7 @@ def _row(spec: SweepSpec, alpha: float, seed: int, result) -> SweepRow:
     # NaN energies mean the monitor is off: no admissible exponent, or a
     # coefficient other than 1
     energy_max = math.nan if any(map(math.isnan, energies)) else max(energies)
-    return SweepRow(alpha, seed, above, feasible, p_value, verdict.label,
+    return SweepRow(alpha, seed, above, above, p_value, verdict.label,
                     verdict.peak_sup_u, energy_max, run_status="completed")
 
 

@@ -149,7 +149,7 @@ class TestMassBounds:
 
 def reference_record(state, grid, params, p, baseline):
     """A record built field by field from the public helpers."""
-    c, t, kappa, volume = params.coeffs, state.t, params.kappa, baseline.volume
+    c, t, kappa, volume = params.coeffs, state.t, params.kappa, grid.volume
     mass_u, mass_v = integrate(state.u, grid), integrate(state.v, grid)
     if p is None:
         lp_u = energy = math.nan
@@ -180,20 +180,19 @@ class TestComputeRecord:
     ALPHAS = (0.5, 1.4, 1.4, 1.0, 1.25, 0.65, 2.0, 2.0)
 
     def ensemble(self, grid):
+        # the members of a run share t, kappa and the coefficients at each record
         rng = np.random.default_rng(11)
         count = len(self.ALPHAS)
         fields = rng.uniform(0.0, 3.0, (count, 3) + grid.shape) ** 2
-        times = rng.uniform(0.0, 2.0, count)
-        unit, unequal = Coefficients(), Coefficients(decay_u=0.5, decay_v=2.0)
-        coeffs = [unit, unit, unit, unequal, unit, unit, Coefficients(d_u=0.5), unequal]
-        params = [Params(alpha=a, kappa=1.5, coeffs=c) for a, c in zip(self.ALPHAS, coeffs)]
+        times = [float(rng.uniform(0.0, 2.0))] * count
+        params = [Params(alpha=a, kappa=1.5) for a in self.ALPHAS]
         exponents = []
         for alpha in self.ALPHAS:
             try:
                 exponents.append(float(select_energy_exponent(alpha, grid.ndim)))
             except ExponentInfeasibleError:
                 exponents.append(None)
-        baselines = [RunBaseline(mass_u0=m, mass_uv0=2.0 * m, volume=grid.volume)
+        baselines = [RunBaseline(mass_u0=m, mass_uv0=2.0 * m)
                      for m in rng.uniform(0.5, 2.0, count).tolist()]
         return State.from_fields(fields, times), params, exponents, baselines
 
@@ -204,16 +203,35 @@ class TestComputeRecord:
         records = compute_record(state, grid, params, exponents, baselines)
         singles, references = [], []
         for i, (p, exponent, baseline) in enumerate(zip(params, exponents, baselines)):
-            member = State.from_fields(state.fields[i], float(state.t[i]))
-            singles.append(compute_record(member, grid, p, exponent, baseline))
-            references.append(reference_record(member, grid, p, exponent, baseline))
+            member = State.from_fields(state.fields[i:i + 1], state.t[i:i + 1])
+            singles += compute_record(member, grid, [p], [exponent], [baseline])
+            references.append(reference_record(State.from_fields(state.fields[i], state.t[i]),
+                                               grid, p, exponent, baseline))
         # bit for bit, NaN included
         np.testing.assert_array_equal(record_values(records), record_values(references))
         np.testing.assert_array_equal(record_values(singles), record_values(references))
         assert [type(r.t) for r in records] == [float] * len(records)
-        assert math.isnan(records[3].mass_identity_residual)
         assert math.isnan(records[0].lp_u) and math.isnan(records[0].energy)
-        assert math.isnan(records[6].energy) and math.isfinite(records[6].lp_u)
+        assert [math.isnan(r.energy) for r in records] == [e is None for e in exponents]
+        assert all(math.isfinite(r.mass_identity_residual) for r in records)
+
+    @pytest.mark.parametrize("shape", [(32,), (12, 9), (6, 5, 4)])
+    @pytest.mark.parametrize("member, coeffs", [(3, Coefficients(decay_u=0.5, decay_v=2.0)),
+                                                (6, Coefficients(d_u=0.5))],
+                             ids=["unequal-decay", "d_u"])
+    def test_member_under_overrides_equals_reference(self, shape, member, coeffs):
+        grid = Grid(shape)
+        state, params, exponents, baselines = self.ensemble(grid)
+        p = Params(alpha=params[member].alpha, kappa=params[member].kappa, coeffs=coeffs)
+        one = State.from_fields(state.fields[member:member + 1], state.t[member:member + 1])
+        records = compute_record(one, grid, [p], exponents[member:member + 1],
+                                 baselines[member:member + 1])
+        reference = reference_record(State.from_fields(state.fields[member], state.t[member]),
+                                     grid, p, exponents[member], baselines[member])
+        np.testing.assert_array_equal(record_values(records), record_values([reference]))
+        (record,) = records
+        assert math.isnan(record.mass_identity_residual) == (coeffs.decay_u != coeffs.decay_v)
+        assert math.isnan(record.energy) and math.isfinite(record.lp_u)
 
     def test_rejects_mismatched_members(self):
         grid = Grid((8,))
@@ -222,6 +240,20 @@ class TestComputeRecord:
             compute_record(state, grid, params[1:], exponents, baselines)
         with pytest.raises(ValueError, match="grid"):
             compute_record(state, Grid((9,)), params, exponents, baselines)
+
+    def test_rejects_members_that_differ_in_time_kappa_or_coefficients(self):
+        grid = Grid((8,))
+        state, params, exponents, baselines = self.ensemble(grid)
+        times = list(state.t)
+        times[2] += 0.5
+        with pytest.raises(ValueError, match="share t, kappa and the coefficients"):
+            compute_record(State.from_fields(state.fields, times), grid, params, exponents,
+                           baselines)
+        for other in (Params(alpha=1.4, kappa=1.0),
+                      Params(alpha=1.4, kappa=1.5, coeffs=Coefficients(decay_w=2.0))):
+            with pytest.raises(ValueError, match="share t, kappa and the coefficients"):
+                compute_record(state, grid, params[:2] + [other] + params[3:], exponents,
+                               baselines)
 
     def test_energy_disabled_under_coefficient_overrides(self):
         grid = Grid((16,))

@@ -431,6 +431,18 @@ class TestRun:
         with pytest.raises(ValueError):
             run(bad, Params(alpha=1.0), grid, StepControl(), t_end=1.0, monitor_every=0.5)
 
+    @pytest.mark.parametrize("members", [1, 2], ids=["single", "ensemble"])
+    def test_rejects_an_initial_state_after_t_zero(self, members):
+        # the oracles count t from 0, and the first target would lie behind t
+        grid = Grid((16,))
+        late = State.from_fields(constant_state(grid, 1.0, 0.0, 0.0).fields, 0.5)
+        with pytest.raises(ValueError, match="t=0.5"):
+            if members == 1:
+                run(late, Params(alpha=1.0), grid, StepControl(), t_end=1.0, monitor_every=0.1)
+            else:
+                run([constant_state(grid, 1.0, 0.0, 0.0), late], [Params(alpha=1.0)] * 2, grid,
+                    StepControl(), t_end=1.0, monitor_every=0.1)
+
 
 def assert_same_run(member, single):
     # bit for bit: records (NaN where the energy monitor is off), counters
@@ -677,6 +689,26 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert plan_bytes + peak <= 5.31 * state.fields.nbytes
+
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_differences_taken_once_per_stepped_state(self, monkeypatch, scheme):
+        # the step size and the rates of each stepped state share one filling:
+        # a filling returns a new max |grad v| list, a reuse the plan's last
+        original, plans, last, fills = stepper_module._differences, set(), [None], []
+
+        def counting_differences(state, plan):
+            differences, velocity, gmax = original(state, plan)
+            plans.add(plan)
+            fills.append(gmax is not last[0])
+            last[0] = gmax
+            return differences, velocity, gmax
+
+        monkeypatch.setattr(stepper_module, "_differences", counting_differences)
+        grid, initials, params = TestCarriedState().ensemble()
+        results = run(initials, params, grid, StepControl(scheme=scheme), 1.0, 0.1)
+        steps = results[0].steps
+        assert [r.steps for r in results] == [steps] * 4 and len(plans) == 1
+        assert (sum(fills), len(fills)) == (steps, 2 * steps)
 
     @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
     def test_rates_never_read_differences_of_another_state(self, scheme):
