@@ -1,7 +1,8 @@
 """Command-line entry point: simulate, sweep, verify, threshold.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error
-(a grid too large for the memory at hand included), 3 numerical abort.
+(an output path that cannot be written, or a grid beyond the memory at
+hand, included), 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError) as error:
+    except (ConfigError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except UnstableRunError as error:

@@ -39,9 +39,9 @@ they reached, which goes on to the next target as it is: no copy, and its
 memoised extrema are kept.
 
 Negative values are never clamped: a member whose step produces a
-negative or non-finite value retries alone with half the step, and its
-run aborts after 20 halvings.  Clamping would silently break the mass
-identity.
+negative or non-finite value retries with half the step, the ensemble
+stepping again from the same state, and its run aborts after 20 halvings.
+Clamping would silently break the mass identity.
 """
 
 from __future__ import annotations
@@ -430,7 +430,8 @@ def _monitor_targets(t_end: float, monitor_every: float) -> Iterator[float]:
     while monitor_every > 0 and k * monitor_every < t_end - 1e-9 * max(1.0, t_end):
         yield k * monitor_every
         k += 1
-    yield t_end
+    if t_end > 0:
+        yield t_end
 
 
 def _start(initial: State, params: Params, grid: Grid) -> RunResult:
@@ -453,14 +454,17 @@ def run(initial, params, grid: Grid, control: StepControl,
 
     The step size is re-evaluated from stable_dt every step and clipped so
     each monitor boundary is hit exactly; records land at t = 0, every
-    boundary, and t_end.  Deterministic for identical inputs.  Raises
-    UnstableRunError (with the failing time and state) when positivity
-    cannot be restored by halving dt, or when the step-size formula gives a
-    dt too small to change the next monitor time (target + dt == target):
-    at once when that dt is 0, else after its step, so that a positivity
-    failure of that step is the one reported.  on_record(state, record) is
-    called with the state of every record.  The oracles count t from 0, so
-    an initial state at any other t is refused with a ValueError.
+    boundary, and t_end, so a run to t_end = 0 records once and ends on a
+    copy of its initial state.  Deterministic for identical inputs.  A
+    member whose step is negative or not finite steps again, with its
+    ensemble, at half its dt.  Raises UnstableRunError (with the failing
+    time and state) when positivity cannot be restored by halving dt, or
+    when the step-size formula gives a dt too small to change the next
+    monitor time (target + dt == target): at once when that dt is 0, else
+    after its step, so that a positivity failure of that step is the one
+    reported.  on_record(state, record) is called with the state of every
+    record.  The oracles count t from 0, so an initial state at any other
+    t is refused with a ValueError.
 
     A list of initial states with a matching list of Params, differing only
     in alpha, runs as one ensemble and returns a list with one entry per
@@ -484,10 +488,12 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
     """The run loop, for every member at once on one (E, 3, *shape) array.
 
     Toward each monitor target, the members short of it step together, one
-    step call per ensemble step, each with its own dt.  A member that
-    exhausts its dt halvings, or whose dt cannot advance the time, drops
-    out, its UnstableRunError taking its place in the returned list.  When
-    every live member reaches the target in one step, that state is
+    step call per ensemble step, each with its own dt.  A member whose step
+    is negative or not finite steps again, with the ensemble, from the same
+    state at half its dt; the others retake their step bit for bit.  A
+    member that exhausts its halvings, or whose dt cannot advance the time,
+    drops out, its UnstableRunError taking its place in the returned list.
+    When every live member reaches the target in one step, that state is
     recorded and carried on to the next target as it is; otherwise the
     rows of the members at the target are stacked into a new state.
     """
@@ -499,16 +505,13 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
         if initial.t != 0:
             raise ValueError(f"a run starts at t = 0, got an initial state at t={initial.t}")
     results = [_start(initial, p, grid) for initial, p in zip(initials, params)]
-    if t_end == 0 or not initials:
-        for result in results:
-            result.final_state = result.final_state.copy()
+    if not initials:
         return results
 
-    # the live members' state at the last target, and each member's counters
+    # the live members and their state at the last target
     live = list(range(len(initials)))
     state = State.from_fields(np.stack([initial.fields for initial in initials]),
                               [initial.t for initial in initials])
-    steps, retries, max_dt = [0 for _ in live], [0 for _ in live], [0.0 for _ in live]
     planned = None
 
     def abort(i, values, t, last_error, dt):
@@ -535,8 +538,8 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
         while True:
             keep, arrived = [], []
             for k, i in enumerate(index):
-                steps[i] += taken
-                max_dt[i] = max(max_dt[i], largest[k])
+                results[i].steps += taken
+                results[i].max_dt = max(results[i].max_dt, largest[k])
                 if k in failed:
                     abort(i, state.fields[k], state.t[k], *failed[k])
                 elif k in stuck:
@@ -578,7 +581,18 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
                         break
                 new = step(state, members, grid, dt[0] if len(dt) == 1 else dt, control)
                 if not all(map(_valid, *_extrema(new))):
-                    new, failed = _retry(state, new, members, grid, dt, control, index, retries)
+                    # step again from state, each invalid member's dt halved
+                    for halving in range(MAX_HALVINGS + 1):
+                        low, high = _extrema(new)
+                        invalid = [k for k in range(len(dt)) if not _valid(low[k], high[k])]
+                        for k in invalid:
+                            results[index[k]].negativity_retries += 1
+                        if not invalid or halving == MAX_HALVINGS:
+                            break
+                        for k in invalid:
+                            dt[k] *= 0.5
+                        new = step(state, members, grid, dt[0] if len(dt) == 1 else dt, control)
+                    failed = {k: (_violation(low[k], high[k], dt[k]), dt[k]) for k in invalid}
                 taken, largest = taken + 1, [*map(max, largest, dt)]
                 if failed or stuck or not max(new.t) < cutoff:
                     break
@@ -590,30 +604,4 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
 
     for k, i in enumerate(live):
         results[i].final_state = State.from_fields(state.fields[k], state.t[k])
-        results[i].steps, results[i].negativity_retries = steps[i], retries[i]
-        results[i].max_dt = max_dt[i]
     return results
-
-
-def _retry(state: State, new: State, members: tuple, grid: Grid, dt: list,
-           control: StepControl, index: list, retries: list) -> tuple[State, dict]:
-    """Retry each member that failed its step to ``new`` alone from ``state``,
-    halving its dt each time, up to MAX_HALVINGS times.  Updates ``dt`` to
-    the steps taken and counts failed attempts in ``retries`` (``index``
-    names the members).  Returns the new state and, per member whose every
-    attempt failed, its position mapped to its last error and dt."""
-    fields, times, errors = new.fields.copy(), list(new.t), {}
-    for k, (lo, hi) in enumerate(zip(*_extrema(new))):
-        member = State.from_fields(state.fields[k:k + 1], state.t[k:k + 1])
-        for _ in range(MAX_HALVINGS):
-            if _valid(lo, hi):
-                break
-            retries[index[k]] += 1
-            dt[k] *= 0.5
-            tried = step(member, members[k:k + 1], grid, dt[k], control)
-            fields[k], times[k] = tried.fields[0], tried.t[0]
-            (lo,), (hi,) = _extrema(tried)
-        if not _valid(lo, hi):
-            retries[index[k]] += 1
-            errors[k] = _violation(lo, hi, dt[k]), dt[k]
-    return State.from_fields(fields, times), errors

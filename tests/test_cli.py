@@ -132,6 +132,22 @@ class TestSimulateCommand:
         assert err.startswith("error: cells: 1000000000000000 cells need more memory")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_unusable_out_exits_two(self, tmp_path, capsys, command, below):
+        # --out names a regular file, or a path below one: no directory can be made
+        config, taken = tmp_path / "run.cfg", tmp_path / "taken"
+        config.write_text(SIMULATE_CONFIG.replace("t_end = 0.5", "t_end = 2.0")
+                          + "[sweep]\nalphas = 1.0\n")
+        taken.write_text("keep\n")
+        out = taken / "out" if below else taken
+        jobs = ["--jobs", "1"] if command == "sweep" else []
+        assert main([command, "--config", str(config), "--out", str(out)] + jobs) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert taken.read_text() == "keep\n"
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2

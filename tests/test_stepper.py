@@ -310,12 +310,13 @@ class TestUpwindPositivity:
 
 class TestRun:
     def test_t_end_zero(self):
+        # one record, the t = 0 record of any run, and a copy of the initial state
         grid = Grid((8,))
-        initial = constant_state(grid, 1.0, 0.0, 0.0)
-        result = run(initial, Params(alpha=1.0, kappa=1.0), grid, StepControl(),
-                     t_end=0.0, monitor_every=0.1)
-        assert result.records == []
-        np.testing.assert_array_equal(result.final_state.u, initial.u)
+        initial = initial_condition_preset("random-smooth", grid, 1.0, seed=4)
+        params = Params(alpha=1.0, kappa=1.0)
+        result = run(initial, params, grid, StepControl(), t_end=0.0, monitor_every=0.1)
+        longer = run(initial, params, grid, StepControl(), t_end=1.0, monitor_every=0.1)
+        assert_same_start(result, longer, initial)
 
     def test_records_at_exact_monitor_times(self):
         grid = Grid((8,))
@@ -444,6 +445,34 @@ class TestRun:
                     StepControl(), t_end=1.0, monitor_every=0.1)
 
 
+def assert_same_start(result, longer, initial):
+    # a run to t_end = 0: the first record of a longer run, bit for bit, and
+    # a final state equal to the initial one that shares no memory with it
+    np.testing.assert_array_equal([tuple(vars(r).values()) for r in result.records],
+                                  [tuple(vars(longer.records[0]).values())])
+    assert result.final_state.t == 0.0
+    np.testing.assert_array_equal(result.final_state.fields, initial.fields)
+    assert not np.shares_memory(result.final_state.fields, initial.fields)
+
+
+def failing_step(alpha, largest_dt):
+    """A step that drives the member at ``alpha`` negative while its dt
+    exceeds ``largest_dt``, and hands the plan on as step does."""
+    def wrapper(state, params, grid, dt, control):
+        new = step(state, params, grid, dt, control)
+        dts = [dt] if isinstance(dt, float) else dt
+        failing = [k for k, (p, d) in enumerate(zip(params, dts))
+                   if p.alpha == alpha and d > largest_dt]
+        if not failing:
+            return new
+        fields = new.fields.copy()
+        fields[failing] -= 10.0
+        bad = State.from_fields(fields, new.t)
+        bad.memo["plan"] = new.memo["plan"]
+        return bad
+    return wrapper
+
+
 def assert_same_run(member, single):
     # bit for bit: records (NaN where the energy monitor is off), counters
     # and final state
@@ -550,8 +579,39 @@ class TestEnsemble:
         grid = Grid((8,))
         initials, params = self.members(grid, overflow=False)
         results = run(initials, params, grid, StepControl(), 0.0, 0.1)
-        assert [r.records for r in results] == [[]] * len(initials)
+        longer = run(initials, params, grid, StepControl(), 1.0, 0.1)
+        for result, first, initial in zip(results, longer, initials):
+            assert_same_start(result, first, initial)
         assert run([], [], grid, StepControl(), 1.0, 0.1) == []
+
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_members_recovering_after_halvings_equal_single_runs(self, monkeypatch, scheme):
+        # the member at alpha 2.0 fails every step with dt > 1e-3, so it
+        # halves its way below that at every step while the others go on
+        monkeypatch.setattr(stepper_module, "step", failing_step(2.0, 1e-3))
+        grid, control = Grid((8,)), StepControl(scheme=scheme)
+        initials, params = self.members(grid, overflow=False)
+        results = run(initials, params, grid, control, 0.1, 0.02)
+        for initial, p, member in zip(initials, params, results):
+            assert (member.negativity_retries > 0) == (p.alpha == 2.0)
+            assert_same_run(member, run(initial, p, grid, control, 0.1, 0.02))
+
+    def test_failure_path_builds_one_plan_per_member_set(self, monkeypatch):
+        # three members, one negative at every dt: a plan for the three,
+        # then one for the two left after it aborts
+        plans, original = [], stepper_module._Plan.__init__
+
+        def counting_init(plan, *args):
+            plans.append(plan)
+            original(plan, *args)
+
+        monkeypatch.setattr(stepper_module._Plan, "__init__", counting_init)
+        monkeypatch.setattr(stepper_module, "step", failing_step(1.0, 0.0))
+        grid, initials, params = TestCarriedState().ensemble()
+        results = run(initials[:3], params[:3], grid, StepControl(), 0.1, 0.05)
+        assert [isinstance(r, UnstableRunError) for r in results] == [False, True, False]
+        assert results[1].t == 0.0
+        assert len(plans) <= 3
 
     def test_one_step_call_per_ensemble_step(self, monkeypatch):
         calls = []
