@@ -34,6 +34,14 @@ of equal alphas and one workspace for every intermediate of a step: the
 face differences, taken once per state (the plan records whose they are),
 the rates, which under imex become the right-hand side in place, and the
 solve's scratch.  A step thus allocates only the new state's fields.
+Under explicit-euler each axis has one bordered face array, zero faces at
+both ends of every row, in which each field's whole face flux is built:
+diffusion, less the donor-cell flux in u's row.  An axis's divergence is
+then one subtraction of its lower faces from its upper ones, summed into
+the rates in axis order, so that mirroring any axis mirrors the rates bit
+for bit.  The step size needs max |grad v| only when its upper bound,
+(max v - min v)/h_min from the memoised extrema, cannot rule out the
+advective cap.
 Members that reach a monitor target together are recorded from the state
 they reached, which goes on to the next target as it is: no copy, and its
 memoised extrema are kept.
@@ -132,16 +140,23 @@ class _Plan:
     next in State.memo.
 
     The workspace holds ``rates``, the stacked rates and then the imex
-    right-hand side; under explicit-euler the stacked fields' face
-    differences; and ``phi`` (|grad v| for the advective cap, then phi(u),
-    u*w and production*v), ``part`` (one axis's share of the divergence)
-    and ``divergence``.  Under imex v's face differences lie in ``rates``,
-    which the rates overwrite only once the donor-cell flux has been taken
-    from them, in place.  ``spare`` spans phi, part and divergence, each
-    free again whenever it is used: as the Laplacian's flux under
-    explicit-euler, for decays*fields, and as the solve's scratch.  A step
-    therefore allocates only the new state's fields, and no state's fields
-    lie in the workspace.
+    right-hand side; under explicit-euler one bordered face array per axis;
+    and ``phi`` (|grad v| for the advective cap, then phi(u), u*w and
+    production*v), ``part`` and ``divergence``.  A bordered array keeps a
+    zero face at both ends of every row along its axis: zero end planes,
+    or for the last axis, differenced in one pass over the stacked fields'
+    flat view, a leading zero slot, the zeroed differences across two rows
+    serving as the boundary faces.  Each field's whole face flux is built
+    in it, so that an axis's divergence is one subtraction of its lower
+    faces from its upper ones.  Under imex v's face differences lie in
+    ``rates``, which the rates overwrite only once the donor-cell flux has
+    been taken from them, in place, and the flux is summed in ``part``
+    (one axis's share) and ``divergence``; under explicit-euler the
+    donor-cell flux lies in ``part``.  ``spare`` spans phi, part and
+    divergence, each free again whenever it is used: for an axis's
+    divergence after the first under explicit-euler, for decays*fields,
+    and as the solve's scratch.  A step therefore allocates only the new
+    state's fields, and no state's fields lie in the workspace.
     """
 
     def __init__(self, params: tuple, grid: Grid, control: StepControl, shape: tuple):
@@ -151,7 +166,7 @@ class _Plan:
         self.alphas = tuple([p.alpha for p in params])
         # the runs of equal alphas, each raised as one block with its scalar alpha
         self.alpha_runs = tuple(_member_runs(self.alphas))
-        h_min = min(grid.spacing)
+        self.h_min = h_min = min(grid.spacing)
         self.fixed_cap = control.dt_max
         if self.explicit:
             self.fixed_cap = min(self.fixed_cap, control.cfl_advect * h_min ** 2
@@ -168,57 +183,79 @@ class _Plan:
         self.cells = tuple(range(1, ndim + 1))  # of a member-first field
         # indices of u, v and w in member-first arrays
         self.components_index = tuple((slice(None), k) for k in range(3))
-        self.source = self.gmax = None  # the fields whose differences the workspace holds
+        self.source = None  # the fields whose differences the workspace holds
 
         field = shape[:1] + grid.shape  # one component of every member
         size = math.prod(field)
         faces = [field[:axis + 1] + (field[axis + 1] - 1,) + field[axis + 2:]
                  for axis in range(ndim)]
-        # under explicit-euler the stacked fields' differences, the last
-        # axis's in a full array, differenced in one pass over its flat view
-        # with the differences across two rows zeroed after
-        stacked = [shape[:axis + 2] + (shape[axis + 2] - 1,) + shape[axis + 3:]
-                   for axis in range(ndim - 1)] + [shape] if self.explicit else []
-        workspace = np.empty(6 * size + sum(map(math.prod, stacked)))
-        self.rates, *differences, self.phi, part, self.divergence = _views(
-            workspace, [shape, *stacked, field, field, field])
+        # under explicit-euler the bordered face arrays, the last axis's flat;
+        # zeroed once, as no step writes their end faces but the last axis's
+        bordered = [shape[:axis + 2] + (shape[axis + 2] + 1,) + shape[axis + 3:]
+                    for axis in range(ndim - 1)] + [(3 * size + 1,)] if self.explicit else []
+        workspace = np.zeros(6 * size + sum(map(math.prod, bordered)))
+        self.rates, *bordered, self.phi, part, self.divergence = _views(
+            workspace, [shape, *bordered, field, field, field])
         self.components = self.rates[:, 0], self.rates[:, 1], self.rates[:, 2]
         self.spare = spare = workspace[-3 * size:].reshape(shape)
         self.magnitudes = [_views(self.phi, [face])[0] for face in faces]
         if self.explicit:
-            last = differences[-1]
-            self.last_flat = last.reshape(-1)
-            self.differences = differences[:-1] + [self.last_flat[:-1]]
-            self.velocity = [d[:, 1] for d in differences[:-1]] + [last[:, 1, ..., :-1]]
-            # per axis, the cells of rates either side of its faces (flat for
-            # the last axis), the flux's buffer in spare, and h^2
-            flat = self.rates.reshape(-1)
-            sides = [(self.rates[lo], self.rates[hi]) for lo, hi in self.slices[:-1]]
-            sides.append((flat[:-1], flat[1:]))
-            self.laplacian = [(below, above, _views(spare, [d.shape])[0], h * h)
-                              for (below, above), d, h
-                              in zip(sides, self.differences, grid.spacing)]
+            # per axis: its bordered array (for the last axis, the slot above
+            # each cell) with its interior faces, and its faces above and
+            # below each cell with the array their difference goes to, the
+            # first axis's straight into rates
+            self.last_flat = last = bordered[-1]
+            whole = bordered[:-1] + [last[1:].reshape(shape)]
+            interior = [b[(Ellipsis, slice(1, -1)) + (slice(None),) * (ndim - 1 - axis)]
+                        for axis, b in enumerate(bordered[:-1])] + [whole[-1][..., :-1]]
+            self.differences = interior[:-1]
+            self.velocity = [inner[:, 1] for inner in interior]
+            self.fluxes = [(b, inner[:, 0], h * h)
+                           for b, inner, h in zip(whole, interior, grid.spacing)]
+            outs = [self.rates] + [spare] * (ndim - 1)
+            self.sides = [(b[hi], b[lo], out)
+                          for b, (lo, hi), out in zip(bordered[:-1], self.slices, outs)]
+            self.sides.append((last[1:], last[:-1], outs[-1].reshape(-1)))
         else:
             self.differences = self.velocity = _views(self.rates, faces)
-        # per axis, phi either side of the faces, and the array the flux is
-        # summed into with its cells either side: the first axis's straight
-        # into divergence, each other's in part
+        # per axis, h and phi either side of the faces, then where the flux
+        # goes: under explicit-euler a buffer in part; under imex the array
+        # it is summed into with its cells either side, the first axis's
+        # straight into divergence, each other's in part
         self.donor_cell = []
-        for axis, ((lo, hi), h) in enumerate(zip(self.slices, grid.spacing)):
-            target = self.divergence if axis == 0 else part
-            self.donor_cell.append((self.phi[lo], self.phi[hi], target, target[lo],
-                                    target[hi], h))
+        for axis, ((lo, hi), h, face) in enumerate(zip(self.slices, grid.spacing, faces)):
+            if self.explicit:
+                target = (_views(part, [face])[0],)
+            else:
+                target = self.divergence if axis == 0 else part
+                target = (target, target[lo], target[hi])
+            self.donor_cell.append((h, self.phi[lo], self.phi[hi]) + target)
 
     def step_sizes(self, state: State, until: float = math.inf) -> list[float]:
-        """Each member's step from its extrema and max |grad v|, clipped at ``until``."""
+        """Each member's step from its extrema and max |grad v|, clipped at
+        ``until``.
+
+        max |grad v| is at most (max v - min v)/h_min, and the advective cap
+        falls as max |grad v| grows, each float operation being monotone.
+        So when the cap at that bound is no smaller than the other caps, the
+        cap cannot bind, and the reduction for max |grad v| is skipped: dt
+        is the same bit for bit.  The reduction runs once per state, for
+        every member, when some member's bound cannot decide.
+        """
         low, high = _extrema(state)
-        gmax = _differences(state, self)[-1]
-        steps = []
-        for lo, hi, g, alpha, t in zip(low, high, gmax, self.alphas, state.t):
-            dt = min(self.fixed_cap, self.cfl_react / max(hi[2] + self.decay_u, self.other_decays))
-            if g > 0.0:
-                dt = min(dt, self.advect_length / (self.faces * g * (1.0 + lo[0]) ** (-alpha)))
-            steps.append(min(dt, until - t))
+        steps, gmax = [], None
+        for k, (lo, hi, alpha, t) in enumerate(zip(low, high, self.alphas, state.t)):
+            dt = min(self.fixed_cap, self.cfl_react / max(hi[2] + self.decay_u, self.other_decays),
+                     until - t)
+            spread = hi[1] - lo[1]
+            if spread > 0.0:
+                damping = (1.0 + lo[0]) ** (-alpha)
+                if gmax is None and self.advect_length / (
+                        self.faces * (spread / self.h_min) * damping) < dt:
+                    gmax = _gradient_max(state, self)
+                if gmax is not None and gmax[k] > 0.0:
+                    dt = min(dt, self.advect_length / (self.faces * gmax[k] * damping))
+            steps.append(dt)
         return steps
 
 
@@ -246,7 +283,10 @@ def stable_dt(state: State, params: Params, grid: Grid, control: StepControl) ->
     explicit pointwise loss rate is at most max(w) + decay, giving
     dt <= cfl_react / max(w + decay).  Explicit diffusion adds the usual
     h^2/(2 ndim d) limit.  With no velocity and dt_max as the only cap the
-    result is dt_max, so the step is always positive.
+    result is dt_max, so the step is always positive.  max|grad v| is
+    reduced over the face differences only when its bound (max v - min
+    v)/h_min leaves the advective cap below the others; the result is the
+    same either way, bit for bit.
     """
     member = State.from_fields(state.fields[None], [state.t])  # the ensemble of one member
     return _Plan((params,), grid, control, member.fields.shape).step_sizes(member)[0]
@@ -276,33 +316,45 @@ def _violation(low: list, high: list, dt: float) -> NegativityDetected:
     raise AssertionError("no component violates positivity")
 
 
-def _differences(state: State, plan: _Plan) -> tuple:
-    """An ensemble state's face differences in the plan's workspace: the
-    stacked fields' under explicit-euler (none under imex), v's for the
-    advective cap and the donor-cell flux (views of them under
-    explicit-euler), and each member's max |grad v|.  They are taken only
-    when plan.source, the fields array they came from, is not the state's;
-    _rates consumes them and clears it."""
+def _differences(state: State, plan: _Plan) -> list:
+    """An ensemble state's face differences in the plan's workspace: those
+    of the stacked fields in the bordered arrays under explicit-euler,
+    those of v in rates under imex.  They are taken only when plan.source,
+    the fields array they came from, is not the state's; _rates consumes
+    them and clears it.  Returns v's, per axis."""
     fields, grid = state.fields, plan.grid
     if plan.source is fields:
-        return plan.differences, plan.velocity, plan.gmax
+        return plan.velocity
     if plan.explicit:
         for (lo, hi), d in zip(plan.slices[:-1], plan.differences):
             np.subtract(fields[hi], fields[lo], out=d)
         flat, n = fields.reshape(-1), grid.shape[-1]
-        np.subtract(flat[1:], flat[:-1], out=plan.differences[-1])
-        plan.last_flat[n - 1::n] = 0.0
+        np.subtract(flat[1:], flat[:-1], out=plan.last_flat[1:-1])
+        plan.last_flat[n::n] = 0.0  # across two rows, and the last slot: boundary faces
     else:
         v = fields[:, 1]
         for (lo, hi), d in zip(plan.slices, plan.differences):
             np.subtract(v[hi], v[lo], out=d)
+    plan.source = fields
+    return plan.velocity
+
+
+def _gradient_max(state: State, plan: _Plan) -> list[float]:
+    """Each member's max |grad v|, over v's face differences."""
     gmax = None
-    for d, magnitude, h in zip(plan.velocity, plan.magnitudes, grid.spacing):
+    for d, magnitude, h in zip(_differences(state, plan), plan.magnitudes, plan.grid.spacing):
         largest = np.maximum.reduce(np.abs(d, out=magnitude), plan.cells).tolist()
         largest = list(map(h.__rtruediv__, largest))
         gmax = largest if gmax is None else list(map(max, gmax, largest))
-    plan.source, plan.gmax = fields, gmax
-    return plan.differences, plan.velocity, gmax
+    return gmax
+
+
+def _donor_flux(d, h: float, phi_below, phi_above, out: np.ndarray) -> np.ndarray:
+    """In out, the donor-cell flux phi(u) (d/h) / h, phi from the cell it leaves."""
+    g = np.divide(d, h, out=out)
+    np.multiply(np.where(g > 0.0, phi_below, phi_above), g, out=g)
+    g /= h
+    return g
 
 
 def _rates(state: State, plan: _Plan) -> np.ndarray:
@@ -312,46 +364,56 @@ def _rates(state: State, plan: _Plan) -> np.ndarray:
     conversion, production*v and the decay, plus chemotaxis, on top of
     zeros for imex, which treats diffusion implicitly, or of d*lap(fields)
     for explicit-euler; laplacian_neumann and chemotaxis_divergence are the
-    references of the fused stencils.  Every intermediate lies in the
-    plan's workspace, and the differences are consumed: plan.source is cleared.
+    references of the fused stencils.  Under explicit-euler each axis's
+    whole face flux is built in its bordered array, d*grad f for every
+    field less the donor-cell flux in u's row, and its divergence is its
+    upper faces less its lower ones.  Under imex the donor-cell flux is
+    summed, axis by axis, into a divergence.  Either way each further axis
+    is summed in axis order, so that mirroring any axis mirrors the rates
+    bit for bit.  Every intermediate lies in the plan's workspace, and the
+    differences are consumed: plan.source is cleared.
     """
     fields, rates = state.fields, plan.rates
     index_u, index_v, index_w = plan.components_index
     u, v, w = fields[index_u], fields[index_v], fields[index_w]
-    differences, velocity, gmax = _differences(state, plan)
-    plan.source = None  # the flux is taken in place in them, and imex zeroes rates over v's
-    if plan.explicit:
-        rates.fill(0.0)
-        for (below, above, flux, h2), d in zip(plan.laplacian, differences):
-            np.divide(d, h2, out=flux)
-            below += flux
-            above -= flux
-        if plan.diffusivities is not None:
-            rates *= plan.diffusivities
-    # a member without a gradient gets a divergence of exact zeros; with none, it is skipped
-    chemotaxis = any(gmax)
+    velocity = _differences(state, plan)
+    plan.source = None  # the fluxes are taken in place in them, and imex zeroes rates over v's
+    # a member whose v is constant gets a chemotactic flux of exact zeros;
+    # when every member's is, the flux is skipped
+    chemotaxis = any(lo[1] != hi[1] for lo, hi in zip(*_extrema(state)))
     if chemotaxis:
-        divergence, phi = plan.divergence, _sensitivity(u, plan.alpha_runs, plan.phi)
-        divergence.fill(0.0)
-        for (phi_below, phi_above, part, below, above, h), g in zip(plan.donor_cell, velocity):
-            g /= h  # the flux, in place in v's differences
-            np.multiply(np.where(g > 0.0, phi_below, phi_above), g, out=g)
-            g /= h
-            if part is divergence:
-                below += g
-                above -= g
-            else:
-                # each further axis in a zeroed buffer, summed in axis order,
-                # so that mirroring an axis mirrors the output bitwise
-                part.fill(0.0)
-                below += g
-                above -= g
-                divergence += part
-    if not plan.explicit:
-        rates.fill(0.0)
+        _sensitivity(u, plan.alpha_runs, plan.phi)
     rates_u, rates_v, rates_w = plan.components
-    if chemotaxis:
-        rates_u -= divergence
+    if plan.explicit:
+        for (faces, faces_u, h2), g, (h, phi_below, phi_above, flux) in zip(
+                plan.fluxes, velocity, plan.donor_cell):
+            if chemotaxis:
+                _donor_flux(g, h, phi_below, phi_above, flux)
+            faces /= h2
+            if plan.diffusivities is not None:
+                faces *= plan.diffusivities
+            if chemotaxis:
+                faces_u -= flux
+        for axis, (upper, lower, out) in enumerate(plan.sides):
+            np.subtract(upper, lower, out=out)
+            if axis:
+                rates += plan.spare
+    else:
+        if chemotaxis:
+            divergence = plan.divergence
+            divergence.fill(0.0)
+            for (h, phi_below, phi_above, part, below, above), g in zip(plan.donor_cell,
+                                                                        velocity):
+                _donor_flux(g, h, phi_below, phi_above, g)  # in place in v's differences
+                if part is not divergence:
+                    part.fill(0.0)  # each further axis in a zeroed buffer
+                below += g
+                above -= g
+                if part is not divergence:
+                    divergence += part
+        rates.fill(0.0)
+        if chemotaxis:
+            rates_u -= divergence
     # the identical array enters u and v: exact mass budget
     conversion = np.multiply(u, w, out=plan.phi)
     rates_u -= conversion

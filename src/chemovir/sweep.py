@@ -15,7 +15,6 @@ disabled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import islice, repeat
@@ -133,6 +132,7 @@ class SweepSpec(RunSpec):
                 "a nonempty list, every alpha >= 0", self.alphas)
         require(bool(self.seeds) and all(s >= 0 for s in self.seeds), "seeds",
                 "a nonempty list, every seed >= 0", self.seeds)
+        require(self.t_end > 0, "t_end", "t_end > 0", self.t_end)
         targets = islice(_monitor_targets(self.t_end, self.monitor_every), 9)
         require(len(list(targets)) == 9, "monitor_every",
                 "at least 10 records per run (t = 0 and 9 monitor targets)", self.monitor_every)
@@ -216,6 +216,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     processes = min(jobs, len(ensembles))
     if processes == 1:
         return SweepResult([row for ensemble in ensembles for row in _run_rows(spec, ensemble)])
+    # imported here, so that a process that never fans out does not load it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(processes - 1) as pool:
         # the workers start on theirs before this process runs its own
         theirs = pool.map(_run_rows, repeat(spec),

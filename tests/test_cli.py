@@ -227,6 +227,15 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "alphas" in capsys.readouterr().err
 
+    def test_sweep_to_t_end_zero_exits_two_citing_t_end(self, tmp_path, capsys):
+        # no monitor cadence can fit 10 records before t = 0: t_end is at fault
+        config, out_dir = tmp_path / "sweep.cfg", tmp_path / "out"
+        config.write_text(SIMULATE_CONFIG.replace("t_end = 0.5", "t_end = 0")
+                          + "\n[sweep]\nalphas = 1.0\n")
+        assert main(["sweep", "--config", str(config), "--out", str(out_dir), "--jobs", "1"]) == 2
+        assert capsys.readouterr().err == "error: line 12: t_end must satisfy t_end > 0, got 0.0\n"
+        assert not out_dir.exists()
+
 
 def other_value(kind, default):
     """A valid value of a key other than its default (SWEEP_BASE's, for alpha and alphas)."""
@@ -350,3 +359,14 @@ class TestUsage:
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
+
+    def test_import_does_not_load_the_process_pool(self):
+        # only a sweep that fans out needs it; it adds about 1 MB to any other run
+        import chemovir
+        source_root = os.path.dirname(os.path.dirname(chemovir.__file__))
+        env = dict(os.environ, PYTHONPATH=source_root)
+        probe = ("import sys, chemovir; "
+                 "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

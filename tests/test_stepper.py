@@ -89,6 +89,99 @@ class TestStableDt:
         assert dt > 0
 
 
+class TestStepSizes:
+    """_Plan.step_sizes against the step-size formula, written out."""
+
+    @staticmethod
+    def formula(fields, times, params, grid, control, until):
+        # every cap at every step, max |grad v| included
+        c, h_min, faces = params[0].coeffs, min(grid.spacing), 2.0 * grid.ndim
+        fixed = control.dt_max
+        if control.scheme == "explicit-euler":
+            fixed = min(fixed, control.cfl_advect * h_min ** 2
+                        / (2.0 * grid.ndim * max(c.d_u, c.d_v, c.d_w)))
+        steps = []
+        for (u, v, w), p, t in zip(fields, params, times):
+            dt = min(fixed, control.cfl_react / max(float(w.max()) + c.decay_u,
+                                                    max(c.decay_v, c.decay_w)))
+            g = max(float(np.abs(np.diff(v, axis=axis)).max()) / h
+                    for axis, h in enumerate(grid.spacing))
+            if g > 0.0:
+                dt = min(dt, control.cfl_advect * h_min
+                         / (faces * g * (1.0 + float(u.min())) ** (-p.alpha)))
+            steps.append(min(dt, until - t))
+        return steps
+
+    @staticmethod
+    def ensemble(shape, v_spread, seed):
+        # u near 0, so that the advective cap is as small as its v allows;
+        # the last member's v is constant
+        rng = np.random.default_rng(seed)
+        alphas = (0.5, 2.0, 1.0, 0.0)
+        fields = np.stack([np.stack([rng.uniform(0.0, 0.1, shape),
+                                     rng.uniform(0.0, v_spread, shape),
+                                     rng.uniform(0.0, 1.0, shape)]) for _ in alphas])
+        fields[-1, 1] = 0.5
+        return fields, tuple(Params(alpha=alpha, kappa=1.0) for alpha in alphas)
+
+    def step_sizes(self, monkeypatch, fields, params, grid, control, until):
+        original, reductions = stepper_module._gradient_max, []
+
+        def counting_gradient_max(state, plan):
+            reductions.append(state)
+            return original(state, plan)
+
+        monkeypatch.setattr(stepper_module, "_gradient_max", counting_gradient_max)
+        times = [0.0, 0.25, 0.5, 0.125]
+        state = State.from_fields(fields, times)
+        plan = stepper_module._Plan(params, grid, control, fields.shape)
+        steps = plan.step_sizes(state, until)
+        assert steps == self.formula(fields, times, params, grid, control, until)
+        return steps, len(reductions)
+
+    @pytest.mark.parametrize("shape", [(8,), (6, 5), (4, 3, 3)])
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_advective_cap_binds_on_a_steep_v(self, monkeypatch, shape, scheme):
+        grid = Grid(shape)
+        fields, params = self.ensemble(shape, 50.0, len(shape))
+        control = StepControl(scheme=scheme)
+        steps, reductions = self.step_sizes(monkeypatch, fields, params, grid, control, 0.8)
+        # one reduction for every member; all but the last capped by it
+        assert reductions == 1
+        fixed = self.formula(fields[-1:], [0.0], params[-1:], grid, control, math.inf)[0]
+        assert max(steps[:-1]) < fixed and steps[-1] == fixed
+
+    @pytest.mark.parametrize("shape", [(16,), (8, 12), (4, 6, 3)])
+    def test_advective_cap_binds_at_the_bound(self, monkeypatch, shape):
+        # v jumps by its whole spread across the faces of the finest axis,
+        # so max |grad v| equals its bound; with u = 0 the advective cap is
+        # half the diffusion cap
+        grid = Grid(shape)
+        axis, jump = int(np.argmin(grid.spacing)), [slice(None)] * len(shape)
+        jump[axis] = slice(shape[axis] // 2, None)
+        member = np.zeros((3,) + shape)
+        member[1][tuple(jump)] = 2.0
+        fields = np.stack([member] * 4)
+        params = tuple(Params(alpha=alpha, kappa=1.0) for alpha in (0.5, 2.0, 1.0, 0.0))
+        control = StepControl(scheme="explicit-euler")
+        steps, reductions = self.step_sizes(monkeypatch, fields, params, grid, control, math.inf)
+        fixed = control.cfl_advect * min(grid.spacing) ** 2 / (2.0 * grid.ndim)
+        assert reductions == 1 and steps == [fixed / 2] * 4
+
+    @pytest.mark.parametrize("shape", [(32,), (12, 10), (6, 5, 4)])
+    def test_reduction_skipped_where_the_bound_rules_the_cap_out(self, monkeypatch, shape):
+        # under explicit-euler the diffusion cap binds, and the bound rules
+        # the advective cap out while v's spread times (1 + min u)^-alpha
+        # stays at most the largest diffusivity, here 1
+        grid = Grid(shape)
+        fields, params = self.ensemble(shape, 0.5, len(shape))
+        control = StepControl(scheme="explicit-euler")
+        for until in (math.inf, 0.5 + 1e-6):  # the third member's step clipped
+            steps, reductions = self.step_sizes(monkeypatch, fields, params, grid, control, until)
+            assert reductions == 0
+        assert steps[2] == until - 0.5 < steps[0] == steps[1] == steps[3]
+
+
 class TestStep:
     @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
     def test_infection_free_fixed_point(self, scheme):
@@ -306,6 +399,27 @@ class TestUpwindPositivity:
             dt = stable_dt(state, params, grid, control)
             updated = u - dt * chemotaxis_divergence(u, v, grid, alpha)
             assert float(updated.min()) >= 0.0
+
+
+class TestMirrorSymmetry:
+    @pytest.mark.parametrize("shape", [(31,), (9, 7), (6, 5, 4)])
+    @pytest.mark.parametrize("coeffs", [Coefficients(), Coefficients(
+        d_u=0.6, d_v=1.7, d_w=0.4, decay_u=1.3, decay_v=0.8, decay_w=2.1, production=1.9)],
+        ids=["unit", "mixed"])
+    def test_explicit_rates_mirror_along_every_axis(self, shape, coeffs):
+        # an axis's divergence is its upper faces less its lower ones, and
+        # each further axis is summed in axis order: flipping any axis of
+        # the fields flips the rates bit for bit
+        rng = np.random.default_rng(len(shape))
+        grid = Grid(shape)
+        params = Params(alpha=0.8, kappa=0.7, coeffs=coeffs)
+        fields = np.stack([rng.uniform(0.0, 2.0, shape), rng.uniform(0.0, 5.0, shape),
+                           rng.uniform(0.0, 1.0, shape)])
+        rates = single_rates(State.from_fields(fields), params, grid, "explicit-euler")
+        for axis in range(1, len(shape) + 1):
+            mirrored = State.from_fields(np.flip(fields, axis).copy())
+            np.testing.assert_array_equal(
+                single_rates(mirrored, params, grid, "explicit-euler"), np.flip(rates, axis))
 
 
 class TestRun:
@@ -752,23 +866,41 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
     def test_differences_taken_once_per_stepped_state(self, monkeypatch, scheme):
-        # the step size and the rates of each stepped state share one filling:
-        # a filling returns a new max |grad v| list, a reuse the plan's last
-        original, plans, last, fills = stepper_module._differences, set(), [None], []
+        # the rates of each stepped state, and its step size when that needs
+        # max |grad v|, share one filling: a filling overwrites a marker left
+        # in v's first face difference, a reuse finds it there
+        original, plans, fills = stepper_module._differences, set(), []
+        original_gradient_max, reductions = stepper_module._gradient_max, []
 
         def counting_differences(state, plan):
-            differences, velocity, gmax = original(state, plan)
             plans.add(plan)
-            fills.append(gmax is not last[0])
-            last[0] = gmax
-            return differences, velocity, gmax
+            first, index = plan.velocity[0], (0,) * plan.velocity[0].ndim
+            kept, first[index] = first[index], np.nan
+            velocity = original(state, plan)
+            fills.append(not np.isnan(first[index]))
+            if not fills[-1]:
+                first[index] = kept
+            return velocity
+
+        def counting_gradient_max(state, plan):
+            reductions.append(state.fields)
+            return original_gradient_max(state, plan)
 
         monkeypatch.setattr(stepper_module, "_differences", counting_differences)
+        monkeypatch.setattr(stepper_module, "_gradient_max", counting_gradient_max)
         grid, initials, params = TestCarriedState().ensemble()
+        if scheme == "explicit-euler":
+            # v spread so far that its bound cannot rule out the advective
+            # cap until diffusion has flattened it; the cap does not bind,
+            # and the members still step together
+            v = 2.5 + 2.0 * np.cos(2 * np.pi * grid.cell_centers(0))
+            initials = [State(initial.u, v, initial.w) for initial in initials]
         results = run(initials, params, grid, StepControl(scheme=scheme), 1.0, 0.1)
         steps = results[0].steps
         assert [r.steps for r in results] == [steps] * 4 and len(plans) == 1
-        assert (sum(fills), len(fills)) == (steps, 2 * steps)
+        # at most one reduction per stepped state, each sharing its filling
+        assert 0 < len(reductions) == len({id(fields) for fields in reductions}) < steps
+        assert (sum(fills), len(fills)) == (steps, steps + len(reductions))
 
     @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
     def test_rates_never_read_differences_of_another_state(self, scheme):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from fractions import Fraction
 import tracemalloc
@@ -226,7 +227,7 @@ class TestRunSweep:
         started, sizes = [], []
         original_run = sweep_module.run
 
-        class RecordingPool(sweep_module.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, *args, **kwargs):
                 started.append(max_workers)
                 super().__init__(max_workers, *args, **kwargs)
@@ -235,7 +236,7 @@ class TestRunSweep:
             sizes.append(len(initials))  # in the workers too, but kept only here
             return original_run(initials, *args)
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sweep_module, "run", recording_run)
         assert run_sweep(spec, jobs=jobs).to_csv_text() == expected
         assert started == workers
