@@ -138,11 +138,16 @@ class State:
         return State.from_fields(self.fields.copy(), self.t)
 
     def validate(self, grid: Grid):
-        for name in ("u", "v", "w"):
-            values = check_field(getattr(self, name), grid, name)
-            if not np.all(np.isfinite(values)):
+        """Raise ValueError for fields off the grid's shape, then, u, v and w in
+        turn, for a NaN or inf extremum, then for a minimum below 0."""
+        check_field(self.u, grid, "u")  # the fields are stacked: v and w share u's shape
+        cells = _trailing_axes(self.fields.ndim, grid.ndim)
+        low = np.minimum.reduce(self.fields, cells).tolist()
+        high = np.maximum.reduce(self.fields, cells).tolist()
+        for name, lo, hi in zip("uvw", low, high):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"{name} contains non-finite values")
-            if np.any(values < 0):
+            if lo < 0:
                 raise ValueError(f"{name} contains negative values")
 
 

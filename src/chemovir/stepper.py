@@ -36,12 +36,15 @@ the rates, which under imex become the right-hand side in place, and the
 solve's scratch.  A step thus allocates only the new state's fields.
 Under explicit-euler each axis has one bordered face array, zero faces at
 both ends of every row, in which each field's whole face flux is built:
-diffusion, less the donor-cell flux in u's row.  An axis's divergence is
-then one subtraction of its lower faces from its upper ones, summed into
-the rates in axis order, so that mirroring any axis mirrors the rates bit
-for bit.  The step size needs max |grad v| only when its upper bound,
-(max v - min v)/h_min from the memoised extrema, cannot rule out the
-advective cap.
+d*diff f/h^2, and (d*diff f - phi_up*diff v)/h^2 in u's row.  The
+donor-cell flux is formed on v's raw face differences and shares the
+diffusion flux's one division by h^2, exact on a spacing of 2^-k, where
+it therefore equals (phi_up*(diff v/h))/h bit for bit.  An axis's
+divergence is then one subtraction of its lower faces from its upper
+ones, summed into the rates in axis order, so that mirroring any axis
+mirrors the rates bit for bit.  The step size needs max |grad v| only
+when its upper bound, (max v - min v)/h_min from the memoised extrema,
+cannot rule out the advective cap.
 Members that reach a monitor target together are recorded from the state
 they reached, which goes on to the next target as it is: no copy, and its
 memoised extrema are kept.
@@ -150,13 +153,16 @@ class _Plan:
     in it, so that an axis's divergence is one subtraction of its lower
     faces from its upper ones.  Under imex v's face differences lie in
     ``rates``, which the rates overwrite only once the donor-cell flux has
-    been taken from them, in place, and the flux is summed in ``part``
-    (one axis's share) and ``divergence``; under explicit-euler the
-    donor-cell flux lies in ``part``.  ``spare`` spans phi, part and
-    divergence, each free again whenever it is used: for an axis's
-    divergence after the first under explicit-euler, for decays*fields,
-    and as the solve's scratch.  A step therefore allocates only the new
-    state's fields, and no state's fields lie in the workspace.
+    been taken from them, in place, and divided by h^2, and the flux is
+    summed in ``part`` (one axis's share) and ``divergence``.  Under
+    explicit-euler the unscaled donor-cell flux phi_up*diff v lies in
+    ``part`` until u's row of the bordered array takes it, ahead of the
+    one division by h^2 of every field's face flux (exact on a spacing of
+    2^-k).  ``spare`` spans phi, part and divergence, each free again
+    whenever it is used: for an axis's divergence after the first under
+    explicit-euler, for decays*fields, and as the solve's scratch.  A step
+    therefore allocates only the new state's fields, and no state's fields
+    lie in the workspace.
     """
 
     def __init__(self, params: tuple, grid: Grid, control: StepControl, shape: tuple):
@@ -218,8 +224,8 @@ class _Plan:
             self.sides.append((last[1:], last[:-1], outs[-1].reshape(-1)))
         else:
             self.differences = self.velocity = _views(self.rates, faces)
-        # per axis, h and phi either side of the faces, then where the flux
-        # goes: under explicit-euler a buffer in part; under imex the array
+        # per axis, phi either side of the faces, then where the flux goes:
+        # under explicit-euler a buffer in part; under imex h^2 and the array
         # it is summed into with its cells either side, the first axis's
         # straight into divergence, each other's in part
         self.donor_cell = []
@@ -228,8 +234,8 @@ class _Plan:
                 target = (_views(part, [face])[0],)
             else:
                 target = self.divergence if axis == 0 else part
-                target = (target, target[lo], target[hi])
-            self.donor_cell.append((h, self.phi[lo], self.phi[hi]) + target)
+                target = (h * h, target, target[lo], target[hi])
+            self.donor_cell.append((self.phi[lo], self.phi[hi]) + target)
 
     def step_sizes(self, state: State, until: float = math.inf) -> list[float]:
         """Each member's step from its extrema and max |grad v|, clipped at
@@ -349,12 +355,12 @@ def _gradient_max(state: State, plan: _Plan) -> list[float]:
     return gmax
 
 
-def _donor_flux(d, h: float, phi_below, phi_above, out: np.ndarray) -> np.ndarray:
-    """In out, the donor-cell flux phi(u) (d/h) / h, phi from the cell it leaves."""
-    g = np.divide(d, h, out=out)
-    np.multiply(np.where(g > 0.0, phi_below, phi_above), g, out=g)
-    g /= h
-    return g
+def _donor_flux(d, phi_below, phi_above, out: np.ndarray) -> np.ndarray:
+    """In out, the unscaled donor-cell flux phi(u) d of v's face differences
+    d, phi from the cell the flux leaves.  The caller divides it by h^2, with
+    the diffusion flux under explicit-euler: on a spacing of 2^-k that
+    division is exact, so the flux equals (phi (d/h))/h bit for bit."""
+    return np.multiply(np.where(d > 0.0, phi_below, phi_above), d, out=out)
 
 
 def _rates(state: State, plan: _Plan) -> np.ndarray:
@@ -365,13 +371,16 @@ def _rates(state: State, plan: _Plan) -> np.ndarray:
     zeros for imex, which treats diffusion implicitly, or of d*lap(fields)
     for explicit-euler; laplacian_neumann and chemotaxis_divergence are the
     references of the fused stencils.  Under explicit-euler each axis's
-    whole face flux is built in its bordered array, d*grad f for every
-    field less the donor-cell flux in u's row, and its divergence is its
-    upper faces less its lower ones.  Under imex the donor-cell flux is
-    summed, axis by axis, into a divergence.  Either way each further axis
-    is summed in axis order, so that mirroring any axis mirrors the rates
-    bit for bit.  Every intermediate lies in the plan's workspace, and the
-    differences are consumed: plan.source is cleared.
+    whole face flux, (d*diff f - phi_up*diff v)/h^2 in u's row and
+    d*diff f/h^2 in the others, is built in its bordered array, the
+    donor-cell flux taken before the diffusivities scale v's differences;
+    one division by h^2, exact on a spacing of 2^-k, scales both fluxes.
+    Its divergence is its upper faces less its lower ones.  Under imex the
+    donor-cell flux, divided by h^2 at once, is summed, axis by axis, into
+    a divergence.  Either way each further axis is summed in axis order,
+    so that mirroring any axis mirrors the rates bit for bit.  Every
+    intermediate lies in the plan's workspace, and the differences are
+    consumed: plan.source is cleared.
     """
     fields, rates = state.fields, plan.rates
     index_u, index_v, index_w = plan.components_index
@@ -385,15 +394,15 @@ def _rates(state: State, plan: _Plan) -> np.ndarray:
         _sensitivity(u, plan.alpha_runs, plan.phi)
     rates_u, rates_v, rates_w = plan.components
     if plan.explicit:
-        for (faces, faces_u, h2), g, (h, phi_below, phi_above, flux) in zip(
+        for (faces, faces_u, h2), g, (phi_below, phi_above, flux) in zip(
                 plan.fluxes, velocity, plan.donor_cell):
-            if chemotaxis:
-                _donor_flux(g, h, phi_below, phi_above, flux)
-            faces /= h2
+            if chemotaxis:  # before the diffusivities scale v's differences
+                _donor_flux(g, phi_below, phi_above, flux)
             if plan.diffusivities is not None:
                 faces *= plan.diffusivities
             if chemotaxis:
                 faces_u -= flux
+            faces /= h2  # each field's whole face flux: (d*diff f - phi_up*diff v)/h^2
         for axis, (upper, lower, out) in enumerate(plan.sides):
             np.subtract(upper, lower, out=out)
             if axis:
@@ -402,9 +411,10 @@ def _rates(state: State, plan: _Plan) -> np.ndarray:
         if chemotaxis:
             divergence = plan.divergence
             divergence.fill(0.0)
-            for (h, phi_below, phi_above, part, below, above), g in zip(plan.donor_cell,
-                                                                        velocity):
-                _donor_flux(g, h, phi_below, phi_above, g)  # in place in v's differences
+            for (phi_below, phi_above, h2, part, below, above), g in zip(plan.donor_cell,
+                                                                         velocity):
+                _donor_flux(g, phi_below, phi_above, g)  # in place in v's differences
+                g /= h2
                 if part is not divergence:
                     part.fill(0.0)  # each further axis in a zeroed buffer
                 below += g

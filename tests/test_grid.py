@@ -325,6 +325,36 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="finite"):
             State(u, grid.new_field(0.0), grid.new_field(0.0)).validate(grid)
 
+    @pytest.mark.parametrize("values,message", [
+        ((math.nan, -1.0), "v contains non-finite values"),  # NaN before the negative value
+        ((-1.0, math.nan), "v contains non-finite values"),
+        ((-math.inf, 1.0), "v contains non-finite values"),
+        ((2.0, -1e-300), "v contains negative values"),
+    ], ids=["nan-then-negative", "negative-then-nan", "minus-inf", "negative"])
+    def test_each_field_reports_its_first_fault(self, values, message):
+        grid = Grid((3, 4))
+        v = grid.new_field(1.0)
+        v[0, 1], v[2, 0] = values
+        w = grid.new_field(-1.0)  # a later field's fault is not the one reported
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            State(grid.new_field(0.5), v, w).validate(grid)
+
+    def test_fields_report_in_order(self):
+        grid = Grid((4,))
+        u, v = grid.new_field(1.0), grid.new_field(1.0)
+        u[3], v[0] = -2.0, math.nan
+        with pytest.raises(ValueError, match="^u contains negative values$"):
+            State(u, v, grid.new_field(0.0)).validate(grid)
+
+    def test_negative_zero_passes(self):
+        grid = Grid((4, 3))
+        State(grid.new_field(-0.0), grid.new_field(0.0), grid.new_field(-0.0)).validate(grid)
+
+    def test_rejects_fields_off_the_grid(self):
+        state = State(np.ones(5), np.ones(5), np.ones(5))
+        with pytest.raises(ValueError, match=r"^u shape \(5,\) does not match grid \(4,\)$"):
+            state.validate(Grid((4,)))
+
 
 class TestStateLayout:
     def test_fields_are_one_read_only_array(self):

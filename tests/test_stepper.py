@@ -422,6 +422,110 @@ class TestMirrorSymmetry:
                 single_rates(mirrored, params, grid, "explicit-euler"), np.flip(rates, axis))
 
 
+def upper_less_lower(faces, axis):
+    """The divergence of a face flux whose boundary faces are zero."""
+    zero = np.zeros_like(np.take(faces, [0], axis=axis))
+    return np.diff(np.concatenate([zero, faces, zero], axis=axis), axis=axis)
+
+
+def written_out_rates(fields, params, scheme, grid):
+    """An ensemble's rates by the donor-cell formula ((dv/h) phi_up)/h, with
+    the diffusion flux d (df/h^2) under explicit-euler, each axis's divergence
+    summed in axis order, and the kinetics in _rates' order."""
+    rates = []
+    for member, p in zip(fields, params):
+        c = p.coeffs
+        u, v, w = member
+        phi = u / (1.0 + u) ** p.alpha
+        total = 0.0
+        for axis, h in enumerate(grid.spacing):
+            below = (slice(None),) * axis + (slice(None, -1),)
+            above = (slice(None),) * axis + (slice(1, None),)
+            g = np.diff(v, axis=axis) / h
+            flux = np.where(g > 0.0, phi[below], phi[above]) * g
+            flux /= h
+            if scheme == "explicit-euler":
+                faces = np.diff(member, axis=axis + 1) / (h * h)
+                faces *= np.reshape((c.d_u, c.d_v, c.d_w), (3,) + (1,) * grid.ndim)
+                faces[0] -= flux
+                total = total + upper_less_lower(faces, axis + 1)
+            else:
+                total = total + upper_less_lower(flux, axis)
+        if scheme == "explicit-euler":
+            rate = total
+        else:
+            rate = np.zeros(member.shape)
+            rate[0] -= total
+        rate[0] -= u * w
+        rate[1] += u * w
+        rate[0] += p.kappa
+        rate[2] += c.production * v
+        rate -= np.reshape((c.decay_u, c.decay_v, c.decay_w), (3,) + (1,) * grid.ndim) * member
+        rates.append(rate)
+    return np.stack(rates)
+
+
+MIXED = Coefficients(d_u=0.6, d_v=1.7, d_w=0.4, decay_u=1.3, decay_v=0.8, decay_w=2.1,
+                     production=1.9)
+
+
+class TestDonorCellFlux:
+    """_rates against the donor-cell formula written out: the flux is formed
+    on the raw face differences and divided by h^2 once, which on a spacing
+    of 2^-k is exact."""
+
+    @staticmethod
+    def rates(shape, scheme, coeffs, seed):
+        # three members at distinct alphas, with steep and gentle v
+        rng = np.random.default_rng(seed)
+        params = tuple(Params(alpha=alpha, kappa=0.7, coeffs=coeffs) for alpha in (0.8, 2.0, 0.0))
+        fields = np.stack([np.stack([rng.uniform(0.0, 2.0, shape),
+                                     rng.uniform(0.0, scale, shape),
+                                     rng.uniform(0.0, 1.0, shape)]) for scale in (5.0, 0.1, 1.0)])
+        grid = Grid(shape)
+        plan = stepper_module._Plan(params, grid, StepControl(scheme=scheme), fields.shape)
+        got = stepper_module._rates(State.from_fields(fields, [0.0] * 3), plan).copy()
+        return got, written_out_rates(fields, params, scheme, grid)
+
+    @pytest.mark.parametrize("shape", [(32,), (16, 8), (8, 4, 4)])
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    @pytest.mark.parametrize("coeffs", [Coefficients(), MIXED], ids=["unit", "mixed"])
+    def test_equal_to_the_formula_on_power_of_two_spacing(self, shape, scheme, coeffs):
+        got, want = self.rates(shape, scheme, coeffs, len(shape))
+        assert np.abs(want[:, 0]).max() > 1.0
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(12, 10), (6, 5, 4)])
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    @pytest.mark.parametrize("coeffs", [Coefficients(), MIXED], ids=["unit", "mixed"])
+    def test_within_rounding_of_the_formula_on_other_spacing(self, shape, scheme, coeffs):
+        got, want = self.rates(shape, scheme, coeffs, len(shape))
+        scale = np.abs(want).max(axis=tuple(range(2, want.ndim)), keepdims=True)
+        assert (np.abs(got - want) <= 1e-15 * scale).all()
+
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_constant_v_member_gets_exact_zero_flux(self, monkeypatch, scheme):
+        # beside a member with chemotaxis, a member whose v is constant gets
+        # the rates it would get with phi = 0: its flux is exact zeros
+        grid = Grid((10, 6))
+        rng = np.random.default_rng(3)
+        params = (Params(alpha=0.8, kappa=0.7, coeffs=MIXED),
+                  Params(alpha=1.5, kappa=0.7, coeffs=MIXED))
+        fields = rng.uniform(0.1, 2.0, (2, 3) + grid.shape)
+        fields[1, 1] = 0.5
+
+        def rates():
+            plan = stepper_module._Plan(params, grid, StepControl(scheme=scheme), fields.shape)
+            return stepper_module._rates(State.from_fields(fields, [0.0, 0.0]), plan).copy()
+
+        with_flux = rates()
+        monkeypatch.setattr(stepper_module, "_sensitivity",
+                            lambda u, runs, out: np.multiply(u, 0.0, out=out))
+        without_flux = rates()
+        assert not np.array_equal(with_flux[0], without_flux[0])
+        np.testing.assert_array_equal(with_flux[1], without_flux[1])
+
+
 class TestRun:
     def test_t_end_zero(self):
         # one record, the t = 0 record of any run, and a copy of the initial state
