@@ -24,10 +24,11 @@ SNAPSHOT_MAGIC = "CVF2"
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered mesh in 1, 2 or 3 dimensions.
+    """Uniform cell-centered mesh in any number of dimensions.
 
     ``shape`` gives cells per axis (each >= 3); ``lengths`` the domain
-    extent per axis (default 1.0 each).
+    extent per axis (default 1.0 each).  The cell-count bound alone limits
+    ndim: at most 36 axes, and (E, 3, *shape) stays within numpy's 64.
     """
 
     shape: tuple[int, ...]
@@ -38,7 +39,7 @@ class Grid:
         require(all(isinstance(s, (int, np.integer)) or isinstance(s, float) and s.is_integer()
                     for s in shape), "cells", "a whole number of cells per axis", shape)
         shape = tuple(int(s) for s in shape)
-        require(1 <= len(shape) <= 3, "ndim", "ndim in {1, 2, 3}", f"shape {shape}")
+        require(len(shape) >= 1, "ndim", "ndim >= 1", f"shape {shape}")
         require(all(s >= 3 for s in shape), "cells", "every axis >= 3 cells", shape)
         # the (3, *shape) float64 state array must fit numpy's largest array
         require(24 * math.prod(shape) <= np.iinfo(np.intp).max, "cells",
@@ -271,7 +272,7 @@ def atomic_write(path, data):
 def write_snapshot(path, state: State, grid: Grid) -> None:
     """Write a lossless binary snapshot (CVF2 format).
 
-    Layout: four text lines, the magic ``CVF2``, ``ndim s1 [s2] [s3]``, the
+    Layout: four text lines, the magic ``CVF2``, ``ndim s1 ... s_ndim``, the
     domain lengths and ``t=<time>`` (numbers to 17 significant digits), then
     the ``(3, *shape)`` array of u, v and w as raw little-endian float64 in
     C order.

@@ -34,17 +34,17 @@ of equal alphas and one workspace for every intermediate of a step: the
 face differences, taken once per state (the plan records whose they are),
 the rates, which under imex become the right-hand side in place, and the
 solve's scratch.  A step thus allocates only the new state's fields.
-Under explicit-euler each axis has one bordered face array, zero faces at
-both ends of every row, in which each field's whole face flux is built:
-d*diff f/h^2, and (d*diff f - phi_up*diff v)/h^2 in u's row.  The
-donor-cell flux is formed on v's raw face differences and shares the
-diffusion flux's one division by h^2, exact on a spacing of 2^-k, where
-it therefore equals (phi_up*(diff v/h))/h bit for bit.  An axis's
-divergence is then one subtraction of its lower faces from its upper
-ones, summed into the rates in axis order, so that mirroring any axis
-mirrors the rates bit for bit.  The step size needs max |grad v| only
-when its upper bound, (max v - min v)/h_min from the memoised extrema,
-cannot rule out the advective cap.
+Under explicit-euler every axis has a flat bordered face array of one
+layout, with zero faces at both ends of every row, in which each field's
+whole face flux is built: d*diff f/h^2, and (d*diff f - phi_up*diff v)/h^2
+in u's row.  The donor-cell flux is formed on v's raw face differences
+and shares the diffusion flux's one division by h^2, exact on a spacing
+of 2^-k, where it therefore equals (phi_up*(diff v/h))/h bit for bit.
+An axis's divergence is then one subtraction of its lower faces from its
+upper ones, summed into the rates in axis order, so that mirroring any
+axis mirrors the rates bit for bit.  The step size needs max |grad v|
+only when its upper bound, (max v - min v)/h_min from the memoised
+extrema, cannot rule out the advective cap.
 Members that reach a monitor target together are recorded from the state
 they reached, which goes on to the next target as it is: no copy, and its
 memoised extrema are kept.
@@ -145,24 +145,25 @@ class _Plan:
     The workspace holds ``rates``, the stacked rates and then the imex
     right-hand side; under explicit-euler one bordered face array per axis;
     and ``phi`` (|grad v| for the advective cap, then phi(u), u*w and
-    production*v), ``part`` and ``divergence``.  A bordered array keeps a
-    zero face at both ends of every row along its axis: zero end planes,
-    or for the last axis, differenced in one pass over the stacked fields'
-    flat view, a leading zero slot, the zeroed differences across two rows
-    serving as the boundary faces.  Each field's whole face flux is built
-    in it, so that an axis's divergence is one subtraction of its lower
-    faces from its upper ones.  Under imex v's face differences lie in
-    ``rates``, which the rates overwrite only once the donor-cell flux has
-    been taken from them, in place, and divided by h^2, and the flux is
-    summed in ``part`` (one axis's share) and ``divergence``.  Under
-    explicit-euler the unscaled donor-cell flux phi_up*diff v lies in
+    production*v), ``part`` and ``divergence``.  An axis's bordered array
+    b holds 3*E*N + s values, s the axis's stride (the product of the later
+    axes' cell counts): b[s + j] is the face above cell j of the stacked
+    fields' flat view, its faces above each row's last cell zeroed and its
+    first s zero from the start, so that every row has a zero face at both
+    ends.  Each field's whole face flux is built in it, so that an axis's
+    divergence is one subtraction of its lower faces from its upper ones.
+    Under explicit-euler the unscaled donor-cell flux phi_up*diff v lies in
     ``part`` until u's row of the bordered array takes it, ahead of the
     one division by h^2 of every field's face flux (exact on a spacing of
-    2^-k).  ``spare`` spans phi, part and divergence, each free again
-    whenever it is used: for an axis's divergence after the first under
-    explicit-euler, for decays*fields, and as the solve's scratch.  A step
-    therefore allocates only the new state's fields, and no state's fields
-    lie in the workspace.
+    2^-k).  Under imex v's face differences lie in ``rates`` and, beyond
+    three axes, in the ndim - 3 fields' worth after it; the rates
+    overwrite them only once the donor-cell flux has been taken from them,
+    in place, and divided by h^2, and the flux is summed in ``part`` (one
+    axis's share) and ``divergence``.  ``spare`` spans phi, part and
+    divergence, each free again whenever it is used: for an axis's
+    divergence after the first under explicit-euler, for decays*fields,
+    and as the solve's scratch.  A step therefore allocates only the new
+    state's fields, and no state's fields lie in the workspace.
     """
 
     def __init__(self, params: tuple, grid: Grid, control: StepControl, shape: tuple):
@@ -195,35 +196,33 @@ class _Plan:
         size = math.prod(field)
         faces = [field[:axis + 1] + (field[axis + 1] - 1,) + field[axis + 2:]
                  for axis in range(ndim)]
-        # under explicit-euler the bordered face arrays, the last axis's flat;
-        # zeroed once, as no step writes their end faces but the last axis's
-        bordered = [shape[:axis + 2] + (shape[axis + 2] + 1,) + shape[axis + 3:]
-                    for axis in range(ndim - 1)] + [(3 * size + 1,)] if self.explicit else []
-        workspace = np.zeros(6 * size + sum(map(math.prod, bordered)))
-        self.rates, *bordered, self.phi, part, self.divergence = _views(
-            workspace, [shape, *bordered, field, field, field])
+        # after rates: under explicit-euler the bordered arrays, whose first
+        # s faces stay zero; under imex the room v's differences need past it
+        strides = [math.prod(grid.shape[axis + 1:]) for axis in range(ndim)]
+        after = ([3 * size + s for s in strides] if self.explicit
+                 else [max(ndim - 3, 0) * size])
+        workspace = np.zeros(6 * size + sum(after))
+        self.rates, *after, self.phi, part, self.divergence = _views(
+            workspace, [shape, *[(n,) for n in after], field, field, field])
         self.components = self.rates[:, 0], self.rates[:, 1], self.rates[:, 2]
         self.spare = spare = workspace[-3 * size:].reshape(shape)
         self.magnitudes = [_views(self.phi, [face])[0] for face in faces]
         if self.explicit:
-            # per axis: its bordered array (for the last axis, the slot above
-            # each cell) with its interior faces, and its faces above and
-            # below each cell with the array their difference goes to, the
-            # first axis's straight into rates
-            self.last_flat = last = bordered[-1]
-            whole = bordered[:-1] + [last[1:].reshape(shape)]
-            interior = [b[(Ellipsis, slice(1, -1)) + (slice(None),) * (ndim - 1 - axis)]
-                        for axis, b in enumerate(bordered[:-1])] + [whole[-1][..., :-1]]
-            self.differences = interior[:-1]
-            self.velocity = [inner[:, 1] for inner in interior]
-            self.fluxes = [(b, inner[:, 0], h * h)
-                           for b, inner, h in zip(whole, interior, grid.spacing)]
+            # per axis: its stride, bordered array b and faces above each
+            # row's last cell; b[s:] as the stacked fields, with u's and v's
+            # interior faces; and b's faces above and below each cell with
+            # the array their difference goes to, the first axis's in rates
+            self.bordered = [(s, b, b[s:].reshape(-1, n, s)[:, -1])
+                             for s, b, n in zip(strides, after, grid.shape)]
+            whole = [b[s:].reshape(shape) for s, b in zip(strides, after)]
+            self.velocity = [upper[lo][:, 1] for upper, (lo, hi) in zip(whole, self.slices)]
+            self.fluxes = [(upper, upper[lo][:, 0], h * h)
+                           for upper, (lo, hi), h in zip(whole, self.slices, grid.spacing)]
             outs = [self.rates] + [spare] * (ndim - 1)
-            self.sides = [(b[hi], b[lo], out)
-                          for b, (lo, hi), out in zip(bordered[:-1], self.slices, outs)]
-            self.sides.append((last[1:], last[:-1], outs[-1].reshape(-1)))
+            self.sides = [(b[s:], b[:-s], out.reshape(-1))
+                          for s, b, out in zip(strides, after, outs)]
         else:
-            self.differences = self.velocity = _views(self.rates, faces)
+            self.velocity = _views(workspace, faces)
         # per axis, phi either side of the faces, then where the flux goes:
         # under explicit-euler a buffer in part; under imex h^2 and the array
         # it is summed into with its cells either side, the first axis's
@@ -328,18 +327,17 @@ def _differences(state: State, plan: _Plan) -> list:
     those of v in rates under imex.  They are taken only when plan.source,
     the fields array they came from, is not the state's; _rates consumes
     them and clears it.  Returns v's, per axis."""
-    fields, grid = state.fields, plan.grid
+    fields = state.fields
     if plan.source is fields:
         return plan.velocity
     if plan.explicit:
-        for (lo, hi), d in zip(plan.slices[:-1], plan.differences):
-            np.subtract(fields[hi], fields[lo], out=d)
-        flat, n = fields.reshape(-1), grid.shape[-1]
-        np.subtract(flat[1:], flat[:-1], out=plan.last_flat[1:-1])
-        plan.last_flat[n::n] = 0.0  # across two rows, and the last slot: boundary faces
+        flat = fields.reshape(-1)
+        for s, b, top in plan.bordered:
+            np.subtract(flat[s:], flat[:-s], out=b[s:-s])
+            top.fill(0.0)  # faces taken across two rows: boundary faces
     else:
         v = fields[:, 1]
-        for (lo, hi), d in zip(plan.slices, plan.differences):
+        for (lo, hi), d in zip(plan.slices, plan.velocity):
             np.subtract(v[hi], v[lo], out=d)
     plan.source = fields
     return plan.velocity

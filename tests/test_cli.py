@@ -164,6 +164,37 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
 
 
+class TestBeyondThreeAxes:
+    """The threshold's n = 4 value and its n >= 5 branch, end to end."""
+
+    CONFIG = ("[model]\nalpha = {alpha}\nkappa = 1.0\npreset = gaussian-bump-v\n"
+              "[grid]\nndim = {ndim}\ncells = {cells}\n"
+              "[stepper]\nt_end = 1.0\n[monitors]\nmonitor_every = 0.1\n")
+
+    def test_simulate_on_four_axes(self, tmp_path):
+        config, out_dir = tmp_path / "run.cfg", tmp_path / "out"
+        config.write_text(self.CONFIG.format(alpha=1.5, ndim=4, cells=6))
+        assert main(["simulate", "--config", str(config), "--out", str(out_dir)]) == 0
+        state, grid = read_snapshot(out_dir / "final_state.cvf")
+        assert state.fields.shape == (3, 6, 6, 6, 6) and grid.shape == (6,) * 4
+        assert state.t == 1.0
+
+    def test_sweep_on_five_axes_follows_the_threshold(self, tmp_path):
+        # alpha_threshold(5) = 5/4: 1.25 itself is not above it
+        config, out_dir = tmp_path / "sweep.cfg", tmp_path / "out"
+        config.write_text(self.CONFIG.format(alpha=1.0, ndim=5, cells=4)
+                          + "[sweep]\nalphas = 1.0, 1.25, 1.5, 2.0\n")
+        assert main(["sweep", "--config", str(config), "--out", str(out_dir), "--jobs", "2"]) == 0
+        with open(out_dir / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["alpha"] for row in rows] == ["1.0", "1.25", "1.5", "2.0"]
+        for row in rows:
+            above = float(row["alpha"]) > 1.25
+            assert row["above_threshold"] == str(above).lower()
+            assert row["run_status"] == "completed"
+            assert math.isfinite(float(row["energy_max"])) == above
+
+
 class TestSweepCommand:
     def test_writes_sweep_csv(self, tmp_path):
         config = tmp_path / "sweep.cfg"

@@ -10,7 +10,8 @@ from chemovir.grid import Grid, integrate, lp_norm
 
 
 def random_grid(ndim, rng):
-    shapes = {1: [(16,), (33,)], 2: [(8, 9), (12, 5)], 3: [(4, 5, 6), (3, 7, 4)]}
+    shapes = {1: [(16,), (33,)], 2: [(8, 9), (12, 5)], 3: [(4, 5, 6), (3, 7, 4)],
+              4: [(5, 4, 3, 6), (3, 6, 4, 4)], 5: [(4, 3, 5, 3, 4), (3, 4, 3, 3, 5)]}
     shape = shapes[ndim][rng.integers(0, 2)]
     lengths = tuple(float(L) for L in rng.uniform(0.5, 2.0, ndim))
     return Grid(shape, lengths)
@@ -28,7 +29,7 @@ class TestLaplacian:
         lap = laplacian_neumann(field, grid)
         np.testing.assert_array_equal(lap[2:-2], 2.0)
 
-    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 4, 5])
     def test_conservation_random(self, ndim):
         rng = np.random.default_rng(42 + ndim)
         for _ in range(20):
@@ -87,7 +88,7 @@ class TestChemotaxisDivergence:
         amplitude = np.pi ** 2 / 2.0
         assert np.abs(result - reference).max() <= 0.05 * amplitude
 
-    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 4, 5])
     def test_conservation_random(self, ndim):
         rng = np.random.default_rng(7 + ndim)
         for _ in range(20):

@@ -53,9 +53,14 @@ class TestGridGeometry:
     def test_whole_float_cell_count(self):
         assert Grid((4.0, np.int64(5))).shape == (4, 5)
 
-    def test_rejects_four_dimensions(self):
-        with pytest.raises(ValueError):
-            Grid((4, 4, 4, 4))
+    def test_ndim_bounded_by_the_cell_count_alone(self):
+        assert Grid((4, 4, 4, 4)).ndim == 4
+        assert Grid((5, 4, 3, 3, 3)).shape == (5, 4, 3, 3, 3)
+        with pytest.raises(ValueError, match="^ndim"):
+            Grid(())
+        # 3^40 cells overflow numpy's largest array
+        with pytest.raises(ValueError, match="^cells"):
+            Grid((3,) * 40)
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
@@ -291,9 +296,9 @@ class TestSnapshotIO:
     @pytest.mark.parametrize("header,cells", [
         (b"1 x\n1\nt=0", 3),  # the dimension line does not parse
         (b"1 3\nzz\nt=0", 3),  # nor do the lengths
-        (b"4 3 3 3 3\n1 1 1 1\nt=0", 81),  # a dimension Grid refuses
+        (b"2 3 2\n1 1\nt=0", 6),  # a shape Grid refuses: an axis of 2 cells
         (b"1 3\n1\nt=abc", 3),  # nor does the time, with a full payload
-    ], ids=["dimensions", "lengths", "four-dimensional", "time"])
+    ], ids=["dimensions", "lengths", "two-cell-axis", "time"])
     def test_header_errors_name_the_file(self, tmp_path, header, cells):
         path = tmp_path / "state.cvf"
         path.write_bytes(b"CVF2\n" + header + b"\n" + np.ones(3 * cells).astype("<f8").tobytes())

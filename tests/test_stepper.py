@@ -234,7 +234,7 @@ class TestStep:
                 measured = integrate(state.u, grid) + integrate(state.v, grid)
                 assert abs(measured - predicted) <= 1e-12 * max(1.0, abs(measured)), shape
 
-    @pytest.mark.parametrize("shape", [(24,), (7, 6), (5, 4, 3)])
+    @pytest.mark.parametrize("shape", [(24,), (7, 6), (5, 4, 3), (8, 7, 6, 5), (6, 5, 5, 4, 4)])
     def test_explicit_matches_operator_reference(self, shape):
         # the fused explicit step against the public operators, term by term
         rng = np.random.default_rng(len(shape))
@@ -402,7 +402,7 @@ class TestUpwindPositivity:
 
 
 class TestMirrorSymmetry:
-    @pytest.mark.parametrize("shape", [(31,), (9, 7), (6, 5, 4)])
+    @pytest.mark.parametrize("shape", [(31,), (9, 7), (6, 5, 4), (8, 7, 6, 5), (6, 5, 5, 4, 4)])
     @pytest.mark.parametrize("coeffs", [Coefficients(), Coefficients(
         d_u=0.6, d_v=1.7, d_w=0.4, decay_u=1.3, decay_v=0.8, decay_w=2.1, production=1.9)],
         ids=["unit", "mixed"])
@@ -487,7 +487,7 @@ class TestDonorCellFlux:
         got = stepper_module._rates(State.from_fields(fields, [0.0] * 3), plan).copy()
         return got, written_out_rates(fields, params, scheme, grid)
 
-    @pytest.mark.parametrize("shape", [(32,), (16, 8), (8, 4, 4)])
+    @pytest.mark.parametrize("shape", [(32,), (16, 8), (8, 4, 4), (8, 4, 4, 4), (4, 4, 4, 4, 4)])
     @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
     @pytest.mark.parametrize("coeffs", [Coefficients(), MIXED], ids=["unit", "mixed"])
     def test_equal_to_the_formula_on_power_of_two_spacing(self, shape, scheme, coeffs):
@@ -495,7 +495,7 @@ class TestDonorCellFlux:
         assert np.abs(want[:, 0]).max() > 1.0
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("shape", [(12, 10), (6, 5, 4)])
+    @pytest.mark.parametrize("shape", [(12, 10), (6, 5, 4), (8, 7, 6, 5), (6, 5, 5, 4, 4)])
     @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
     @pytest.mark.parametrize("coeffs", [Coefficients(), MIXED], ids=["unit", "mixed"])
     def test_within_rounding_of_the_formula_on_other_spacing(self, shape, scheme, coeffs):
@@ -714,7 +714,8 @@ class TestEnsemble:
                                 grid.new_field(1e308))
         return initials, [Params(alpha=alpha, kappa=kappa) for alpha in self.ALPHAS]
 
-    @pytest.mark.parametrize("shape", [(32,), (33,), (7, 6), (5, 4, 3)])
+    @pytest.mark.parametrize("shape", [(32,), (33,), (7, 6), (5, 4, 3), (8, 7, 6, 5),
+                                       (6, 5, 5, 4, 4)])
     @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
     def test_members_equal_single_runs(self, shape, scheme):
         control = StepControl(scheme=scheme, dt_max=0.01 if scheme == "imex" else 1.0)
@@ -923,17 +924,21 @@ class TestWorkspace:
     """A planned step writes its intermediates into the plan's workspace."""
 
     @staticmethod
-    def planned(scheme):
-        grid = Grid((40, 32, 24))
+    def planned(scheme, shape=(40, 32, 24)):
+        grid = Grid(shape)
         params = (Params(alpha=1.5, kappa=1.0),)
         control = StepControl(dt_max=0.01, scheme=scheme)
         initial = initial_condition_preset("gaussian-bump-v", grid, 1.0)
         state = State.from_fields(initial.fields[None].copy(), [0.0])
         return grid, params, control, state
 
+    # grids of 7,200 cells or more: on smaller ones the buffers numpy's
+    # iterator takes for a broadcast operand, freed within the call, weigh
+    # more than the fields (an imex step on 6x5x4 peaks at 3.6x them)
+    @pytest.mark.parametrize("shape", [(40, 32, 24), (12, 10, 8, 8), (8, 6, 6, 5, 5)])
     @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
-    def test_step_allocates_only_its_fields(self, scheme):
-        grid, params, control, state = self.planned(scheme)
+    def test_step_allocates_only_its_fields(self, scheme, shape):
+        grid, params, control, state = self.planned(scheme, shape)
         plan = stepper_module._Plan(params, grid, control, state.fields.shape)
         state.memo["plan"] = plan
         state = step(state, params, grid, plan.step_sizes(state)[0], control)  # warm-up
@@ -1022,3 +1027,30 @@ class TestWorkspace:
         np.testing.assert_array_equal(stepper_module._rates(first, plan)[0], expected)
         np.testing.assert_array_equal(stepper_module._rates(first, plan)[0], expected)
         assert plan.step_sizes(first) == dt
+
+
+class TestBorderedFaces:
+    """Under explicit-euler every axis's bordered array has one layout: with
+    s the axis's stride, b[s + j] is the face above cell j of the stacked
+    fields' flat view."""
+
+    @pytest.mark.parametrize("shape", [(6, 5, 4), (5, 4, 3, 3)])
+    def test_faces_beyond_the_rows_are_zero(self, shape):
+        # each array's first s faces and its faces above every row's last
+        # cell are exact zeros, also once an earlier state's fluxes were built
+        # in it; the others are the fields' differences along the axis
+        grid, rng = Grid(shape), np.random.default_rng(len(shape))
+        params = (Params(alpha=0.8, kappa=0.7, coeffs=MIXED),
+                  Params(alpha=1.5, kappa=0.7, coeffs=MIXED))
+        plan = stepper_module._Plan(params, grid, StepControl(scheme="explicit-euler"),
+                                    (2, 3) + shape)
+        first, second = (rng.uniform(0.5, 2.0, (2, 3) + shape) for _ in range(2))
+        stepper_module._rates(State.from_fields(first, [0.0, 0.0]), plan)
+        stepper_module._differences(State.from_fields(second, [0.0, 0.0]), plan)
+        for axis, (s, b, _) in enumerate(plan.bordered):
+            assert (s, b.size) == (math.prod(shape[axis + 1:]), second.size + s)
+            faces = b[s:].reshape(second.shape)  # the face above each cell
+            np.testing.assert_array_equal(b[:s], 0.0)
+            np.testing.assert_array_equal(np.take(faces, -1, axis + 2), 0.0)
+            np.testing.assert_array_equal(np.delete(faces, -1, axis + 2),
+                                          np.diff(second, axis=axis + 2))
