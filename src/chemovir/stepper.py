@@ -34,17 +34,18 @@ of equal alphas and one workspace for every intermediate of a step: the
 face differences, taken once per state (the plan records whose they are),
 the rates, which under imex become the right-hand side in place, and the
 solve's scratch.  A step thus allocates only the new state's fields.
-Under explicit-euler every axis has a flat bordered face array of one
-layout, with zero faces at both ends of every row, in which each field's
-whole face flux is built: d*diff f/h^2, and (d*diff f - phi_up*diff v)/h^2
-in u's row.  The donor-cell flux is formed on v's raw face differences
-and shares the diffusion flux's one division by h^2, exact on a spacing
-of 2^-k, where it therefore equals (phi_up*(diff v/h))/h bit for bit.
-An axis's divergence is then one subtraction of its lower faces from its
-upper ones, summed into the rates in axis order, so that mirroring any
-axis mirrors the rates bit for bit.  The step size needs max |grad v|
-only when its upper bound, (max v - min v)/h_min from the memoised
-extrema, cannot rule out the advective cap.
+Under both schemes every axis has a flat bordered face array of one
+layout, with zero faces at both ends of every row, in which the face flux
+is built: under explicit-euler each field's, d*diff f/h^2, and
+(d*diff f - phi_up*diff v)/h^2 in u's row; under imex, which treats
+diffusion implicitly, the donor-cell flux phi_up*diff v/h^2 alone, in v's
+rows.  The donor-cell flux is formed on v's raw face differences and
+divided by h^2 once, exact on a spacing of 2^-k, where it therefore equals
+(phi_up*(diff v/h))/h bit for bit.  An axis's divergence is then one
+subtraction of the faces either side of each cell, summed into the rates
+in axis order, so that mirroring any axis mirrors the rates bit for bit.
+The step size needs max |grad v| only when its upper bound, (max v -
+min v)/h_min from the memoised extrema, cannot rule out the advective cap.
 Members that reach a monitor target together are recorded from the state
 they reached, which goes on to the next target as it is: no copy, and its
 memoised extrema are kept.
@@ -143,27 +144,28 @@ class _Plan:
     next in State.memo.
 
     The workspace holds ``rates``, the stacked rates and then the imex
-    right-hand side; under explicit-euler one bordered face array per axis;
-    and ``phi`` (|grad v| for the advective cap, then phi(u), u*w and
-    production*v), ``part`` and ``divergence``.  An axis's bordered array
-    b holds 3*E*N + s values, s the axis's stride (the product of the later
-    axes' cell counts): b[s + j] is the face above cell j of the stacked
-    fields' flat view, its faces above each row's last cell zeroed and its
-    first s zero from the start, so that every row has a zero face at both
-    ends.  Each field's whole face flux is built in it, so that an axis's
-    divergence is one subtraction of its lower faces from its upper ones.
-    Under explicit-euler the unscaled donor-cell flux phi_up*diff v lies in
-    ``part`` until u's row of the bordered array takes it, ahead of the
-    one division by h^2 of every field's face flux (exact on a spacing of
-    2^-k).  Under imex v's face differences lie in ``rates`` and, beyond
-    three axes, in the ndim - 3 fields' worth after it; the rates
-    overwrite them only once the donor-cell flux has been taken from them,
-    in place, and divided by h^2, and the flux is summed in ``part`` (one
-    axis's share) and ``divergence``.  ``spare`` spans phi, part and
-    divergence, each free again whenever it is used: for an axis's
-    divergence after the first under explicit-euler, for decays*fields,
-    and as the solve's scratch.  A step therefore allocates only the new
-    state's fields, and no state's fields lie in the workspace.
+    right-hand side; one bordered face array per axis; and ``phi`` (|grad
+    v| for the advective cap, then phi(u), u*w and production*v).  An
+    axis's bordered array b holds r*n + s values, s the axis's stride (the
+    product of the later axes' cell counts) and r rows of n values the
+    rows it differences: every field's, 3*E*N values as one row, under
+    explicit-euler, and each member's v, E rows of N, under imex.  b[s + j]
+    is the face above cell j of the rows; its first s faces and those
+    above each row's last cell are zeroed for each state, so that every
+    row has a zero face at both ends.  The face flux is built in b, so that
+    an axis's divergence is one subtraction: its upper faces less its lower
+    ones under explicit-euler, and its lower less its upper ones, u's rate
+    -div(phi_up grad v), under imex.  Under explicit-euler the unscaled
+    donor-cell flux phi_up*diff v lies in a buffer after phi until u's row
+    takes it; under imex it is formed in place in v's differences.  Either
+    way one division by h^2 (exact on a spacing of 2^-k) follows.
+    ``spare``, three fields' worth, lies past the bordered arrays under
+    explicit-euler, over phi and that buffer, and over the arrays under
+    imex, whose rates leave them free.  Each is free again whenever it is
+    used: for an axis's divergence after the first (in phi under imex), for
+    decays*fields, and as the solve's scratch.  A step therefore allocates
+    only the new state's fields, and no state's fields lie in the
+    workspace.
     """
 
     def __init__(self, params: tuple, grid: Grid, control: StepControl, shape: tuple):
@@ -184,7 +186,8 @@ class _Plan:
         # the default unit coefficients skip their scaling pass, a numpy call per step
         self.kappa, self.production = params[0].kappa, c.production
         diffusivities, decays = (c.d_u, c.d_v, c.d_w), (c.decay_u, c.decay_v, c.decay_w)
-        self.diffusivities = None if diffusivities == (1.0,) * 3 else _column(diffusivities, ndim)
+        self.diffusivities = (None if diffusivities == (1.0,) * 3 or not self.explicit
+                              else _column(diffusivities, ndim))
         self.decays = None if decays == (1.0,) * 3 else _column(decays, ndim)
         self.slices = [_face_slices(ndim, axis) for axis in range(ndim)]
         self.cells = tuple(range(1, ndim + 1))  # of a member-first field
@@ -196,45 +199,54 @@ class _Plan:
         size = math.prod(field)
         faces = [field[:axis + 1] + (field[axis + 1] - 1,) + field[axis + 2:]
                  for axis in range(ndim)]
-        # after rates: under explicit-euler the bordered arrays, whose first
-        # s faces stay zero; under imex the room v's differences need past it
+        # the bordered arrays difference r rows of n values, pick's in the
+        # fields reshaped to plan.rows: every field's as one flat row, or each
+        # member's v; views of the r rows have the shape as_rows
+        r, n = (1, 3 * size) if self.explicit else (shape[0], size // shape[0])
+        self.rows, pick = ((-1,), ()) if self.explicit else ((r, 3, n), (slice(None), 1))
+        as_rows = (-1,) if self.explicit else (r, n)
         strides = [math.prod(grid.shape[axis + 1:]) for axis in range(ndim)]
-        after = ([3 * size + s for s in strides] if self.explicit
-                 else [max(ndim - 3, 0) * size])
-        workspace = np.zeros(6 * size + sum(after))
-        self.rates, *after, self.phi, part, self.divergence = _views(
-            workspace, [shape, *[(n,) for n in after], field, field, field])
+        lengths = [r * n + s for s in strides]
+        # rates, the bordered arrays and phi; spare lies past the arrays, or over them under imex
+        phi_at = 3 * size + sum(lengths)
+        spare_at = phi_at if self.explicit else 3 * size
+        workspace = np.zeros(max(phi_at + size, spare_at + 3 * size))
+        self.rates, *bordered, self.phi = _views(
+            workspace, [shape, *[(length,) for length in lengths], field])
         self.components = self.rates[:, 0], self.rates[:, 1], self.rates[:, 2]
-        self.spare = spare = workspace[-3 * size:].reshape(shape)
+        self.spare = spare = workspace[spare_at:spare_at + 3 * size].reshape(shape)
         self.magnitudes = [_views(self.phi, [face])[0] for face in faces]
-        if self.explicit:
-            # per axis: its stride, bordered array b and faces above each
-            # row's last cell; b[s:] as the stacked fields, with u's and v's
-            # interior faces; and b's faces above and below each cell with
-            # the array their difference goes to, the first axis's in rates
-            self.bordered = [(s, b, b[s:].reshape(-1, n, s)[:, -1])
-                             for s, b, n in zip(strides, after, grid.shape)]
-            whole = [b[s:].reshape(shape) for s, b in zip(strides, after)]
-            self.velocity = [upper[lo][:, 1] for upper, (lo, hi) in zip(whole, self.slices)]
-            self.fluxes = [(upper, upper[lo][:, 0], h * h)
-                           for upper, (lo, hi), h in zip(whole, self.slices, grid.spacing)]
-            outs = [self.rates] + [spare] * (ndim - 1)
-            self.sides = [(b[s:], b[:-s], out.reshape(-1))
-                          for s, b, out in zip(strides, after, outs)]
-        else:
-            self.velocity = _views(workspace, faces)
-        # per axis, phi either side of the faces, then where the flux goes:
-        # under explicit-euler a buffer in part; under imex h^2 and the array
-        # it is summed into with its cells either side, the first axis's
-        # straight into divergence, each other's in part
-        self.donor_cell = []
-        for axis, ((lo, hi), h, face) in enumerate(zip(self.slices, grid.spacing, faces)):
-            if self.explicit:
-                target = (_views(part, [face])[0],)
-            else:
-                target = self.divergence if axis == 0 else part
-                target = (h * h, target, target[lo], target[hi])
-            self.donor_cell.append((self.phi[lo], self.phi[hi]) + target)
+        # per axis: the rows' cells above and below its faces, where their
+        # difference goes, and b's zero faces, the first s of every cells*s
+        # values from its start, in a view reaching past b
+        self.bordered, self.differencing, start = bordered, [], 3 * size
+        for s, b, cells in zip(strides, bordered, grid.shape):
+            zeros = workspace[start:start + r * n + cells * s].reshape(-1, cells, s)[:, 0]
+            above, below = pick + (slice(s, None),), pick + (slice(None, -s),)
+            self.differencing.append((above, below, b[s:].reshape(as_rows)[..., :-s], zeros))
+            start += b.size
+        # per axis, the face above each cell, where the flux is built, with
+        # h^2 and, under explicit-euler, u's faces; and phi either side of the
+        # faces with where the donor-cell flux is formed: in spare, or in place
+        whole = [b[s:].reshape(shape if self.explicit else field)
+                 for s, b in zip(strides, bordered)]
+        self.velocity = [upper[lo][:, 1] if self.explicit else upper[lo]
+                         for upper, (lo, hi) in zip(whole, self.slices)]
+        self.fluxes = [(upper, h * h, upper[lo][:, 0] if self.explicit else None)
+                       for upper, h, (lo, hi) in zip(whole, grid.spacing, self.slices)]
+        flux = ([_views(spare.reshape(-1)[size:], [face])[0] for face in faces]
+                if self.explicit else self.velocity)
+        self.donor_cell = [(self.phi[lo], self.phi[hi], out)
+                           for (lo, hi), out in zip(self.slices, flux)]
+        # per axis, the subtraction that gives its divergence and where it
+        # goes: the first axis's to total, each further one's to part, added to total
+        self.total = self.rates.reshape(r, -1)[:, :n].reshape(as_rows)
+        self.part = workspace[phi_at:phi_at + r * n].reshape(as_rows)
+        self.sides = []
+        for s, b, out in zip(strides, bordered, [self.total] + [self.part] * (ndim - 1)):
+            upper, lower = b[s:].reshape(as_rows), b[:-s].reshape(as_rows)
+            self.sides.append((upper, lower, out) if self.explicit else (lower, upper, out))
+        self.others = self.rates[:, 1:]  # v's and w's rates, which imex starts from zeros
 
     def step_sizes(self, state: State, until: float = math.inf) -> list[float]:
         """Each member's step from its extrema and max |grad v|, clipped at
@@ -322,23 +334,19 @@ def _violation(low: list, high: list, dt: float) -> NegativityDetected:
 
 
 def _differences(state: State, plan: _Plan) -> list:
-    """An ensemble state's face differences in the plan's workspace: those
-    of the stacked fields in the bordered arrays under explicit-euler,
-    those of v in rates under imex.  They are taken only when plan.source,
-    the fields array they came from, is not the state's; _rates consumes
-    them and clears it.  Returns v's, per axis."""
+    """An ensemble state's face differences in the plan's bordered arrays:
+    those of every field under explicit-euler, of v alone under imex, each
+    axis's by one subtraction of the rows the plan names and one fill of
+    its zero faces.  They are taken only when plan.source, the fields
+    array they came from, is not the state's; _rates consumes them and
+    clears it.  Returns v's, per axis."""
     fields = state.fields
     if plan.source is fields:
         return plan.velocity
-    if plan.explicit:
-        flat = fields.reshape(-1)
-        for s, b, top in plan.bordered:
-            np.subtract(flat[s:], flat[:-s], out=b[s:-s])
-            top.fill(0.0)  # faces taken across two rows: boundary faces
-    else:
-        v = fields[:, 1]
-        for (lo, hi), d in zip(plan.slices, plan.velocity):
-            np.subtract(v[hi], v[lo], out=d)
+    rows = fields.reshape(plan.rows)
+    for above, below, out, zeros in plan.differencing:
+        np.subtract(rows[above], rows[below], out=out)
+        zeros.fill(0.0)  # faces taken across two rows, or left by the solve's scratch
     plan.source = fields
     return plan.velocity
 
@@ -368,60 +376,46 @@ def _rates(state: State, plan: _Plan) -> np.ndarray:
     conversion, production*v and the decay, plus chemotaxis, on top of
     zeros for imex, which treats diffusion implicitly, or of d*lap(fields)
     for explicit-euler; laplacian_neumann and chemotaxis_divergence are the
-    references of the fused stencils.  Under explicit-euler each axis's
-    whole face flux, (d*diff f - phi_up*diff v)/h^2 in u's row and
-    d*diff f/h^2 in the others, is built in its bordered array, the
-    donor-cell flux taken before the diffusivities scale v's differences;
-    one division by h^2, exact on a spacing of 2^-k, scales both fluxes.
-    Its divergence is its upper faces less its lower ones.  Under imex the
-    donor-cell flux, divided by h^2 at once, is summed, axis by axis, into
-    a divergence.  Either way each further axis is summed in axis order,
-    so that mirroring any axis mirrors the rates bit for bit.  Every
-    intermediate lies in the plan's workspace, and the differences are
-    consumed: plan.source is cleared.
+    references of the fused stencils.  Each axis's face flux is built in
+    its bordered array: under explicit-euler each field's whole face flux,
+    (d*diff f - phi_up*diff v)/h^2 in u's row and d*diff f/h^2 in the
+    others, the donor-cell flux taken before the diffusivities scale v's
+    differences; under imex the donor-cell flux alone, in place in v's
+    differences.  One division by h^2, exact on a spacing of 2^-k, scales
+    the faces.  The divergence is one subtraction per axis, of the faces
+    either side of each cell, and each further axis is summed in axis
+    order, so that mirroring any axis mirrors the rates bit for bit.
+    Under imex it goes to u's rates, and v's and w's start from zeros.
+    Every intermediate lies in the plan's workspace, and the differences
+    are consumed: plan.source is cleared.
     """
     fields, rates = state.fields, plan.rates
     index_u, index_v, index_w = plan.components_index
     u, v, w = fields[index_u], fields[index_v], fields[index_w]
     velocity = _differences(state, plan)
-    plan.source = None  # the fluxes are taken in place in them, and imex zeroes rates over v's
+    plan.source = None  # the fluxes are built in them, and imex's solve overwrites them
     # a member whose v is constant gets a chemotactic flux of exact zeros;
     # when every member's is, the flux is skipped
     chemotaxis = any(lo[1] != hi[1] for lo, hi in zip(*_extrema(state)))
     if chemotaxis:
         _sensitivity(u, plan.alpha_runs, plan.phi)
     rates_u, rates_v, rates_w = plan.components
-    if plan.explicit:
-        for (faces, faces_u, h2), g, (phi_below, phi_above, flux) in zip(
+    if plan.explicit or chemotaxis:
+        for (faces, h2, faces_u), g, (phi_below, phi_above, flux) in zip(
                 plan.fluxes, velocity, plan.donor_cell):
             if chemotaxis:  # before the diffusivities scale v's differences
                 _donor_flux(g, phi_below, phi_above, flux)
             if plan.diffusivities is not None:
                 faces *= plan.diffusivities
-            if chemotaxis:
+            if chemotaxis and plan.explicit:  # imex's flux stays in v's faces
                 faces_u -= flux
-            faces /= h2  # each field's whole face flux: (d*diff f - phi_up*diff v)/h^2
-        for axis, (upper, lower, out) in enumerate(plan.sides):
-            np.subtract(upper, lower, out=out)
+            faces /= h2  # (d*diff f - phi_up*diff v)/h^2 in u's row, phi_up*diff v/h^2 in imex's
+        for axis, (minuend, subtrahend, out) in enumerate(plan.sides):
+            np.subtract(minuend, subtrahend, out=out)
             if axis:
-                rates += plan.spare
-    else:
-        if chemotaxis:
-            divergence = plan.divergence
-            divergence.fill(0.0)
-            for (phi_below, phi_above, h2, part, below, above), g in zip(plan.donor_cell,
-                                                                         velocity):
-                _donor_flux(g, phi_below, phi_above, g)  # in place in v's differences
-                g /= h2
-                if part is not divergence:
-                    part.fill(0.0)  # each further axis in a zeroed buffer
-                below += g
-                above -= g
-                if part is not divergence:
-                    divergence += part
-        rates.fill(0.0)
-        if chemotaxis:
-            rates_u -= divergence
+                plan.total += plan.part
+    if not plan.explicit:
+        (plan.others if chemotaxis else rates).fill(0.0)
     # the identical array enters u and v: exact mass budget
     conversion = np.multiply(u, w, out=plan.phi)
     rates_u -= conversion
@@ -497,7 +491,7 @@ def step(state: State, params, grid: Grid, dt, control: StepControl) -> State:
 def _monitor_targets(t_end: float, monitor_every: float) -> Iterator[float]:
     """Record times after t = 0: the multiples of monitor_every short of t_end, then t_end."""
     k = 1
-    while monitor_every > 0 and k * monitor_every < t_end - 1e-9 * max(1.0, t_end):
+    while k * monitor_every < t_end - 1e-9 * max(1.0, t_end):
         yield k * monitor_every
         k += 1
     if t_end > 0:
@@ -534,7 +528,8 @@ def run(initial, params, grid: Grid, control: StepControl,
     after its step, so that a positivity failure of that step is the one
     reported.  on_record(state, record) is called with the state of every
     record.  The oracles count t from 0, so an initial state at any other
-    t is refused with a ValueError.
+    t is refused with a ValueError, as are a negative t_end and a
+    monitor_every that is not positive, and either when not finite.
 
     A list of initial states with a matching list of Params, differing only
     in alpha, runs as one ensemble and returns a list with one entry per
@@ -543,6 +538,7 @@ def run(initial, params, grid: Grid, control: StepControl,
     single state runs as the ensemble of one member.
     """
     require(t_end >= 0, "t_end", "t_end >= 0", t_end)
+    require(monitor_every > 0, "monitor_every", "monitor_every > 0", monitor_every)
     if isinstance(initial, (list, tuple)):
         if on_record is not None:
             raise ValueError("on_record needs a single initial state")

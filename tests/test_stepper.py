@@ -406,8 +406,9 @@ class TestMirrorSymmetry:
     @pytest.mark.parametrize("coeffs", [Coefficients(), Coefficients(
         d_u=0.6, d_v=1.7, d_w=0.4, decay_u=1.3, decay_v=0.8, decay_w=2.1, production=1.9)],
         ids=["unit", "mixed"])
-    def test_explicit_rates_mirror_along_every_axis(self, shape, coeffs):
-        # an axis's divergence is its upper faces less its lower ones, and
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_rates_mirror_along_every_axis(self, shape, coeffs, scheme):
+        # an axis's divergence is one subtraction of its bordered faces, and
         # each further axis is summed in axis order: flipping any axis of
         # the fields flips the rates bit for bit
         rng = np.random.default_rng(len(shape))
@@ -415,11 +416,11 @@ class TestMirrorSymmetry:
         params = Params(alpha=0.8, kappa=0.7, coeffs=coeffs)
         fields = np.stack([rng.uniform(0.0, 2.0, shape), rng.uniform(0.0, 5.0, shape),
                            rng.uniform(0.0, 1.0, shape)])
-        rates = single_rates(State.from_fields(fields), params, grid, "explicit-euler")
+        rates = single_rates(State.from_fields(fields), params, grid, scheme)
         for axis in range(1, len(shape) + 1):
             mirrored = State.from_fields(np.flip(fields, axis).copy())
             np.testing.assert_array_equal(
-                single_rates(mirrored, params, grid, "explicit-euler"), np.flip(rates, axis))
+                single_rates(mirrored, params, grid, scheme), np.flip(rates, axis))
 
 
 def upper_less_lower(faces, axis):
@@ -635,6 +636,20 @@ class TestRun:
         with pytest.raises(ValueError, match="t_end must be finite"):
             run(constant_state(grid, 1.0, 0.0, 0.0), Params(alpha=1.0), grid, StepControl(),
                 t_end=t_end, monitor_every=0.5)
+
+    @pytest.mark.parametrize("monitor_every", [0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("members", [1, 2], ids=["single", "ensemble"])
+    def test_rejects_a_monitor_interval_that_is_not_positive_and_finite(self, monitor_every,
+                                                                        members):
+        grid = Grid((8,))
+        initial = constant_state(grid, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^monitor_every"):
+            if members == 1:
+                run(initial, Params(alpha=1.0), grid, StepControl(), t_end=1.0,
+                    monitor_every=monitor_every)
+            else:
+                run([initial] * 2, [Params(alpha=1.0)] * 2, grid, StepControl(), t_end=1.0,
+                    monitor_every=monitor_every)
 
     def test_zero_dt_aborts(self):
         # the explicit-diffusion cap h^2 / 2 underflows to 0
@@ -1030,27 +1045,53 @@ class TestWorkspace:
 
 
 class TestBorderedFaces:
-    """Under explicit-euler every axis's bordered array has one layout: with
-    s the axis's stride, b[s + j] is the face above cell j of the stacked
-    fields' flat view."""
+    """Both schemes lay every axis's bordered array out alike: with s the
+    axis's stride, b[s + j] is the face above cell j of the rows the plan
+    differences, every field's under explicit-euler and each member's v
+    alone under imex."""
 
-    @pytest.mark.parametrize("shape", [(6, 5, 4), (5, 4, 3, 3)])
-    def test_faces_beyond_the_rows_are_zero(self, shape):
+    @staticmethod
+    def assert_bordered(plan, fields, shape):
         # each array's first s faces and its faces above every row's last
-        # cell are exact zeros, also once an earlier state's fluxes were built
-        # in it; the others are the fields' differences along the axis
-        grid, rng = Grid(shape), np.random.default_rng(len(shape))
-        params = (Params(alpha=0.8, kappa=0.7, coeffs=MIXED),
-                  Params(alpha=1.5, kappa=0.7, coeffs=MIXED))
-        plan = stepper_module._Plan(params, grid, StepControl(scheme="explicit-euler"),
-                                    (2, 3) + shape)
-        first, second = (rng.uniform(0.5, 2.0, (2, 3) + shape) for _ in range(2))
-        stepper_module._rates(State.from_fields(first, [0.0, 0.0]), plan)
-        stepper_module._differences(State.from_fields(second, [0.0, 0.0]), plan)
-        for axis, (s, b, _) in enumerate(plan.bordered):
-            assert (s, b.size) == (math.prod(shape[axis + 1:]), second.size + s)
-            faces = b[s:].reshape(second.shape)  # the face above each cell
+        # cell are exact zeros; the others are the rows' differences
+        rows = fields if plan.explicit else fields[:, 1:2]
+        for axis, b in enumerate(plan.bordered):
+            s = math.prod(shape[axis + 1:])
+            assert b.size == rows.size + s
+            faces = b[s:].reshape(rows.shape)  # the face above each cell
             np.testing.assert_array_equal(b[:s], 0.0)
             np.testing.assert_array_equal(np.take(faces, -1, axis + 2), 0.0)
             np.testing.assert_array_equal(np.delete(faces, -1, axis + 2),
-                                          np.diff(second, axis=axis + 2))
+                                          np.diff(rows, axis=axis + 2))
+
+    @staticmethod
+    def planned(shape, scheme):
+        params = (Params(alpha=0.8, kappa=0.7, coeffs=MIXED),
+                  Params(alpha=1.5, kappa=0.7, coeffs=MIXED))
+        grid, control = Grid(shape), StepControl(scheme=scheme)
+        return params, grid, control, stepper_module._Plan(params, grid, control, (2, 3) + shape)
+
+    @pytest.mark.parametrize("shape", [(6, 5, 4), (5, 4, 3, 3)])
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_faces_beyond_the_rows_are_zero(self, shape, scheme):
+        # also once an earlier state's fluxes were built in the arrays
+        rng = np.random.default_rng(len(shape))
+        plan = self.planned(shape, scheme)[-1]
+        first, second = (rng.uniform(0.5, 2.0, (2, 3) + shape) for _ in range(2))
+        stepper_module._rates(State.from_fields(first, [0.0, 0.0]), plan)
+        stepper_module._differences(State.from_fields(second, [0.0, 0.0]), plan)
+        self.assert_bordered(plan, second, shape)
+
+    @pytest.mark.parametrize("shape", [(6, 5, 4), (5, 4, 3, 3)])
+    def test_zero_faces_restored_after_the_imex_solve(self, shape):
+        # the imex solve lays its scratch over the bordered arrays, zero
+        # faces included; the next state's differences zero them again
+        rng = np.random.default_rng(len(shape))
+        params, grid, control, plan = self.planned(shape, "imex")
+        state = State.from_fields(rng.uniform(0.5, 2.0, (2, 3) + shape), [0.0, 0.0])
+        state.memo["plan"] = plan
+        new = step(state, params, grid, plan.step_sizes(state), control)
+        assert new.memo["plan"] is plan
+        assert plan.bordered[0][:math.prod(shape[1:])].any()  # the solve wrote over them
+        stepper_module._differences(new, plan)
+        self.assert_bordered(plan, new.fields, shape)
