@@ -2,7 +2,7 @@
 saturated chemotaxis on boxes with no-flux boundaries."""
 
 from .discretization import chemotaxis_divergence, helmholtz_solve, laplacian_neumann
-from .grid import Grid, State, grad_norm_sq, integrate, lp_norm, read_snapshot, write_snapshot
+from .grid import Grid, State, integrate, lp_norm, read_snapshot, write_snapshot
 from .model import (
     Coefficients,
     ExponentInfeasibleError,
@@ -18,7 +18,6 @@ from .monitors import (
     check_v_mass_bound,
     classify_boundedness,
     mass_identity_residual,
-    quasi_energy,
 )
 from .stepper import (
     NegativityDetected,
@@ -39,9 +38,9 @@ __all__ = [
     "SweepResult", "SweepRow", "SweepSpec", "UnstableRunError",
     "alpha_threshold", "check_u_mass_bound", "check_v_mass_bound",
     "chemotaxis_divergence", "classify_boundedness",
-    "grad_norm_sq", "helmholtz_solve",
+    "helmholtz_solve",
     "homogeneous_steady_states", "initial_condition_preset", "integrate",
-    "laplacian_neumann", "lp_norm", "mass_identity_residual", "quasi_energy",
+    "laplacian_neumann", "lp_norm", "mass_identity_residual",
     "read_snapshot", "run", "run_sweep",
     "select_energy_exponent", "stable_dt", "step", "write_snapshot",
 ]

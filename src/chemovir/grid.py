@@ -139,8 +139,11 @@ class State:
         return State.from_fields(self.fields.copy(), self.t)
 
     def validate(self, grid: Grid):
-        """Raise ValueError for fields off the grid's shape, then, u, v and w in
-        turn, for a NaN or inf extremum, then for a minimum below 0."""
+        """Raise ValueError for a NaN or inf t, for fields off the grid's shape,
+        then, u, v and w in turn, for a NaN or inf extremum, then for a minimum
+        below 0."""
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
         check_field(self.u, grid, "u")  # the fields are stacked: v and w share u's shape
         cells = _trailing_axes(self.fields.ndim, grid.ndim)
         low = np.minimum.reduce(self.fields, cells).tolist()
@@ -168,20 +171,7 @@ def lp_norm(values: np.ndarray, grid: Grid, p) -> float:
     return _lp_norm_from_sum(_cell_sums(np.abs(values) ** p, grid.ndim), grid, p)
 
 
-def grad_norm_sq(values: np.ndarray, grid: Grid) -> float:
-    """Quadrature of the squared gradient from face-centered differences.
-
-    Each interior face contributes (difference/spacing)^2 times the cell
-    volume; faces adjacent to the boundary take a 1.5x weight so that the
-    gradient value there also covers the boundary half-cell.  This makes
-    the quadrature exact for linear fields and leaves constants at zero
-    exactly.
-    """
-    values = check_field(values, grid)
-    return float(_grad_norms_sq(values, grid))
-
-
-# The quadratures behind integrate, lp_norm and grad_norm_sq.  They reduce
+# The quadratures behind integrate, lp_norm and the records.  They reduce
 # the trailing grid axes of an array with any leading axes, such as an
 # ensemble's (E, 3, *shape), to one value per leading index.  Each sum runs
 # over a contiguous row of cells, so a member's value equals that of its
@@ -220,6 +210,17 @@ def _sup_norms(values: np.ndarray, grid: Grid) -> np.ndarray:
                       np.abs(np.minimum.reduce(values, axis=cells)))
 
 
+def _extrema(state: State) -> tuple[list, list]:
+    """Each member's minima and maxima of u, v and w of an ensemble state, as
+    nested lists; memoised."""
+    cached = state.memo.get("extrema")
+    if cached is None:
+        fields, cells = state.fields, _trailing_axes(state.fields.ndim, state.fields.ndim - 2)
+        cached = state.memo["extrema"] = (np.minimum.reduce(fields, cells).tolist(),
+                                          np.maximum.reduce(fields, cells).tolist())
+    return cached
+
+
 @functools.cache
 def _trailing_axes(ndim: int, count: int) -> tuple[int, ...]:
     # the last count of ndim axes: a min or max over them needs no reshape
@@ -232,6 +233,14 @@ def _lp_norm_from_sum(total, grid: Grid, p: float) -> float:
 
 
 def _grad_norms_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Quadrature of the squared gradient from face-centered differences.
+
+    Each interior face contributes (difference/spacing)^2 times the cell
+    volume; faces adjacent to the boundary take a 1.5x weight so that the
+    gradient value there also covers the boundary half-cell.  This makes
+    the quadrature exact for linear fields and leaves constants at zero
+    exactly.
+    """
     ndim = grid.ndim
     scratch, total = np.empty(values.size), 0.0
     for axis, h in zip(range(values.ndim - ndim, values.ndim), grid.spacing):

@@ -26,8 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import (Grid, State, _cell_sums, _grad_norms_sq, _integrals, _lp_norm_from_sum,
-                   _member_runs, _sup_norms, atomic_write, check_field, grad_norm_sq)
+from .grid import (Grid, State, _cell_sums, _extrema, _grad_norms_sq, _integrals,
+                   _lp_norm_from_sum, _member_runs, atomic_write)
 from .model import Coefficients
 
 @dataclass
@@ -51,6 +51,10 @@ class DiagnosticsRecord:
 # the columns of diagnostics.csv, one per record field, in field order
 CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
+# the share of the records, at a trajectory's end, whose max F the plateau check
+# compares with the max before them
+_PLATEAU_WINDOW = 0.2
+
 
 @dataclass(frozen=True)
 class RunBaseline:
@@ -66,21 +70,6 @@ class BoundednessVerdict:
     label: str  # "bounded-plateau" | "growing" | "inconclusive"
     peak_sup_u: float
     tail_slope: float
-
-
-def quasi_energy(state: State, p: float, grid: Grid) -> float:
-    """F = (1/p) int(u^p) + ((p+3)/4) int(v^2) + int(|grad w|^2)."""
-    if not p > 1:
-        raise ValueError(f"energy exponent must exceed 1, got {p}")
-    p = float(p)
-    u, v = check_field(state.u, grid, "u"), check_field(state.v, grid, "v")
-    return _energy(float(_integrals(u ** p, grid)), float(_integrals(v * v, grid)),
-                   grad_norm_sq(state.w, grid), p)
-
-
-def _energy(integral_up: float, integral_vv: float, grad_w_sq: float, p: float) -> float:
-    # F from int(u^p), int(v^2) and int(|grad w|^2)
-    return integral_up / p + (p + 3.0) / 4.0 * integral_vv + grad_w_sq
 
 
 def _relaxed_mass(initial_mass: float, kappa: float, volume: float, t: float,
@@ -146,7 +135,9 @@ def compute_record(state: State, grid: Grid, params, p, baseline):
         raise ValueError("ensemble members must share t, kappa and the coefficients")
     t, kappa, c = keys[0]
     masses = _integrals(fields, grid)
-    sups = _sup_norms(fields, grid).tolist()
+    # max |values| from the state's memoised extrema, on a stepped state those
+    # of its validity check; abs turns -0.0 into 0.0, and a NaN is both extrema
+    sups = [list(map(max, map(abs, lo), map(abs, hi))) for lo, hi in zip(*_extrema(state))]
     grads = _grad_norms_sq(fields[:, 1:], grid).tolist()
     integrals_vv = _integrals(fields[:, 1] * fields[:, 1], grid).tolist()
     # u^p once per run of equal exponents, with the scalar exponent; abs is
@@ -178,8 +169,9 @@ def compute_record(state: State, grid: Grid, params, p, baseline):
         else:
             p = float(p)
             lp_u = _lp_norm_from_sum(sums_up[i], grid, p)
-            energy = (_energy(grid.cell_volume * sums_up[i], integrals_vv[i], grad_w_sq, p)
-                      if unit else math.nan)
+            # F = (1/p) int(u^p) + ((p+3)/4) int(v^2) + int(|grad w|^2)
+            energy = (grid.cell_volume * sums_up[i] / p + (p + 3.0) / 4.0 * integrals_vv[i]
+                      + grad_w_sq if unit else math.nan)
         records.append(DiagnosticsRecord(
             t, mass_u, mass_v, mass_w, *sups[i], lp_u, grad_v_sq, grad_w_sq, energy,
             residuals[i], u_slacks[i], v_slacks[i]))
@@ -221,8 +213,9 @@ def classify_boundedness(records, growth_factor: float = 1e3,
     return BoundednessVerdict(label=label, peak_sup_u=peak, tail_slope=slope)
 
 
-def energy_plateau_exceedance(records, window_fraction: float = 0.2) -> float:
-    """Relative amount by which the final-window max of F exceeds the earlier max.
+def energy_plateau_exceedance(records) -> float:
+    """Relative amount by which the max of F over the final fifth of the
+    records (_PLATEAU_WINDOW) exceeds the earlier max.
 
     Nonpositive values mean the energy admitted a finite running maximum
     that stopped increasing (the numerical restatement of the quasi-energy
@@ -231,7 +224,7 @@ def energy_plateau_exceedance(records, window_fraction: float = 0.2) -> float:
     energies = np.array([r.energy for r in records], dtype=float)
     if np.any(np.isnan(energies)):
         raise ValueError("energy monitoring was disabled for this run")
-    split = len(energies) - max(1, int(math.ceil(window_fraction * len(energies))))
+    split = len(energies) - max(1, int(math.ceil(_PLATEAU_WINDOW * len(energies))))
     if split < 1:
         raise ValueError("trajectory too short for a plateau window")
     early = float(energies[:split].max())

@@ -33,7 +33,11 @@ module fused in.  A _Plan made once per run holds the constants, the runs
 of equal alphas and one workspace for every intermediate of a step: the
 face differences, taken once per state (the plan records whose they are),
 the rates, which under imex become the right-hand side in place, and the
-solve's scratch.  A step thus allocates only the new state's fields.
+solve's scratch.  On grids of more than 4,096 cells a step thus allocates
+only the new state's fields; on smaller ones numpy's iterator also
+buffers, within the call, the operands that broadcast over the fields,
+such as the solve's (E, 3, 1, ...) tau*lambda and the factor that scales
+the imex right-hand side, and a step peaks at up to about 5x the fields.
 Under both schemes every axis has a flat bordered face array of one
 layout, with zero faces at both ends of every row, in which the face flux
 is built: under explicit-euler each field's, d*diff f/h^2, and
@@ -66,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import _face_slices, _sensitivity, helmholtz_solve
-from .grid import Grid, State, _member_runs, _trailing_axes, integrate, require
+from .grid import Grid, State, _extrema, _member_runs, integrate, require
 from .model import ExponentInfeasibleError, Params, select_energy_exponent
 from .monitors import DiagnosticsRecord, RunBaseline, compute_record
 
@@ -163,9 +167,10 @@ class _Plan:
     explicit-euler, over phi and that buffer, and over the arrays under
     imex, whose rates leave them free.  Each is free again whenever it is
     used: for an axis's divergence after the first (in phi under imex), for
-    decays*fields, and as the solve's scratch.  A step therefore allocates
-    only the new state's fields, and no state's fields lie in the
-    workspace.
+    decays*fields, and as the solve's scratch.  No state's fields lie in
+    the workspace, and on grids of more than 4,096 cells a step allocates
+    only the new state's fields (on smaller ones numpy's iterator buffers
+    the broadcast operands; see the module docstring).
     """
 
     def __init__(self, params: tuple, grid: Grid, control: StepControl, shape: tuple):
@@ -307,16 +312,6 @@ def stable_dt(state: State, params: Params, grid: Grid, control: StepControl) ->
     """
     member = State.from_fields(state.fields[None], [state.t])  # the ensemble of one member
     return _Plan((params,), grid, control, member.fields.shape).step_sizes(member)[0]
-
-
-def _extrema(state: State) -> tuple[list, list]:
-    """Each member's minima and maxima of u, v and w, as nested lists; memoised."""
-    cached = state.memo.get("extrema")
-    if cached is None:
-        fields, cells = state.fields, _trailing_axes(state.fields.ndim, state.fields.ndim - 2)
-        cached = state.memo["extrema"] = (np.minimum.reduce(fields, cells).tolist(),
-                                          np.maximum.reduce(fields, cells).tolist())
-    return cached
 
 
 def _valid(lo: list, hi: list) -> bool:
@@ -516,20 +511,21 @@ def run(initial, params, grid: Grid, control: StepControl,
         t_end: float, monitor_every: float, on_record=None):
     """Advance to t_end, emitting diagnostics every monitor_every time units.
 
-    The step size is re-evaluated from stable_dt every step and clipped so
-    each monitor boundary is hit exactly; records land at t = 0, every
-    boundary, and t_end, so a run to t_end = 0 records once and ends on a
-    copy of its initial state.  Deterministic for identical inputs.  A
-    member whose step is negative or not finite steps again, with its
-    ensemble, at half its dt.  Raises UnstableRunError (with the failing
-    time and state) when positivity cannot be restored by halving dt, or
-    when the step-size formula gives a dt too small to change the next
-    monitor time (target + dt == target): at once when that dt is 0, else
-    after its step, so that a positivity failure of that step is the one
-    reported.  on_record(state, record) is called with the state of every
-    record.  The oracles count t from 0, so an initial state at any other
-    t is refused with a ValueError, as are a negative t_end and a
-    monitor_every that is not positive, and either when not finite.
+    The step size is re-evaluated every step by the plan's step_sizes, with
+    the caps of stable_dt, and clipped so each monitor boundary is hit
+    exactly; records land at t = 0, every boundary, and t_end, so a run to
+    t_end = 0 records once and ends on a copy of its initial state.
+    Deterministic for identical inputs.  A member whose step is negative or
+    not finite steps again, with its ensemble, at half its dt.  Raises
+    UnstableRunError (with the failing time and state) when positivity
+    cannot be restored by halving dt, or when the step-size formula gives a
+    dt too small to change the next monitor time (target + dt == target):
+    at once when that dt is 0, else after its step, so that a positivity
+    failure of that step is the one reported.  on_record(state, record) is
+    called with the state of every record.  The oracles count t from 0, so
+    an initial state at any other t is refused with a ValueError, as are a
+    negative t_end and a monitor_every that is not positive, and either
+    when not finite.
 
     A list of initial states with a matching list of Params, differing only
     in alpha, runs as one ensemble and returns a list with one entry per

@@ -135,7 +135,7 @@ def energy_plateau_suite() -> list[CheckResult]:
     exponent = float(select_energy_exponent(params.alpha, grid.ndim))
     initial = initial_condition_preset("gaussian-bump-v", grid, params.kappa)
     result = run(initial, params, grid, StepControl(), t_end=20.0, monitor_every=0.2)
-    exceedance = energy_plateau_exceedance(result.records, window_fraction=0.2)
+    exceedance = energy_plateau_exceedance(result.records)
     return [CheckResult(
         "energy-plateau",
         exceedance <= 0.01,

@@ -10,9 +10,9 @@ from fractions import Fraction
 import numpy as np
 
 from chemovir.discretization import chemotaxis_divergence, laplacian_neumann
-from chemovir.grid import Grid, integrate, lp_norm
-from chemovir.model import Params, alpha_threshold
-from chemovir.stepper import StepControl, run
+from chemovir.grid import Grid, State, integrate, lp_norm
+from chemovir.model import Coefficients, Params, alpha_threshold
+from chemovir.stepper import StepControl, _Plan, _rates, run, step
 from chemovir.sweep import SweepSpec, initial_condition_preset, run_sweep
 from chemovir.verification import (
     convergence_suite,
@@ -158,3 +158,53 @@ def test_criterion_9_conservation_micro_properties():
            elapsed < 30.0,
            f"300 random fields conserved; worst defect at {worst_ratio:.1%} of the "
            f"1e-12*|f|_1*cells budget [{elapsed:.2f} s < 30 s]")
+
+
+def test_criterion_9_fused_rates_conserve_mass():
+    # the step's own rates, beside the references above: diffusion (under
+    # explicit-euler) and chemotaxis integrate to zero in them, so their
+    # totals are those of the kinetics, written out here; each ensemble's
+    # rates are checked on a fresh plan, then on the plan a step has used,
+    # whose imex solve has written over the bordered arrays' zero faces
+    start = time.perf_counter()
+    shapes = {1: (17,), 2: (7, 5), 3: (5, 4, 3), 4: (4, 3, 3, 3), 5: (3, 3, 3, 3, 3)}
+    mixed = Coefficients(d_u=0.6, d_v=1.7, d_w=0.4, decay_u=1.3, decay_v=0.8, decay_w=2.1,
+                         production=1.9)
+    worst_ratio, members, ensembles = 0.0, 3, 0
+    for ndim, shape in shapes.items():
+        rng = np.random.default_rng(190 + ndim)
+        grid = Grid(shape)
+        for scheme in ("imex", "explicit-euler"):
+            control = StepControl(scheme=scheme)
+            for c in (Coefficients(), mixed):
+                for _ in range(10):
+                    initial = State.from_fields(rng.uniform(0, 2, (members, 3) + shape),
+                                                [0.0] * members)
+                    kappa = float(rng.uniform(0, 2))
+                    params = tuple(Params(alpha=float(alpha), kappa=kappa, coeffs=c)
+                                   for alpha in rng.uniform(0, 2, members))
+                    plan = initial.memo["plan"] = _Plan(params, grid, control,
+                                                        initial.fields.shape)
+                    stepped = step(initial, params, grid, [1e-4] * members, control)
+                    for state in (initial, stepped):
+                        rates = _rates(state, plan)
+                        u, v, w = state.fields[:, 0], state.fields[:, 1], state.fields[:, 2]
+                        totals = ((rates[:, 0] + rates[:, 1],
+                                   kappa - c.decay_u * u - c.decay_v * v),
+                                  (rates[:, 2], c.production * v - c.decay_w * w))
+                        for k in range(members):
+                            for got, want in totals:
+                                budget = 1e-12 * (lp_norm(got[k], grid, 1)
+                                                  + lp_norm(want[k], grid, 1)) * grid.n_cells
+                                defect = abs(integrate(got[k], grid)
+                                             - integrate(want[k], grid))
+                                assert defect <= budget, (shape, scheme, c)
+                                worst_ratio = max(worst_ratio, defect / budget)
+                    ensembles += 1
+    elapsed = time.perf_counter() - start
+    report(9, "fused rates conservation",
+           elapsed < 30.0,
+           f"{ensembles} random {members}-member ensembles in 1D-5D under both schemes, "
+           f"unit and mixed coefficients, before and after a step; worst defect at "
+           f"{worst_ratio:.1e} of the 1e-12*(|rates|_1 + |kinetics|_1)*cells budget "
+           f"[{elapsed:.2f} s < 30 s]")

@@ -12,7 +12,6 @@ from chemovir.grid import (
     _grad_norms_sq,
     _sup_norms,
     atomic_write,
-    grad_norm_sq,
     integrate,
     lp_norm,
     read_snapshot,
@@ -151,26 +150,26 @@ class TestLpNorm:
 class TestGradNormSq:
     def test_constant_is_zero_exactly(self):
         grid = Grid((9, 9))
-        assert grad_norm_sq(grid.new_field(3.7), grid) == 0.0
+        assert _grad_norms_sq(grid.new_field(3.7), grid) == 0.0
 
     @pytest.mark.parametrize("slope", [1.0, -2.0, 3.5])
     def test_exact_on_linear_1d(self, slope):
         grid = Grid((10,))
         field = slope * grid.cell_centers(0)
-        assert abs(grad_norm_sq(field, grid) - slope ** 2) <= 1e-12
+        assert abs(_grad_norms_sq(field, grid) - slope ** 2) <= 1e-12
 
     def test_cosine_against_analytic(self):
         grid = Grid((64,))
         field = np.cos(np.pi * grid.cell_centers(0))
         exact = np.pi ** 2 / 2.0  # integral of pi^2 sin^2(pi x)
-        assert grad_norm_sq(field, grid) == pytest.approx(exact, rel=0.02)
+        assert _grad_norms_sq(field, grid) == pytest.approx(exact, rel=0.02)
 
     def test_exact_on_linear_2d(self):
         grid = Grid((8, 12))
         x = grid.cell_centers(0)[:, None]
         y = grid.cell_centers(1)[None, :]
         field = 2.0 * x - 1.0 * y
-        assert grad_norm_sq(field, grid) == pytest.approx(5.0, rel=1e-12)
+        assert _grad_norms_sq(field, grid) == pytest.approx(5.0, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(9,), (7, 6), (5, 4, 3)])
     def test_equals_the_diff_formula_bit_for_bit(self, shape):
@@ -192,7 +191,7 @@ class TestGradNormSq:
         rng = np.random.default_rng(5)
         grid = Grid((7, 6))
         field = rng.normal(size=(7, 6))
-        assert grad_norm_sq(field, grid) == grad_norm_sq(field + 11.25, grid)
+        assert _grad_norms_sq(field, grid) == _grad_norms_sq(field + 11.25, grid)
 
 
 # zero, the smallest subnormal, a tiny normal, one ulp above 0.3, a huge value
@@ -298,12 +297,22 @@ class TestSnapshotIO:
         (b"1 3\nzz\nt=0", 3),  # nor do the lengths
         (b"2 3 2\n1 1\nt=0", 6),  # a shape Grid refuses: an axis of 2 cells
         (b"1 3\n1\nt=abc", 3),  # nor does the time, with a full payload
-    ], ids=["dimensions", "lengths", "two-cell-axis", "time"])
+        (b"1 3\n1\nt=nan", 3),  # a time that parses but is not finite
+        (b"1 3\n1\nt=inf", 3),
+    ], ids=["dimensions", "lengths", "two-cell-axis", "time", "nan-time", "inf-time"])
     def test_header_errors_name_the_file(self, tmp_path, header, cells):
         path = tmp_path / "state.cvf"
         path.write_bytes(b"CVF2\n" + header + b"\n" + np.ones(3 * cells).astype("<f8").tobytes())
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_write_refuses_a_time_it_could_not_read_back(self, tmp_path, t):
+        grid = Grid((3,))
+        state = State(grid.new_field(1.0), grid.new_field(0.0), grid.new_field(0.0), t=t)
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+            write_snapshot(tmp_path / "state.cvf", state, grid)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value,message", [(math.nan, "non-finite"), (math.inf, "non-finite"),
                                                (-1.0, "negative")])

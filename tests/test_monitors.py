@@ -6,7 +6,10 @@ import stat
 import numpy as np
 import pytest
 
-from chemovir.grid import Grid, State, grad_norm_sq, integrate, lp_norm
+import chemovir.grid as grid_module
+import chemovir.monitors as monitors_module
+import chemovir.stepper as stepper_module
+from chemovir.grid import Grid, State, integrate, lp_norm
 from chemovir.model import Coefficients, ExponentInfeasibleError, Params, select_energy_exponent
 from chemovir.monitors import (
     CSV_COLUMNS,
@@ -18,11 +21,11 @@ from chemovir.monitors import (
     compute_record,
     energy_plateau_exceedance,
     mass_identity_residual,
-    quasi_energy,
     write_diagnostics_csv,
 )
 from chemovir.stepper import StepControl, run
 from chemovir.sweep import initial_condition_preset
+from oracles import grad_norm_sq, quasi_energy
 
 
 def make_record(t=0.0, sup_u=1.0, energy=0.0):
@@ -41,6 +44,9 @@ def read_records(path):
 
 
 class TestQuasiEnergy:
+    """The oracle's F on states whose value is known; compute_record's energies
+    are tested against it."""
+
     def test_constant_fields_p2(self):
         grid = Grid((16,))
         state = State(grid.new_field(1.0), grid.new_field(1.0), grid.new_field(0.0))
@@ -55,12 +61,6 @@ class TestQuasiEnergy:
         grid = Grid((32,))
         state = State(grid.new_field(2.0), grid.new_field(0.0), grid.cell_centers(0))
         assert quasi_energy(state, 2.0, grid) == pytest.approx(3.0, rel=1e-12)
-
-    def test_rejects_p_at_most_one(self):
-        grid = Grid((8,))
-        state = State(grid.new_field(1.0), grid.new_field(0.0), grid.new_field(0.0))
-        with pytest.raises(ValueError):
-            quasi_energy(state, 1.0, grid)
 
     def test_nonnegative_and_zero_only_at_zero(self):
         rng = np.random.default_rng(21)
@@ -148,7 +148,7 @@ class TestMassBounds:
 
 
 def reference_record(state, grid, params, p, baseline):
-    """A record built field by field from the public helpers."""
+    """A record built field by field from the public helpers and the oracles."""
     c, t, kappa, volume = params.coeffs, state.t, params.kappa, grid.volume
     mass_u, mass_v = integrate(state.u, grid), integrate(state.v, grid)
     if p is None:
@@ -254,6 +254,57 @@ class TestComputeRecord:
             with pytest.raises(ValueError, match="share t, kappa and the coefficients"):
                 compute_record(state, grid, params[:2] + [other] + params[3:], exponents,
                                baselines)
+
+    def test_rejects_an_exponent_at_most_one(self):
+        grid = Grid((8,))
+        state, params, exponents, baselines = self.ensemble(grid)
+        exponents[3] = 1.0
+        with pytest.raises(ValueError, match="energy exponent must exceed 1, got 1.0"):
+            compute_record(state, grid, params, exponents, baselines)
+
+    def test_sup_norms_equal_the_max_of_abs_bit_for_bit(self):
+        # from the memoised extrema alone: signs, -0.0 (an all-zero field
+        # reads 0.0, not -0.0) and NaN as np.abs(values).max() gives them
+        grid = Grid((6, 5))
+        state, params, exponents, baselines = self.ensemble(grid)
+        values = np.random.default_rng(3).normal(size=state.fields.shape)
+        values[0, 0] = -0.0
+        values[0, 1] = -np.abs(values[0, 1])
+        values[1, 2, 3, 1] = math.nan
+        values[2, 0, 0, 0] = -math.inf
+        records = compute_record(State.from_fields(values, state.t), grid, params,
+                                 [None] * len(params), baselines)
+        sups = [[r.sup_u, r.sup_v, r.sup_w] for r in records]
+        np.testing.assert_array_equal(sups, np.abs(values).max(axis=(2, 3)))
+        assert repr(sups[0][0]) == "0.0"
+
+    @pytest.mark.parametrize("shape, members", [((32,), 16), ((40, 32, 24), 1)])
+    def test_run_records_take_the_memoised_extrema(self, monkeypatch, shape, members):
+        # every recorded state's extrema are memoised by then, at t = 0 by the
+        # record itself for the step sizes to reuse: no record reduces again
+        def forbidden(*args):
+            raise AssertionError("a record reduced the fields for its sup norms")
+
+        monkeypatch.setattr(grid_module, "_sup_norms", forbidden)
+        assert not hasattr(monitors_module, "_sup_norms")  # no imported name escapes the patch
+        recorded = []
+
+        def recording(state, *args):
+            records = compute_record(state, *args)
+            recorded.append((state.fields, records))
+            return records
+
+        monkeypatch.setattr(stepper_module, "compute_record", recording)
+        grid = Grid(shape)
+        initials = [initial_condition_preset("random-smooth", grid, 2.0, seed=k)
+                    for k in range(members)]
+        params = [Params(alpha=0.8 + 0.1 * k, kappa=2.0) for k in range(members)]
+        results = run(initials, params, grid, StepControl(), 0.5 if members > 1 else 0.1, 0.05)
+        assert all(len(r.records) == len(recorded) for r in results)
+        cells = tuple(range(2, 2 + grid.ndim))
+        for fields, records in recorded:
+            sups = [[r.sup_u, r.sup_v, r.sup_w] for r in records]
+            np.testing.assert_array_equal(sups, np.abs(fields).max(axis=cells))
 
     def test_energy_disabled_under_coefficient_overrides(self):
         grid = Grid((16,))

@@ -20,7 +20,6 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(SOURCE)), "bench")
 
 # public names that only the tests call, each with its reason
 TEST_REFERENCES = {
-    "quasi_energy": "the reference the batched records of compute_record are tested against",
     "config_to_text": "the config echo of the run manifest planned to sit next to diagnostics.csv",
 }
 

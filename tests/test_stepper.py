@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import chemovir.grid as grid_module
+import chemovir.monitors as monitors_module
 import chemovir.stepper as stepper_module
 from chemovir.discretization import chemotaxis_divergence, helmholtz_solve, laplacian_neumann
 from chemovir.grid import Grid, State, integrate
@@ -920,15 +922,17 @@ class TestCarriedState:
             assert events[k][1].shape[0] == members
 
     def test_extrema_reduce_once_per_step(self, monkeypatch):
-        # the initial state's, then one per step: none again at a target
+        # the initial state's, then one per step: none again at a target;
+        # the records take them in monitors, the step sizes and checks here
         reductions = []
-        original = stepper_module._extrema
+        original = grid_module._extrema
 
         def counting_extrema(state):
             reductions.append("extrema" not in state.memo)
             return original(state)
 
-        monkeypatch.setattr(stepper_module, "_extrema", counting_extrema)
+        for module in (stepper_module, monitors_module):
+            monkeypatch.setattr(module, "_extrema", counting_extrema)
         grid, initials, params = self.ensemble()
         results = run(initials, params, grid, StepControl(), 1.0, 0.1)
         assert sum(reductions) == results[0].steps + 1
@@ -947,7 +951,7 @@ class TestWorkspace:
         state = State.from_fields(initial.fields[None].copy(), [0.0])
         return grid, params, control, state
 
-    # grids of 7,200 cells or more: on smaller ones the buffers numpy's
+    # grids of more than 4,096 cells: on smaller ones the buffers numpy's
     # iterator takes for a broadcast operand, freed within the call, weigh
     # more than the fields (an imex step on 6x5x4 peaks at 3.6x them)
     @pytest.mark.parametrize("shape", [(40, 32, 24), (12, 10, 8, 8), (8, 6, 6, 5, 5)])
