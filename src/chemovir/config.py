@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .grid import Grid, require
+from .grid import _MAX_AXES, Grid, require
 from .model import Coefficients
 from .stepper import StepControl
 from .sweep import RunSpec, SweepSpec
@@ -43,13 +43,9 @@ _SCHEMA = {
     },
     "grid": {"ndim": "int", "cells": "list of int", "lengths": "list of float"},
     "stepper": {
-        "scheme": "str", "dt_max": "float", "cfl_advect": "float", "cfl_react": "float",
-        "t_end": "float",
+        "scheme": "str", "dt_max": "float", "cfl_advect": "float", "t_end": "float",
     },
-    "monitors": {
-        "monitor_every": "float", "snapshot_every": "float", "growth_factor": "float",
-        "tail_fraction": "float", "slope_tol": "float", "out_dir": "str",
-    },
+    "monitors": {"monitor_every": "float", "snapshot_every": "float", "out_dir": "str"},
     "sweep": {"alphas": "list of float", "seeds": "list of int"},
 }
 
@@ -164,6 +160,10 @@ def parse_config(text: str) -> Config:
     values, lines = _tokenize(text)
     # the grid keys feed no dataclass field, so their defaults are stated here
     ndim = values.get("ndim", 1)
+    # before cells and lengths are repeated ndim times: Grid admits no more axes
+    if not 1 <= ndim <= _MAX_AXES:
+        raise ConfigError(f"line {lines['ndim']}: ndim must satisfy 1 <= ndim <= {_MAX_AXES}, "
+                          f"got {ndim}")
     cells, lengths = values.get("cells", (64,)), values.get("lengths", (1.0,))
     if len(cells) not in (1, ndim):
         raise ConfigError(f"line {lines['cells']}: cells must satisfy one entry or {ndim} "

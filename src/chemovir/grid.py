@@ -20,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 SNAPSHOT_MAGIC = "CVF2"
+# the most axes that pass Grid's cell-count bound, at 3 cells an axis:
+# 24 * 3**36 <= 2**63 - 1 < 24 * 3**37
+_MAX_AXES = 36
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,9 @@ class Grid:
         shape = tuple(int(s) for s in shape)
         require(len(shape) >= 1, "ndim", "ndim >= 1", f"shape {shape}")
         require(all(s >= 3 for s in shape), "cells", "every axis >= 3 cells", shape)
+        # checked before the product, whose cost grows quadratically with the axes
+        require(len(shape) <= _MAX_AXES, "cells", f"at most {_MAX_AXES} axes of >= 3 cells",
+                f"{len(shape)} axes")
         # the (3, *shape) float64 state array must fit numpy's largest array
         require(24 * math.prod(shape) <= np.iinfo(np.intp).max, "cells",
                 f"at most {np.iinfo(np.intp).max // 24} cells in all", shape)
@@ -134,9 +140,6 @@ class State:
 
     def __repr__(self) -> str:
         return f"State(t={self.t!r}, shape={self.fields.shape[1:]})"
-
-    def copy(self) -> "State":
-        return State.from_fields(self.fields.copy(), self.t)
 
     def validate(self, grid: Grid):
         """Raise ValueError for a NaN or inf t, for fields off the grid's shape,

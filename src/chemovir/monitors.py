@@ -54,6 +54,10 @@ CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 # the share of the records, at a trajectory's end, whose max F the plateau check
 # compares with the max before them
 _PLATEAU_WINDOW = 0.2
+# the thresholds of classify_boundedness
+_GROWTH_FACTOR = 1e3
+_TAIL_FRACTION = 0.2
+_SLOPE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -178,15 +182,13 @@ def compute_record(state: State, grid: Grid, params, p, baseline):
     return records
 
 
-def classify_boundedness(records, growth_factor: float = 1e3,
-                         tail_fraction: float = 0.2,
-                         slope_tol: float = 1e-4) -> BoundednessVerdict:
+def classify_boundedness(records) -> BoundednessVerdict:
     """Classify a trajectory as bounded-plateau, growing or inconclusive.
 
-    growing: some sup_u exceeds growth_factor * sup_u(0) + 1.
+    growing: some sup_u exceeds _GROWTH_FACTOR * sup_u(0) + 1 (1e3).
     bounded-plateau: no growth trigger, and the least-squares slope of
-    log(sup_u) over the final ``tail_fraction`` of the records stays below
-    ``slope_tol`` per unit time.  Anything else is inconclusive.
+    log(sup_u) over the final _TAIL_FRACTION (0.2) of the records stays
+    below _SLOPE_TOL (1e-4) per unit time.  Anything else is inconclusive.
     """
     records = list(records)
     if len(records) < 10:
@@ -194,9 +196,9 @@ def classify_boundedness(records, growth_factor: float = 1e3,
     sup = np.array([r.sup_u for r in records])
     times = np.array([r.t for r in records])
     peak = float(sup.max())
-    trigger = growth_factor * sup[0] + 1.0
+    trigger = _GROWTH_FACTOR * sup[0] + 1.0
 
-    tail = max(2, int(math.ceil(tail_fraction * len(records))))
+    tail = max(2, int(math.ceil(_TAIL_FRACTION * len(records))))
     tail_t = times[-tail:]
     tail_log = np.log(np.maximum(sup[-tail:], 1e-300))
     if float(tail_t[-1] - tail_t[0]) == 0.0:
@@ -206,7 +208,7 @@ def classify_boundedness(records, growth_factor: float = 1e3,
 
     if bool(np.any(sup > trigger)):
         label = "growing"
-    elif slope < slope_tol:
+    elif slope < _SLOPE_TOL:
         label = "bounded-plateau"
     else:
         label = "inconclusive"

@@ -76,6 +76,8 @@ from .monitors import DiagnosticsRecord, RunBaseline, compute_record
 
 SCHEMES = ("imex", "explicit-euler")
 MAX_HALVINGS = 20
+# the reaction cap's share of the step at which explicit losses would empty a cell
+_CFL_REACT = 0.9
 
 
 class NegativityDetected(RuntimeError):
@@ -116,14 +118,11 @@ class StepControl:
 
     dt_max: float = 0.05
     cfl_advect: float = 0.4
-    cfl_react: float = 0.9
     scheme: str = "imex"
 
     def __post_init__(self):
         require(self.dt_max > 0, "dt_max", "dt_max > 0", self.dt_max)
-        for name in ("cfl_advect", "cfl_react"):
-            value = getattr(self, name)
-            require(0 < value < 1, name, f"0 < {name} < 1", value)
+        require(0 < self.cfl_advect < 1, "cfl_advect", "0 < cfl_advect < 1", self.cfl_advect)
         require(self.scheme in SCHEMES, "scheme", f"one of {SCHEMES}", self.scheme)
 
 
@@ -185,7 +184,7 @@ class _Plan:
         if self.explicit:
             self.fixed_cap = min(self.fixed_cap, control.cfl_advect * h_min ** 2
                                  / (2.0 * ndim * max(c.d_u, c.d_v, c.d_w)))
-        self.cfl_react, self.decay_u = control.cfl_react, c.decay_u
+        self.decay_u = c.decay_u
         self.other_decays = max(c.decay_v, c.decay_w)
         self.advect_length, self.faces = control.cfl_advect * h_min, 2.0 * ndim
         # the default unit coefficients skip their scaling pass, a numpy call per step
@@ -267,7 +266,7 @@ class _Plan:
         low, high = _extrema(state)
         steps, gmax = [], None
         for k, (lo, hi, alpha, t) in enumerate(zip(low, high, self.alphas, state.t)):
-            dt = min(self.fixed_cap, self.cfl_react / max(hi[2] + self.decay_u, self.other_decays),
+            dt = min(self.fixed_cap, _CFL_REACT / max(hi[2] + self.decay_u, self.other_decays),
                      until - t)
             spread = hi[1] - lo[1]
             if spread > 0.0:
@@ -303,12 +302,12 @@ def stable_dt(state: State, params: Params, grid: Grid, control: StepControl) ->
 
     keeps the pure advective update nonnegative.  Reaction cap: the
     explicit pointwise loss rate is at most max(w) + decay, giving
-    dt <= cfl_react / max(w + decay).  Explicit diffusion adds the usual
-    h^2/(2 ndim d) limit.  With no velocity and dt_max as the only cap the
-    result is dt_max, so the step is always positive.  max|grad v| is
-    reduced over the face differences only when its bound (max v - min
-    v)/h_min leaves the advective cap below the others; the result is the
-    same either way, bit for bit.
+    dt <= _CFL_REACT / max(w + decay), with the constant _CFL_REACT = 0.9.
+    Explicit diffusion adds the usual h^2/(2 ndim d) limit.  With no
+    velocity and dt_max as the only cap the result is dt_max, so the step
+    is always positive.  max|grad v| is reduced over the face differences
+    only when its bound (max v - min v)/h_min leaves the advective cap
+    below the others; the result is the same either way, bit for bit.
     """
     member = State.from_fields(state.fields[None], [state.t])  # the ensemble of one member
     return _Plan((params,), grid, control, member.fields.shape).step_sizes(member)[0]

@@ -79,10 +79,9 @@ def _check_preset(name: str, constants: tuple[float, float, float]) -> None:
 class RunSpec:
     """The settings that a simulation and a sweep share, validated.
 
-    ``constants`` feeds the constant preset; ``growth_factor``,
-    ``tail_fraction`` and ``slope_tol`` go to classify_boundedness.
-    Coefficients checks the coefficients; kappa is checked here, so that a
-    bad kappa is refused when the spec is built rather than in a run.
+    ``constants`` feeds the constant preset.  Coefficients checks the
+    coefficients; kappa is checked here, so that a bad kappa is refused
+    when the spec is built rather than in a run.
     """
 
     grid: Grid
@@ -93,20 +92,12 @@ class RunSpec:
     control: StepControl = field(default_factory=StepControl)
     coeffs: Coefficients = field(default_factory=Coefficients)
     constants: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    growth_factor: float = 1e3
-    tail_fraction: float = 0.2
-    slope_tol: float = 1e-4
 
     def __post_init__(self):
         _check_preset(self.preset, self.constants)
         require(self.t_end >= 0, "t_end", "t_end >= 0", self.t_end)
         require(self.monitor_every > 0, "monitor_every", "monitor_every > 0",
                 self.monitor_every)
-        require(self.growth_factor > 0, "growth_factor", "growth_factor > 0",
-                self.growth_factor)
-        require(0 < self.tail_fraction <= 1, "tail_fraction", "0 < tail_fraction <= 1",
-                self.tail_fraction)
-        require(self.slope_tol > 0, "slope_tol", "slope_tol > 0", self.slope_tol)
         require(self.kappa >= 0, "kappa", "kappa >= 0", self.kappa)
 
     def params(self, alpha: float) -> Params:
@@ -186,8 +177,7 @@ def _row(spec: SweepSpec, alpha: float, seed: int, result) -> SweepRow:
     if isinstance(result, UnstableRunError):
         return SweepRow(alpha, seed, above, above, p_value, verdict="",
                         peak_sup_u=math.nan, energy_max=math.nan, run_status="aborted")
-    verdict = classify_boundedness(result.records, spec.growth_factor, spec.tail_fraction,
-                                   spec.slope_tol)
+    verdict = classify_boundedness(result.records)
     energies = [r.energy for r in result.records]
     # NaN energies mean the monitor is off: no admissible exponent, or a
     # coefficient other than 1

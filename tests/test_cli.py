@@ -3,16 +3,16 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
 import chemovir.cli as cli_module
+import chemovir.sweep as sweep_module
 from chemovir.cli import main
 from chemovir.config import _SCHEMA, _key_values, parse_config
 from chemovir.grid import read_snapshot, write_snapshot
-from chemovir.stepper import NegativityDetected, UnstableRunError
-from chemovir.sweep import SWEEP_CSV_COLUMNS, SweepResult
+from chemovir.stepper import NegativityDetected, UnstableRunError, run
+from chemovir.sweep import SWEEP_CSV_COLUMNS, SweepResult, initial_condition_preset
 
 SIMULATE_CONFIG = """
 [model]
@@ -217,13 +217,12 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
         assert specs[0].coeffs.d_u == 0.5
 
-    def sweep_rows(self, tmp_path, model_lines="", monitor_lines=""):
+    def sweep_rows(self, tmp_path, model_lines=""):
         config = tmp_path / "sweep.cfg"
         config.write_text(SIMULATE_CONFIG
                           .replace("preset = steady-infection-free",
                                    "preset = constant\n" + model_lines)
                           .replace("t_end = 0.5", "t_end = 2.0")
-                          .replace("monitor_every = 0.1", "monitor_every = 0.1\n" + monitor_lines)
                           + "\n[sweep]\nalphas = 1.0\n")
         out_dir = tmp_path / "out"
         assert main(["sweep", "--config", str(config), "--out", str(out_dir), "--jobs", "1"]) == 0
@@ -234,13 +233,9 @@ class TestSweepCommand:
         rows = self.sweep_rows(tmp_path, model_lines="const_u = 3.5")
         assert float(rows[0]["peak_sup_u"]) == 3.5
 
-    def test_sweep_uses_classifier_settings(self, tmp_path):
-        # from u = 1, u rises toward kappa = 2: inconclusive by default
+    def test_sweep_classifies_with_the_fixed_thresholds(self, tmp_path):
+        # from u = 1, u rises toward kappa = 2: inconclusive
         assert self.sweep_rows(tmp_path)[0]["verdict"] == "inconclusive"
-        assert self.sweep_rows(tmp_path, monitor_lines="slope_tol = 1.0")[0]["verdict"] == \
-               "bounded-plateau"
-        assert self.sweep_rows(tmp_path, monitor_lines="growth_factor = 0.5")[0]["verdict"] == \
-               "growing"
 
     def test_runs_without_alpha(self, tmp_path):
         # alpha is the one key a sweep does not read, so it need not be set
@@ -274,7 +269,7 @@ def other_value(kind, default):
         return {"gaussian-bump-v": "constant", "imex": "explicit-euler", "out": "elsewhere"}[default]
     values = default if isinstance(default, tuple) else (default,)
     # ints step up (ndim 2, 65 cells, seed 1); positive floats halve, which
-    # keeps the CFL numbers below 1 and tail_fraction at most 1; zeros become 0.5
+    # keeps cfl_advect below 1; zeros become 0.5
     return ", ".join(str(v + 1 if isinstance(v, int) else v / 2 if v > 0 else 0.5)
                      for v in values)
 
@@ -283,19 +278,40 @@ SWEEP_BASE = "[model]\nalpha = 1.0\n[sweep]\nalphas = 1.0\n"
 
 
 class TestEveryKeyReachesBothCommands:
+    """A key reaches a command when a value other than its default changes
+    what the command uses: simulate's arguments to run and to the preset,
+    sweep's spec for run_sweep, and the files either writes."""
+
     # the keys that one command alone reads, exempt from reaching both;
-    # out_dir is a default for --out rather than a run setting
-    SIMULATE_ONLY = {"alpha", "seed", "snapshot_every", "out_dir"}
+    # out_dir, the default for --out, reaches both
+    SIMULATE_ONLY = {"alpha", "seed", "snapshot_every"}
     SWEEP_ONLY = {"alphas", "seeds"}
 
-    def sweep_spec(self, tmp_path, monkeypatch, text):
-        specs = []
+    def used(self, tmp_path, monkeypatch, command, text):
+        """What the command, run without --out in a fresh directory, uses of the config."""
+        calls = []
+
+        def recording_run(initial, params, grid, control, t_end, monitor_every, on_record):
+            calls.append(("run", params, grid, control, t_end, monitor_every))
+            # the run itself stops by t = 0.5, which keeps explicit Euler short
+            return run(initial, params, grid, control, min(t_end, 0.5), monitor_every,
+                       on_record=on_record)
+
+        def recording_preset(*args, **kwargs):
+            calls.append(("preset", args, kwargs))
+            return initial_condition_preset(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "run", recording_run)
+        monkeypatch.setattr(sweep_module, "initial_condition_preset", recording_preset)
         monkeypatch.setattr(cli_module, "run_sweep",
-                            lambda spec, jobs: specs.append(spec) or SweepResult([]))
-        config = tmp_path / "sweep.cfg"
+                            lambda spec, jobs: calls.append(("sweep", spec)) or SweepResult([]))
+        workdir = tmp_path / f"{command}-{len(list(tmp_path.iterdir()))}"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        config = tmp_path / "run.cfg"
         config.write_text(text)
-        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
-        return specs[0]
+        assert main([command, "--config", str(config)]) == 0
+        return calls, sorted(str(path.relative_to(workdir)) for path in workdir.rglob("*"))
 
     @pytest.mark.parametrize("section,key", [(section, key) for section, keys in _SCHEMA.items()
                                              for key in keys])
@@ -303,15 +319,11 @@ class TestEveryKeyReachesBothCommands:
         kind, default = _SCHEMA[section][key], _key_values(parse_config(SWEEP_BASE))[key]
         text = SWEEP_BASE + f"[{section}]\n{key} = {other_value(kind, default)}\n"
         text = text.replace(f"{key} = 1.0\n", "", 1) if key in ("alpha", "alphas") else text
-        config, base_config = parse_config(text), parse_config(SWEEP_BASE)
-        assert config != base_config
-        # simulate reads all of the Config but alphas and seeds
-        simulated = replace(config, alphas=None, seeds=(0,))
-        assert (simulated != replace(base_config, alphas=None, seeds=(0,))) == \
-               (key not in self.SWEEP_ONLY)
-        base = self.sweep_spec(tmp_path, monkeypatch, SWEEP_BASE)
-        changed = self.sweep_spec(tmp_path, monkeypatch, text)
-        assert (changed != base) == (key not in self.SIMULATE_ONLY)
+        assert parse_config(text) != parse_config(SWEEP_BASE)
+        for command, exempt in (("simulate", self.SWEEP_ONLY), ("sweep", self.SIMULATE_ONLY)):
+            changed = self.used(tmp_path, monkeypatch, command, text)
+            base = self.used(tmp_path, monkeypatch, command, SWEEP_BASE)
+            assert (changed != base) == (key not in exempt), command
 
 
 class TestStepCollapse:

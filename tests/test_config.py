@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import chemovir
 from chemovir.cli import main
-from chemovir.config import (_SCHEMA, Config, ConfigError, config_to_text, load_config,
-                             parse_config)
+from chemovir.config import (_SCHEMA, Config, ConfigError, _key_values, config_to_text,
+                             load_config, parse_config)
 from chemovir.sweep import SweepSpec
 
 MINIMAL = """
@@ -130,6 +135,63 @@ class TestErrors:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("stepper", "cfl_react", "0.9"), ("monitors", "growth_factor", "1000.0"),
+        ("monitors", "tail_fraction", "0.2"), ("monitors", "slope_tol", "1e-4"),
+    ])
+    def test_fixed_settings_are_unknown_keys(self, tmp_path, capsys, section, key, value):
+        # the reaction cap and the classifier's thresholds are constants, not keys
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{MINIMAL}[{section}]\n{key} = {value}\n")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: line 9: unknown key {key!r} in section [{section}]\n"
+
+    def test_ndim_bounded_by_the_cell_count(self):
+        # 36 axes of 3 cells fit the cell-count bound, 37 do not
+        assert parse_config(MINIMAL.replace("ndim = 1\ncells = 64", "ndim = 36\ncells = 3")) \
+            .grid.shape == (3,) * 36
+        for ndim in (0, 37):
+            with pytest.raises(ConfigError, match=rf"^line 6: ndim must satisfy 1 <= ndim <= 36, "
+                                                  rf"got {ndim}$"):
+                parse_config(MINIMAL.replace("ndim = 1", f"ndim = {ndim}"))
+
+    @pytest.mark.parametrize("ndim", [10 ** 6, 10 ** 9])
+    def test_large_ndim_refused_before_cells_are_expanded(self, tmp_path, ndim):
+        # a subprocess with a timeout fails instead of hanging
+        path = tmp_path / "run.cfg"
+        path.write_text(MINIMAL.replace("ndim = 1", f"ndim = {ndim}"))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chemovir.__file__)))
+        done = subprocess.run([sys.executable, "-m", "chemovir", "simulate", "--config", str(path),
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 2
+        assert done.stderr == f"error: line 6: ndim must satisfy 1 <= ndim <= 36, got {ndim}\n"
+
+
+class TestReadmeBlock:
+    """README's configuration block lists every key at its default."""
+
+    # a comment in the block names these, all default 1
+    OVERRIDES = ("d_u", "d_v", "d_w", "decay_u", "decay_v", "decay_w", "production")
+
+    @pytest.fixture
+    def block(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+    def test_lists_every_key_but_the_overrides(self, block):
+        listed = parse_config(block).lines
+        keys = {key for section in _SCHEMA.values() for key in section}
+        assert set(listed) == keys - set(self.OVERRIDES)
+        assert all(key in block for key in self.OVERRIDES)
+
+    def test_values_are_the_defaults(self, block):
+        # alpha and alphas have no default: the block gives example values
+        values, defaults = _key_values(parse_config(block)), _key_values(parse_config(""))
+        for key in parse_config(block).lines.keys() - {"alpha", "alphas"}:
+            assert values[key] == defaults[key], key
+
 
 class TestRoundTrip:
     def test_serialize_parse_identity(self):
@@ -172,6 +234,18 @@ def non_finite():
                 yield from ((section, key, value) for value in ("inf", "nan"))
 
 
+def edges():
+    # values just past the bounds that violations() and non_finite() stay clear
+    # of: strict and upper bounds, entry counts, and a list's later entries
+    yield from [
+        ("stepper", "dt_max", "0"), ("stepper", "cfl_advect", "0"), ("stepper", "cfl_advect", "1"),
+        ("stepper", "t_end", "0"), ("monitors", "monitor_every", "0"),
+        ("grid", "ndim", "0"), ("grid", "ndim", "37"), ("grid", "cells", "2"),
+        ("grid", "cells", "64, 64"), ("grid", "lengths", "0"), ("grid", "lengths", "1.0, 1.0"),
+        ("sweep", "alphas", "1.0, -1.0"), ("sweep", "seeds", "0, -1"),
+    ]
+
+
 class TestConstraintLines:
     """Every constraint lives in a dataclass; its violation cites the key's line.
 
@@ -179,7 +253,8 @@ class TestConstraintLines:
     goes through Config.sweep_spec as the sweep command does.
     """
 
-    @pytest.mark.parametrize("section,key,value", list(violations()) + list(non_finite()))
+    @pytest.mark.parametrize("section,key,value", list(violations()) + list(non_finite())
+                                                  + list(edges()))
     def test_violation_cites_line(self, section, key, value):
         text, line = with_key(section, key, value)
         with pytest.raises(ConfigError, match=rf"^line {line}: .*\b{key}\b"):

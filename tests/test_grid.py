@@ -60,6 +60,14 @@ class TestGridGeometry:
         # 3^40 cells overflow numpy's largest array
         with pytest.raises(ValueError, match="^cells"):
             Grid((3,) * 40)
+        # 36 axes of 3 cells fit; more are refused before the product is taken,
+        # with a message that does not carry the shape
+        assert Grid((3,) * 36).n_cells == 3 ** 36
+        for axes in (37, 10 ** 5):
+            with pytest.raises(ValueError) as excinfo:
+                Grid((3,) * axes)
+            assert str(excinfo.value) == f"cells must satisfy at most 36 axes of >= 3 cells, " \
+                                         f"got {axes} axes"
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
@@ -384,6 +392,3 @@ class TestStateLayout:
         assert state.u[0, 0] == 1.0
         with pytest.raises(ValueError):
             state.w[0, 0] = 0.0
-        copy = state.copy()
-        assert copy.t == 0.5 and not np.shares_memory(copy.fields, state.fields)
-        np.testing.assert_array_equal(copy.fields, state.fields)

@@ -356,9 +356,20 @@ class TestClassifyBoundedness:
         with pytest.raises(ValueError):
             classify_boundedness([make_record(t=float(k)) for k in range(9)])
 
-    def test_thresholds_configurable(self):
-        records = [make_record(t=float(k), sup_u=1.0 + 0.5 * k) for k in range(12)]
-        assert classify_boundedness(records, growth_factor=3.0).label == "growing"
+    def test_fixed_thresholds(self):
+        def label(sup_u):
+            return classify_boundedness([make_record(t=float(k), sup_u=sup_u(k))
+                                         for k in range(20)]).label
+
+        # growing once some sup_u exceeds 1e3 * sup_u(0) + 1
+        assert label(lambda k: 1001.0 if k == 19 else 1.0) == "inconclusive"
+        assert label(lambda k: 1001.5 if k == 19 else 1.0) == "growing"
+        # a plateau when log(sup_u) rises at a slope below 1e-4 ...
+        assert label(lambda k: math.exp(0.9e-4 * k)) == "bounded-plateau"
+        assert label(lambda k: math.exp(1.1e-4 * k)) == "inconclusive"
+        # ... over the final fifth of the records: the last 4 of 20
+        assert label(lambda k: math.exp(0.01 * min(k, 16))) == "bounded-plateau"
+        assert label(lambda k: math.exp(0.01 * min(k, 17))) == "inconclusive"
 
 
 class TestEnergyPlateau:
