@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .grid import _MAX_AXES, Grid, require
+from .grid import _MAX_AXES, Grid, _shown, require
 from .model import Coefficients
 from .stepper import StepControl
 from .sweep import RunSpec, SweepSpec
@@ -163,11 +163,11 @@ def parse_config(text: str) -> Config:
     # before cells and lengths are repeated ndim times: Grid admits no more axes
     if not 1 <= ndim <= _MAX_AXES:
         raise ConfigError(f"line {lines['ndim']}: ndim must satisfy 1 <= ndim <= {_MAX_AXES}, "
-                          f"got {ndim}")
+                          f"got {_shown(ndim)}")
     cells, lengths = values.get("cells", (64,)), values.get("lengths", (1.0,))
     if len(cells) not in (1, ndim):
         raise ConfigError(f"line {lines['cells']}: cells must satisfy one entry or {ndim} "
-                          f"entries, got {cells}")
+                          f"entries, got {_shown(cells)}")
     cells, lengths = (entries * ndim if len(entries) == 1 else entries
                       for entries in (cells, lengths))
     constants = tuple(values.get(key, default)

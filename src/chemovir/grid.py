@@ -42,7 +42,7 @@ class Grid:
         require(all(isinstance(s, (int, np.integer)) or isinstance(s, float) and s.is_integer()
                     for s in shape), "cells", "a whole number of cells per axis", shape)
         shape = tuple(int(s) for s in shape)
-        require(len(shape) >= 1, "ndim", "ndim >= 1", f"shape {shape}")
+        require(len(shape) >= 1, "ndim", "ndim >= 1", shape)
         require(all(s >= 3 for s in shape), "cells", "every axis >= 3 cells", shape)
         # checked before the product, whose cost grows quadratically with the axes
         require(len(shape) <= _MAX_AXES, "cells", f"at most {_MAX_AXES} axes of >= 3 cells",
@@ -82,9 +82,20 @@ def require(ok: bool, name: str, requirement: str, value) -> None:
     """
     numbers = value if isinstance(value, tuple) else (value,)
     if not all(math.isfinite(x) for x in numbers if isinstance(x, float)):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name} must be finite, got {_shown(value)}")
     if not ok:
-        raise ValueError(f"{name} must satisfy {requirement}, got {value}")
+        raise ValueError(f"{name} must satisfy {requirement}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """A value as errors print it, an int of more than 30 digits by its digit count."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
+    if isinstance(value, int) and abs(value) >= 10 ** 30:
+        n = abs(value)  # its digits counted without str(), which refuses over 4300
+        digits = next(k for k in itertools.count(n.bit_length() * 30102 // 100000) if 10 ** k > n)
+        return f"a {'negative ' * (value < 0)}{digits}-digit integer"
+    return str(value)
 
 
 def check_field(values: np.ndarray, grid: Grid, name: str = "field") -> np.ndarray:

@@ -38,16 +38,14 @@ only the new state's fields; on smaller ones numpy's iterator also
 buffers, within the call, the operands that broadcast over the fields,
 such as the solve's (E, 3, 1, ...) tau*lambda and the factor that scales
 the imex right-hand side, and a step peaks at up to about 5x the fields.
-Under both schemes every axis has a flat bordered face array of one
-layout, with zero faces at both ends of every row, in which the face flux
-is built: under explicit-euler each field's, d*diff f/h^2, and
-(d*diff f - phi_up*diff v)/h^2 in u's row; under imex, which treats
-diffusion implicitly, the donor-cell flux phi_up*diff v/h^2 alone, in v's
-rows.  The donor-cell flux is formed on v's raw face differences and
-divided by h^2 once, exact on a spacing of 2^-k, where it therefore equals
-(phi_up*(diff v/h))/h bit for bit.  An axis's divergence is then one
-subtraction of the faces either side of each cell, summed into the rates
-in axis order, so that mirroring any axis mirrors the rates bit for bit.
+Under both schemes each axis's face flux is built in one flat bordered
+array (see _Plan).  The face kernels, |diff v| and the donor-cell flux,
+run on each member's contiguous row of the faces above its first N - s
+cells, N its cell count and s the axis's stride.  The row takes in the
+zero faces where it crosses from one slab of the axis to the next; diff v
+is +0.0 there, so phi_up*0 keeps them +0.0 for a valid u, and |0| cannot
+raise max |grad v|.  Only a u holding -0.0 moves bits: under imex the zero
+face beside it becomes -0.0, as an interior face with diff v = 0 does.
 The step size needs max |grad v| only when its upper bound, (max v -
 min v)/h_min from the memoised extrema, cannot rule out the advective cap.
 Members that reach a monitor target together are recorded from the state
@@ -69,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import _face_slices, _sensitivity, helmholtz_solve
+from .discretization import _sensitivity, helmholtz_solve
 from .grid import Grid, State, _extrema, _member_runs, integrate, require
 from .model import ExponentInfeasibleError, Params, select_energy_exponent
 from .monitors import DiagnosticsRecord, RunBaseline, compute_record
@@ -142,9 +140,8 @@ class RunResult:
 class _Plan:
     """What every step of one ensemble shares, made once per run: the step-size
     formula's state-independent parts, the kinetics' coefficients and a
-    workspace, one buffer that every step refills, with views of its cells
-    either side of each face.  step hands the plan on from each state to the
-    next in State.memo.
+    workspace, one buffer that every step refills, with views of its faces.
+    step hands the plan on from each state to the next in State.memo.
 
     The workspace holds ``rates``, the stacked rates and then the imex
     right-hand side; one bordered face array per axis; and ``phi`` (|grad
@@ -157,19 +154,19 @@ class _Plan:
     above each row's last cell are zeroed for each state, so that every
     row has a zero face at both ends.  The face flux is built in b, so that
     an axis's divergence is one subtraction: its upper faces less its lower
-    ones under explicit-euler, and its lower less its upper ones, u's rate
-    -div(phi_up grad v), under imex.  Under explicit-euler the unscaled
-    donor-cell flux phi_up*diff v lies in a buffer after phi until u's row
-    takes it; under imex it is formed in place in v's differences.  Either
-    way one division by h^2 (exact on a spacing of 2^-k) follows.
-    ``spare``, three fields' worth, lies past the bordered arrays under
-    explicit-euler, over phi and that buffer, and over the arrays under
-    imex, whose rates leave them free.  Each is free again whenever it is
-    used: for an axis's divergence after the first (in phi under imex), for
-    decays*fields, and as the solve's scratch.  No state's fields lie in
-    the workspace, and on grids of more than 4,096 cells a step allocates
-    only the new state's fields (on smaller ones numpy's iterator buffers
-    the broadcast operands; see the module docstring).
+    ones under explicit-euler, (d*diff f - phi_up*diff v)/h^2 in u's row and
+    d*diff f/h^2 in the others; its lower less its upper ones under imex,
+    which treats diffusion implicitly, u's rate -div(phi_up grad v).  The
+    unscaled donor-cell flux phi_up*diff v, on each member's contiguous row
+    (see the module docstring), lies in a buffer after phi until u's row
+    takes it under explicit-euler, and is formed in place in v's
+    differences under imex.  One division by h^2 follows, exact on a
+    spacing of 2^-k, where the flux thus equals (phi_up*(diff v/h))/h bit
+    for bit.  ``spare``, three fields' worth, lies past the bordered arrays
+    under explicit-euler, over phi and that buffer, and over the arrays
+    under imex, whose rates leave them free.  Each is free again whenever
+    it is used: for an axis's divergence after the first (in phi under
+    imex), for decays*fields, and as the solve's scratch.
     """
 
     def __init__(self, params: tuple, grid: Grid, control: StepControl, shape: tuple):
@@ -193,20 +190,16 @@ class _Plan:
         self.diffusivities = (None if diffusivities == (1.0,) * 3 or not self.explicit
                               else _column(diffusivities, ndim))
         self.decays = None if decays == (1.0,) * 3 else _column(decays, ndim)
-        self.slices = [_face_slices(ndim, axis) for axis in range(ndim)]
-        self.cells = tuple(range(1, ndim + 1))  # of a member-first field
         # indices of u, v and w in member-first arrays
         self.components_index = tuple((slice(None), k) for k in range(3))
         self.source = None  # the fields whose differences the workspace holds
 
         field = shape[:1] + grid.shape  # one component of every member
-        size = math.prod(field)
-        faces = [field[:axis + 1] + (field[axis + 1] - 1,) + field[axis + 2:]
-                 for axis in range(ndim)]
+        size, members, n_cells = math.prod(field), shape[0], grid.n_cells
         # the bordered arrays difference r rows of n values, pick's in the
         # fields reshaped to plan.rows: every field's as one flat row, or each
         # member's v; views of the r rows have the shape as_rows
-        r, n = (1, 3 * size) if self.explicit else (shape[0], size // shape[0])
+        r, n = (1, 3 * size) if self.explicit else (members, n_cells)
         self.rows, pick = ((-1,), ()) if self.explicit else ((r, 3, n), (slice(None), 1))
         as_rows = (-1,) if self.explicit else (r, n)
         strides = [math.prod(grid.shape[axis + 1:]) for axis in range(ndim)]
@@ -219,7 +212,6 @@ class _Plan:
             workspace, [shape, *[(length,) for length in lengths], field])
         self.components = self.rates[:, 0], self.rates[:, 1], self.rates[:, 2]
         self.spare = spare = workspace[spare_at:spare_at + 3 * size].reshape(shape)
-        self.magnitudes = [_views(self.phi, [face])[0] for face in faces]
         # per axis: the rows' cells above and below its faces, where their
         # difference goes, and b's zero faces, the first s of every cells*s
         # values from its start, in a view reaching past b
@@ -230,18 +222,20 @@ class _Plan:
             self.differencing.append((above, below, b[s:].reshape(as_rows)[..., :-s], zeros))
             start += b.size
         # per axis, the face above each cell, where the flux is built, with
-        # h^2 and, under explicit-euler, u's faces; and phi either side of the
-        # faces with where the donor-cell flux is formed: in spare, or in place
-        whole = [b[s:].reshape(shape if self.explicit else field)
-                 for s, b in zip(strides, bordered)]
-        self.velocity = [upper[lo][:, 1] if self.explicit else upper[lo]
-                         for upper, (lo, hi) in zip(whole, self.slices)]
-        self.fluxes = [(upper, h * h, upper[lo][:, 0] if self.explicit else None)
-                       for upper, h, (lo, hi) in zip(whole, grid.spacing, self.slices)]
-        flux = ([_views(spare.reshape(-1)[size:], [face])[0] for face in faces]
+        # h^2; and each member's row of faces above its first N - s cells:
+        # v's, u's under explicit-euler, phi either side, |grad v| and the flux
+        rows = [b[s:].reshape(members, -1, n_cells)[..., :n_cells - s]
+                for s, b in zip(strides, bordered)]
+        self.velocity = [row[:, 1 if self.explicit else 0] for row in rows]
+        self.fluxes = [(b[s:].reshape(shape if self.explicit else field), h * h,
+                        row[:, 0] if self.explicit else None)
+                       for s, b, h, row in zip(strides, bordered, grid.spacing, rows)]
+        self.magnitudes = [_views(self.phi, [v.shape])[0] for v in self.velocity]
+        flux = ([_views(spare.reshape(-1)[size:], [v.shape])[0] for v in self.velocity]
                 if self.explicit else self.velocity)
-        self.donor_cell = [(self.phi[lo], self.phi[hi], out)
-                           for (lo, hi), out in zip(self.slices, flux)]
+        phi = self.phi.reshape(members, n_cells)
+        self.donor_cell = [(phi[:, :n_cells - s], phi[:, s:], out)
+                           for s, out in zip(strides, flux)]
         # per axis, the subtraction that gives its divergence and where it
         # goes: the first axis's to total, each further one's to part, added to total
         self.total = self.rates.reshape(r, -1)[:, :n].reshape(as_rows)
@@ -349,8 +343,7 @@ def _gradient_max(state: State, plan: _Plan) -> list[float]:
     """Each member's max |grad v|, over v's face differences."""
     gmax = None
     for d, magnitude, h in zip(_differences(state, plan), plan.magnitudes, plan.grid.spacing):
-        largest = np.maximum.reduce(np.abs(d, out=magnitude), plan.cells).tolist()
-        largest = list(map(h.__rtruediv__, largest))
+        largest = [m / h for m in np.maximum.reduce(np.abs(d, out=magnitude), 1).tolist()]
         gmax = largest if gmax is None else list(map(max, gmax, largest))
     return gmax
 
@@ -371,17 +364,12 @@ def _rates(state: State, plan: _Plan) -> np.ndarray:
     zeros for imex, which treats diffusion implicitly, or of d*lap(fields)
     for explicit-euler; laplacian_neumann and chemotaxis_divergence are the
     references of the fused stencils.  Each axis's face flux is built in
-    its bordered array: under explicit-euler each field's whole face flux,
-    (d*diff f - phi_up*diff v)/h^2 in u's row and d*diff f/h^2 in the
-    others, the donor-cell flux taken before the diffusivities scale v's
-    differences; under imex the donor-cell flux alone, in place in v's
-    differences.  One division by h^2, exact on a spacing of 2^-k, scales
-    the faces.  The divergence is one subtraction per axis, of the faces
-    either side of each cell, and each further axis is summed in axis
-    order, so that mirroring any axis mirrors the rates bit for bit.
-    Under imex it goes to u's rates, and v's and w's start from zeros.
-    Every intermediate lies in the plan's workspace, and the differences
-    are consumed: plan.source is cleared.
+    its bordered array (see _Plan), the donor-cell flux taken before the
+    diffusivities scale v's differences.  The divergence is one subtraction
+    per axis, and each further axis is summed in axis order, so that
+    mirroring any axis mirrors the rates bit for bit.  Every intermediate
+    lies in the plan's workspace, and the differences are consumed:
+    plan.source is cleared.
     """
     fields, rates = state.fields, plan.rates
     index_u, index_v, index_w = plan.components_index

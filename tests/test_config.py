@@ -168,6 +168,22 @@ class TestErrors:
         assert done.returncode == 2
         assert done.stderr == f"error: line 6: ndim must satisfy 1 <= ndim <= 36, got {ndim}\n"
 
+    @pytest.mark.parametrize("key,value,shown", [
+        ("ndim", 10 ** 3999, "got a 4000-digit integer"),
+        ("cells", 10 ** 3999, "got (a 4000-digit integer,)"),
+        ("cells", -10 ** 3999, "got (a negative 4000-digit integer,)"),
+        ("cells", f"8, {10 ** 3999}", "got (8, a 4000-digit integer)"),
+    ], ids=["ndim", "cells", "negative-cells", "cells-entries"])
+    def test_long_int_shown_by_its_digit_count(self, tmp_path, capsys, key, value, shown):
+        # a 4000-digit int parses exactly; the error names its size, not its digits
+        path = tmp_path / "run.cfg"
+        path.write_text(MINIMAL.replace(f"{key} = ", f"{key} = {value}  # ", 1))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        line = {"ndim": 6, "cells": 7}[key]
+        assert err.startswith(f"error: line {line}: {key} must satisfy ")
+        assert err.endswith(f", {shown}\n") and err.count("\n") == 1 and len(err) < 200
+
 
 class TestReadmeBlock:
     """README's configuration block lists every key at its default."""

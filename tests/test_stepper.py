@@ -1099,3 +1099,52 @@ class TestBorderedFaces:
         assert plan.bordered[0][:math.prod(shape[1:])].any()  # the solve wrote over them
         stepper_module._differences(new, plan)
         self.assert_bordered(plan, new.fields, shape)
+
+
+class TestContiguousFaceKernels:
+    """The face kernels run on each member's contiguous row of the faces
+    above its first N - s cells, the zero faces where a row crosses from
+    one slab of the axis to the next included: bit for bit the references,
+    and every zero face stays +0.0."""
+
+    @staticmethod
+    def ensemble(shape):
+        # distinct alphas; the middle member's v is constant, and the steepest
+        # face of the others' v is their last one, on the last axis.  Unit
+        # decays: decays*fields would go to imex's spare, over the bordered arrays
+        rng = np.random.default_rng(len(shape))
+        params = tuple(Params(alpha=alpha, kappa=0.7) for alpha in (0.8, 0.0, 2.0))
+        fields = rng.uniform(0.5, 2.0, (3, 3) + shape)
+        fields[1, 1] = 0.5
+        for member, rise in ((0, 3.0), (2, 5.0)):
+            v = fields[member, 1]
+            v[..., -1] += rise
+            v[(-1,) * len(shape)] += rise
+        return params, Grid(shape), fields
+
+    @pytest.mark.parametrize("shape", [(8, 4, 16), (4, 8, 4, 8)])  # spacings of 2^-k
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_bit_for_bit_the_references(self, shape, scheme):
+        params, grid, fields = self.ensemble(shape)
+        plan = stepper_module._Plan(params, grid, StepControl(scheme=scheme), fields.shape)
+        state = State.from_fields(fields, [0.0] * 3)
+        gmax = stepper_module._gradient_max(state, plan)
+        rates = stepper_module._rates(state, plan)  # on the same differences
+        for k, (member, p) in enumerate(zip(fields, params)):
+            u, v, w = member
+            steepest = [np.abs(np.diff(v, axis=a)).max() / h for a, h in enumerate(grid.spacing)]
+            assert gmax[k] == max(steepest)
+            assert k == 1 or steepest.index(max(steepest)) == grid.ndim - 1
+            if scheme == "imex":
+                # -div(phi_up grad v) and the kinetics, in _rates' order
+                want = -chemotaxis_divergence(u, v, grid, p.alpha)
+                want -= u * w
+                want += p.kappa
+                want -= u
+                np.testing.assert_array_equal(rates[k, 0], want)
+        # the first s faces and those above each row's last cell on the axis
+        rows = fields if plan.explicit else fields[:, 1:2]
+        for axis, b in enumerate(plan.bordered):
+            s = math.prod(shape[axis + 1:])
+            for zeros in (b[:s], np.take(b[s:].reshape(rows.shape), -1, axis + 2)):
+                assert (zeros == 0.0).all() and not np.signbit(zeros).any()
