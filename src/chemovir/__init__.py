@@ -2,7 +2,7 @@
 saturated chemotaxis on boxes with no-flux boundaries."""
 
 from .discretization import chemotaxis_divergence, helmholtz_solve, laplacian_neumann
-from .grid import Grid, State, integrate, lp_norm, read_snapshot, write_snapshot
+from .grid import Grid, State, lp_norm, read_snapshot, write_snapshot
 from .model import (
     Coefficients,
     ExponentInfeasibleError,
@@ -39,7 +39,7 @@ __all__ = [
     "alpha_threshold", "check_u_mass_bound", "check_v_mass_bound",
     "chemotaxis_divergence", "classify_boundedness",
     "helmholtz_solve",
-    "homogeneous_steady_states", "initial_condition_preset", "integrate",
+    "homogeneous_steady_states", "initial_condition_preset",
     "laplacian_neumann", "lp_norm", "mass_identity_residual",
     "read_snapshot", "run", "run_sweep",
     "select_energy_exponent", "stable_dt", "step", "write_snapshot",

@@ -2,9 +2,9 @@
 
 Zero-dependency parsing with line-accurate errors: unknown keys, type
 mismatches, duplicates (both lines cited) and violated constraints all
-name the offending line.  ``#`` starts a comment anywhere.  Every key has
-a documented default except alpha, which simulate requires and sweep
-ignores.
+name the offending line, and quote at most 32 characters of its text.
+``#`` starts a comment anywhere.  Every key has a documented default
+except alpha, which simulate requires and sweep ignores.
 
 _SCHEMA is the only list of the keys, with each key's kind.  A key's value
 goes to the dataclass field of the same name, except the grid and
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .grid import _MAX_AXES, Grid, _shown, require
+from .grid import _MAX_AXES, Grid, _quoted, _shown, require
 from .model import Coefficients
 from .stepper import StepControl
 from .sweep import RunSpec, SweepSpec
@@ -106,7 +106,8 @@ def _parse_scalar(kind: str, raw: str, line_no: int, key: str):
             raise ValueError
         return values
     except ValueError:
-        raise ConfigError(f"line {line_no}: key {key!r} expects {kind}, got {raw!r}") from None
+        raise ConfigError(
+            f"line {line_no}: key {key!r} expects {kind}, got {_quoted(raw)}") from None
 
 
 def _whole(text: str) -> int:
@@ -131,17 +132,17 @@ def _tokenize(text: str):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if section not in _SCHEMA:
-                raise ConfigError(
-                    f"line {line_no}: unknown section [{section}]; "
-                    f"expected one of {sorted(_SCHEMA)}")
+                raise ConfigError(f"line {line_no}: unknown section {_quoted(line)}; "
+                                  f"expected one of {sorted(_SCHEMA)}")
             continue
         if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {raw_line.strip()!r}")
+            raise ConfigError(
+                f"line {line_no}: expected 'key = value', got {_quoted(raw_line.strip())}")
         if section is None:
             raise ConfigError(f"line {line_no}: key outside of any section")
         key, raw_value = (piece.strip() for piece in line.split("=", 1))
         if key not in _SCHEMA[section]:
-            raise ConfigError(f"line {line_no}: unknown key {key!r} in section [{section}]")
+            raise ConfigError(f"line {line_no}: unknown key {_quoted(key)} in section [{section}]")
         if key in values:
             raise ConfigError(
                 f"line {line_no}: duplicate key {key!r} in [{section}] "

@@ -5,8 +5,8 @@ A field is a plain ``numpy`` array with one value per cell, C-ordered
 boundary condition everywhere is homogeneous Neumann, realised by the
 zero-flux convention of the operators in :mod:`chemovir.discretization`.
 
-Reductions run in a fixed order (numpy's sequential sum over the flat
-array), so results are reproducible bit for bit.
+Each sum runs over one field's contiguous row of cells, summed by numpy on
+its own, so a member's sums do not depend on its ensemble, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ SNAPSHOT_MAGIC = "CVF2"
 # the most axes that pass Grid's cell-count bound, at 3 cells an axis:
 # 24 * 3**36 <= 2**63 - 1 < 24 * 3**37
 _MAX_AXES = 36
+_QUOTED_LENGTH = 32  # the most characters of a text that an error quotes
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,9 @@ def require(ok: bool, name: str, requirement: str, value) -> None:
 
 
 def _shown(value) -> str:
-    """A value as errors print it, an int of more than 30 digits by its digit count."""
+    """A value as errors print it, a long int by its digit count and a long text by _quoted."""
+    if isinstance(value, str) and len(value) > _QUOTED_LENGTH:
+        return _quoted(value)
     if isinstance(value, tuple):
         return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
     if isinstance(value, int) and abs(value) >= 10 ** 30:
@@ -96,6 +99,13 @@ def _shown(value) -> str:
         digits = next(k for k in itertools.count(n.bit_length() * 30102 // 100000) if 10 ** k > n)
         return f"a {'negative ' * (value < 0)}{digits}-digit integer"
     return str(value)
+
+
+def _quoted(text: str) -> str:
+    """A text, such as a config file's, as errors quote it: its repr, cut
+    after _QUOTED_LENGTH characters with its length named."""
+    cut = len(text) > _QUOTED_LENGTH
+    return f"{text[:_QUOTED_LENGTH]!r}{f'... ({len(text)} characters)' * cut}"
 
 
 def check_field(values: np.ndarray, grid: Grid, name: str = "field") -> np.ndarray:
@@ -169,12 +179,6 @@ class State:
                 raise ValueError(f"{name} contains negative values")
 
 
-def integrate(values: np.ndarray, grid: Grid) -> float:
-    """Midpoint-rule integral over the box: cell_volume * sum of values."""
-    values = check_field(values, grid)
-    return float(_integrals(values, grid))
-
-
 def lp_norm(values: np.ndarray, grid: Grid, p) -> float:
     """Discrete L^p norm; p = inf gives the max of |values|."""
     values = check_field(values, grid)
@@ -185,7 +189,7 @@ def lp_norm(values: np.ndarray, grid: Grid, p) -> float:
     return _lp_norm_from_sum(_cell_sums(np.abs(values) ** p, grid.ndim), grid, p)
 
 
-# The quadratures behind integrate, lp_norm and the records.  They reduce
+# The quadratures behind lp_norm and the records.  They reduce
 # the trailing grid axes of an array with any leading axes, such as an
 # ensemble's (E, 3, *shape), to one value per leading index.  Each sum runs
 # over a contiguous row of cells, so a member's value equals that of its

@@ -14,7 +14,8 @@ discretisation becomes a pure function of diagnostic records here:
   whose differential inequality forces a plateau for admissible p when
   every coefficient is 1 (NaN otherwise).
 
-The monitors are stateless; each record is evaluated independently, and
+The monitors are stateless.  A run's record at t = 0 is its one baseline:
+every later record's mass oracles relax from its masses of u and u + v.
 compute_record evaluates a whole ensemble's records in one call.  The mass
 helpers take floats or, elementwise, arrays of masses.
 """
@@ -58,15 +59,6 @@ _PLATEAU_WINDOW = 0.2
 _GROWTH_FACTOR = 1e3
 _TAIL_FRACTION = 0.2
 _SLOPE_TOL = 1e-4
-
-
-@dataclass(frozen=True)
-class RunBaseline:
-    """A run's initial masses of u and of u + v, from which the mass oracles
-    relax; the volume they relax with is the grid's."""
-
-    mass_u0: float
-    mass_uv0: float
 
 
 @dataclass(frozen=True)
@@ -116,28 +108,32 @@ def check_v_mass_bound(mass_v: float, initial_mass_uv: float, kappa: float,
 _UNIT_COEFFICIENTS = Coefficients()
 
 
-def compute_record(state: State, grid: Grid, params, p, baseline):
+def compute_record(state: State, grid: Grid, params, p, first=None):
     """The records of an ensemble state, (E, 3, *shape) with its members'
-    times, from per-member sequences of Params, energy exponents and
-    RunBaselines.  The members must share t, kappa and the coefficients,
-    as a run's do at each record (ValueError otherwise): each mass oracle
-    is evaluated once, on the arrays of their masses.  An exponent is None
-    when infeasible, and then its member's energy and lp_u are NaN (energy
-    monitoring is disabled below the threshold).  The energy is NaN as
-    well when any coefficient is not 1: the quasi-energy inequality is
-    derived for the unit system.
+    times, from per-member sequences of Params and energy exponents.  The
+    mass oracles relax from the masses of ``first``, the members' records
+    at t = 0, or without it from the state's own, which must then be at
+    t = 0 (ValueError otherwise).  The members must share t, kappa and the
+    coefficients, as a run's do at each record (ValueError otherwise): each
+    mass oracle is evaluated once, on the arrays of their masses.  An
+    exponent is None when infeasible, and then its member's energy and lp_u
+    are NaN (energy monitoring is disabled below the threshold).  The
+    energy is NaN as well when any coefficient is not 1: the quasi-energy
+    inequality is derived for the unit system.
     """
     # every quantity comes from per-member reductions of the (E, 3, *shape) array
     fields, times, exponents, count = state.fields, list(map(float, state.t)), p, len(state.fields)
     if fields.shape[1:] != (3,) + grid.shape:
         raise ValueError(f"fields shape {fields.shape[1:]} does not match grid {grid.shape}")
-    if not len(times) == len(params) == len(exponents) == len(baseline) == count:
-        raise ValueError(f"{count} members need as many times, Params, exponents and baselines")
+    if not len(times) == len(params) == len(exponents) == len(first or times) == count:
+        raise ValueError(f"{count} members need as many times, Params, exponents, first records")
     # compared, not hashed: a tuple compares the members' one Coefficients by identity
     keys = [(t, member.kappa, member.coeffs) for t, member in zip(times, params)]
     if keys.count(keys[0]) != count:
         raise ValueError("ensemble members must share t, kappa and the coefficients")
     t, kappa, c = keys[0]
+    if first is None and t != 0:
+        raise ValueError(f"records at t={t} relax from the members' first records")
     masses = _integrals(fields, grid)
     # max |values| from the state's memoised extrema, on a stepped state those
     # of its validity check; abs turns -0.0 into 0.0, and a NaN is both extrema
@@ -153,8 +149,10 @@ def compute_record(state: State, grid: Grid, params, p, baseline):
                 raise ValueError(f"energy exponent must exceed 1, got {p}")
             sums_up[members] = _cell_sums(fields[members, 0] ** float(p), grid.ndim).tolist()
     mass_u, mass_v, volume = masses[:, 0], masses[:, 1], grid.volume
-    mass_u0 = np.array([base.mass_u0 for base in baseline])
-    mass_uv0 = np.array([base.mass_uv0 for base in baseline])
+    # the initial masses: the state's own in the first records, then theirs
+    mass_u0, mass_v0 = ((mass_u, mass_v) if first is None else
+                        np.array([(record.mass_u, record.mass_v) for record in first]).T)
+    mass_uv0 = mass_u0 + mass_v0
     if c.decay_u == c.decay_v:
         residuals = mass_identity_residual(mass_u, mass_v, t, mass_uv0, kappa, volume,
                                            c.decay_u).tolist()

@@ -50,7 +50,8 @@ The step size needs max |grad v| only when its upper bound, (max v -
 min v)/h_min from the memoised extrema, cannot rule out the advective cap.
 Members that reach a monitor target together are recorded from the state
 they reached, which goes on to the next target as it is: no copy, and its
-memoised extrema are kept.
+memoised extrema are kept.  The records at t = 0 are the run's baseline:
+every later record's mass oracles relax from their masses.
 
 Negative values are never clamped: a member whose step produces a
 negative or non-finite value retries with half the step, the ensemble
@@ -68,9 +69,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import _sensitivity, helmholtz_solve
-from .grid import Grid, State, _extrema, _member_runs, integrate, require
-from .model import ExponentInfeasibleError, Params, select_energy_exponent
-from .monitors import DiagnosticsRecord, RunBaseline, compute_record
+from .grid import Grid, State, _extrema, _member_runs, require
+from .model import Params, alpha_threshold, select_energy_exponent
+from .monitors import DiagnosticsRecord, compute_record
 
 SCHEMES = ("imex", "explicit-euler")
 MAX_HALVINGS = 20
@@ -134,7 +135,6 @@ class RunResult:
     negativity_retries: int = 0
     max_dt: float = 0.0
     energy_exponent: float | None = None
-    baseline: RunBaseline | None = None
 
 
 class _Plan:
@@ -263,8 +263,8 @@ class _Plan:
             dt = min(self.fixed_cap, _CFL_REACT / max(hi[2] + self.decay_u, self.other_decays),
                      until - t)
             spread = hi[1] - lo[1]
-            if spread > 0.0:
-                damping = (1.0 + lo[0]) ** (-alpha)
+            # a damping of 0 leaves the member no advective cap (see stable_dt)
+            if spread > 0.0 and (damping := (1.0 + lo[0]) ** (-alpha)) > 0.0:
                 if gmax is None and self.advect_length / (
                         self.faces * (spread / self.h_min) * damping) < dt:
                     gmax = _gradient_max(state, self)
@@ -294,9 +294,12 @@ def stable_dt(state: State, params: Params, grid: Grid, control: StepControl) ->
 
         dt <= cfl_advect * h_min / (2 ndim * max|grad v| * (1+min u)^-alpha)
 
-    keeps the pure advective update nonnegative.  Reaction cap: the
-    explicit pointwise loss rate is at most max(w) + decay, giving
-    dt <= _CFL_REACT / max(w + decay), with the constant _CFL_REACT = 0.9.
+    keeps the pure advective update nonnegative; a damping that underflows
+    to 0 (kappa = 1e200, alpha = 2) leaves no cap, as numpy's (1+u)^alpha is
+    then inf in every cell, so that phi(u) and the flux are exactly 0.
+    Reaction cap: the explicit pointwise loss rate is at most max(w) +
+    decay, giving dt <= _CFL_REACT / max(w + decay), with the constant
+    _CFL_REACT = 0.9.
     Explicit diffusion adds the usual h^2/(2 ndim d) limit.  With no
     velocity and dt_max as the only cap the result is dt_max, so the step
     is always positive.  max|grad v| is reduced over the face differences
@@ -480,20 +483,6 @@ def _monitor_targets(t_end: float, monitor_every: float) -> Iterator[float]:
         yield t_end
 
 
-def _start(initial: State, params: Params, grid: Grid) -> RunResult:
-    """A result holding the validated initial state, its baseline and energy
-    exponent; the initial state stands in for the final one until the run
-    sets it, so that no copy is held while the run steps."""
-    initial.validate(grid)
-    mass_u0 = integrate(initial.u, grid)
-    baseline = RunBaseline(mass_u0=mass_u0, mass_uv0=mass_u0 + integrate(initial.v, grid))
-    try:
-        exponent = float(select_energy_exponent(params.alpha, grid.ndim))
-    except ExponentInfeasibleError:
-        exponent = None
-    return RunResult([], initial, energy_exponent=exponent, baseline=baseline)
-
-
 def run(initial, params, grid: Grid, control: StepControl,
         t_end: float, monitor_every: float, on_record=None):
     """Advance to t_end, emitting diagnostics every monitor_every time units.
@@ -550,10 +539,17 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
         raise ValueError(f"{len(initials)} initial states but {len(params)} Params")
     if any(p.kappa != params[0].kappa or p.coeffs != params[0].coeffs for p in params):
         raise ValueError("ensemble members may differ only in alpha")
-    for initial in initials:  # the oracles count t from 0
-        if initial.t != 0:
+    results = []
+    for initial, p in zip(initials, params):
+        if initial.t != 0:  # the oracles count t from 0
             raise ValueError(f"a run starts at t = 0, got an initial state at t={initial.t}")
-    results = [_start(initial, p, grid) for initial, p in zip(initials, params)]
+        initial.validate(grid)
+        # an energy exponent exists exactly above the threshold
+        exponent = (float(select_energy_exponent(p.alpha, grid.ndim))
+                    if p.alpha > alpha_threshold(grid.ndim) else None)
+        # the initial state stands in for the final one until the run sets
+        # it, so that no copy is held while the run steps
+        results.append(RunResult([], initial, energy_exponent=exponent))
     if not initials:
         return results
 
@@ -568,9 +564,9 @@ def _run(initials: list[State], params: tuple[Params, ...], grid: Grid, control:
         live.remove(i)
 
     def record(state):
-        records = compute_record(
-            state, grid, [params[i] for i in live],
-            [results[i].energy_exponent for i in live], [results[i].baseline for i in live])
+        first = [results[i].records[0] for i in live] if results[live[0]].records else None
+        records = compute_record(state, grid, [params[i] for i in live],
+                                 [results[i].energy_exponent for i in live], first)
         for i, member_record in zip(live, records):
             results[i].records.append(member_record)
         if on_record is not None:

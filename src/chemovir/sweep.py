@@ -21,7 +21,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .grid import Grid, State, atomic_write, require
+from .grid import Grid, State, _quoted, atomic_write, require
 from .model import Coefficients, Params, alpha_threshold, select_energy_exponent
 from .monitors import _csv_text, classify_boundedness
 from .stepper import StepControl, UnstableRunError, _monitor_targets, run
@@ -70,7 +70,7 @@ def initial_condition_preset(name: str, grid: Grid, kappa: float, seed: int = 0,
 
 def _check_preset(name: str, constants: tuple[float, float, float]) -> None:
     if name not in PRESETS:
-        raise ValueError(f"preset must be one of {PRESETS}, got unknown preset {name!r}")
+        raise ValueError(f"preset must be one of {PRESETS}, got unknown preset {_quoted(name)}")
     for key, value in zip(("const_u", "const_v", "const_w"), constants):
         require(value >= 0, key, f"{key} >= 0", value)
 

@@ -48,7 +48,8 @@ def mass_identity_suite() -> list[CheckResult]:
     initial = State(grid.new_field(0.0), grid.new_field(0.0), grid.new_field(0.0))
     result = run(initial, params, grid, control, t_end=5.0, monitor_every=0.25)
 
-    budget = 5.0 * result.max_dt * (params.kappa * grid.volume + result.baseline.mass_uv0)
+    first, final = result.records[0], result.records[-1]  # M0 is first's mass of u + v
+    budget = 5.0 * result.max_dt * (params.kappa * grid.volume + first.mass_u + first.mass_v)
     worst = max(abs(r.mass_identity_residual) for r in result.records)
     checks = [CheckResult(
         "mass-identity-residual",
@@ -56,7 +57,6 @@ def mass_identity_suite() -> list[CheckResult]:
         f"max |residual| = {worst:.3e}, budget 5*dt*(kappa|O|+M0) = {budget:.3e} "
         f"({result.steps} steps)",
     )]
-    final = result.records[-1]
     target = 1.0 - math.exp(-5.0)
     error = abs((final.mass_u + final.mass_v) - target)
     checks.append(CheckResult(

@@ -1,13 +1,19 @@
 """Reference evaluations of the record columns, written with plain numpy.
 
-The quasi-energy and the gradient quadrature as the paper states them,
-for one state's fields, with no chemovir helper.  Each sum runs over a
-field's cells in the order ``monitors.compute_record`` takes it, and the
-terms combine in its order, so that its records equal these values bit
-for bit.
+The midpoint-rule integral, the quasi-energy and the gradient quadrature
+as the paper states them, for one state's fields, with no chemovir
+helper.  Each sum runs over a field's cells in the order
+``monitors.compute_record`` takes it, and the terms combine in its order,
+so that its records equal these values bit for bit.
 """
 
 import numpy as np
+
+
+def integrate(values, grid):
+    """int(f) by the midpoint rule: the cell volume times the sum of the
+    flat array."""
+    return float(grid.cell_volume * np.asarray(values, dtype=float).reshape(-1).sum())
 
 
 def grad_norm_sq(values, grid):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from chemovir.discretization import chemotaxis_divergence, laplacian_neumann
-from chemovir.grid import Grid, State, integrate, lp_norm
+from chemovir.grid import Grid, State, lp_norm
 from chemovir.model import Coefficients, Params, alpha_threshold
 from chemovir.stepper import StepControl, _Plan, _rates, run, step
 from chemovir.sweep import SweepSpec, initial_condition_preset, run_sweep
@@ -20,6 +20,7 @@ from chemovir.verification import (
     mass_identity_suite,
     steady_state_suite,
 )
+from oracles import integrate
 
 
 def report(number, name, passed, detail):
@@ -64,8 +65,10 @@ def test_criterion_3_u_mass_bound():
             initial = initial_condition_preset("gaussian-bump-v", grid, kappa)
             result = run(initial, Params(alpha=1.0, kappa=kappa), grid, StepControl(),
                          t_end=5.0, monitor_every=0.1)
-            # the imex step keeps the mass identity, and so the bound, to roundoff
-            budget = 1e-12 * (kappa * grid.volume + result.baseline.mass_uv0)
+            # the imex step keeps the mass identity, and so the bound, to roundoff;
+            # M0 is the mass of u + v in the record at t = 0
+            first = result.records[0]
+            budget = 1e-12 * (kappa * grid.volume + first.mass_u + first.mass_v)
             slack = min(r.u_bound_slack for r in result.records)
             residual = max(abs(r.mass_identity_residual) for r in result.records)
             worst.append((grid.ndim, kappa, slack, residual, budget))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -183,6 +184,52 @@ class TestErrors:
         line = {"ndim": 6, "cells": 7}[key]
         assert err.startswith(f"error: line {line}: {key} must satisfy ")
         assert err.endswith(f", {shown}\n") and err.count("\n") == 1 and len(err) < 200
+
+
+class TestLongText:
+    """An error quotes at most 32 characters of the file's text, and names its length."""
+
+    LONG = {
+        "cells": MINIMAL.replace("cells = 64", "cells = " + "9" * 5000),
+        "kappa": MINIMAL.replace("alpha = 1.0", "alpha = 1.0\nkappa = " + "x" * 3000),
+        "unknown-key": MINIMAL + "k" * 4000 + " = 1\n",
+        "no-equals": MINIMAL + "k" * 4000 + "\n",
+        "unknown-section": MINIMAL + "[" + "s" * 4000 + "]\n",
+        "scheme": MINIMAL + "[stepper]\nscheme = " + "x" * 4000 + "\n",
+        "preset": MINIMAL.replace("alpha = 1.0", "alpha = 1.0\npreset = " + "p" * 4000),
+    }
+
+    @pytest.mark.parametrize("case,line,message,length", [
+        ("cells", 7, "key 'cells' expects list of int, got '99999", 5000),
+        ("kappa", 4, "key 'kappa' expects float, got 'xxxxx", 3000),
+        ("unknown-key", 8, "unknown key 'kkkkk", 4000),
+        ("no-equals", 8, "expected 'key = value', got 'kkkkk", 4000),
+        ("unknown-section", 8, "unknown section '[ssss", 4002),
+        ("scheme", 9, "scheme must satisfy one of ('imex', 'explicit-euler'), got 'xxxxx", 4000),
+        ("preset", 4, "preset must be one of", 4000),
+    ], ids=list(LONG))
+    def test_one_short_line_that_cites_the_line(self, tmp_path, capsys, case, line, message,
+                                                length):
+        path = tmp_path / "run.cfg"
+        path.write_text(self.LONG[case])
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: {message}")
+        assert f"'... ({length} characters)" in err
+        assert err.count("\n") == 1 and len(err) < 200
+
+    def test_short_text_quoted_whole(self):
+        text = "k" * 32
+        with pytest.raises(ConfigError, match=f"^line 8: unknown key '{text}' in section \\[grid\\]$"):
+            parse_config(MINIMAL + text + " = 1\n")
+
+    @pytest.mark.parametrize("text,message", [
+        (MINIMAL.replace("cells = 64", "cells ="), "line 7: key 'cells' expects list of int, got ''"),
+        (MINIMAL + "[sweep]\nalphas = ,\n", "line 9: key 'alphas' expects list of float, got ','"),
+    ], ids=["cells", "alphas"])
+    def test_empty_list(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
 
 
 class TestReadmeBlock:

@@ -12,11 +12,11 @@ from chemovir.grid import (
     _grad_norms_sq,
     _sup_norms,
     atomic_write,
-    integrate,
     lp_norm,
     read_snapshot,
     write_snapshot,
 )
+from oracles import integrate
 
 
 class TestGridGeometry:
@@ -84,6 +84,8 @@ class TestGridGeometry:
 
 
 class TestIntegrate:
+    """The oracle's midpoint rule, against which the records' masses are tested."""
+
     def test_constant_on_unit_box(self):
         grid = Grid((8, 8))
         assert integrate(grid.new_field(1.0), grid) == pytest.approx(1.0, rel=1e-15)
@@ -103,10 +105,6 @@ class TestIntegrate:
         lhs = integrate(2.5 * f - 1.25 * g, grid)
         rhs = 2.5 * integrate(f, grid) - 1.25 * integrate(g, grid)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            integrate(np.zeros(5), Grid((6,)))
 
 
 class TestLpNorm:
@@ -128,6 +126,10 @@ class TestLpNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
             lp_norm(np.zeros(8), Grid((8,)), 0.5)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"^field shape \(5,\) does not match grid \(6,\)$"):
+            lp_norm(np.zeros(5), Grid((6,)), 2)
 
     def test_monotone_and_triangle(self):
         rng = np.random.default_rng(11)
@@ -276,6 +278,27 @@ class TestSnapshotIO:
         path = tmp_path / "chunks.bin"
         atomic_write(path, (b"head\n", np.arange(3.0), memoryview(b"tail")))
         assert path.read_bytes() == b"head\n" + np.arange(3.0).tobytes() + b"tail"
+
+    def test_atomic_write_failure_leaves_the_target_untouched(self, tmp_path):
+        # a chunk that cannot be written fails the write after the first one
+        path = tmp_path / "state.cvf"
+        path.write_bytes(b"old")
+        with pytest.raises(TypeError):
+            atomic_write(path, (b"head\n", "text in a binary write"))
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["state.cvf"]
+
+    @pytest.mark.parametrize("header,message", [
+        (b"2 3\n1\nt=0", "dimension header '2 3' is inconsistent"),
+        (b"1 3 3\n1\nt=0", "dimension header '1 3 3' is inconsistent"),
+        (b"\n1\nt=0", "dimension header '' is inconsistent"),
+        (b"1 3\n1\ntime=0", "missing time line, got 'time=0'"),
+    ], ids=["too-few-axes", "too-many-axes", "empty", "time-line"])
+    def test_inconsistent_dimensions_and_missing_time_line(self, tmp_path, header, message):
+        path = tmp_path / "state.cvf"
+        path.write_bytes(b"CVF2\n" + header + b"\n" + np.ones(9).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_snapshot(path)
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cvf"

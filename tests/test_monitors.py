@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,11 @@ import pytest
 import chemovir.grid as grid_module
 import chemovir.monitors as monitors_module
 import chemovir.stepper as stepper_module
-from chemovir.grid import Grid, State, integrate, lp_norm
+from chemovir.grid import Grid, State, lp_norm
 from chemovir.model import Coefficients, ExponentInfeasibleError, Params, select_energy_exponent
 from chemovir.monitors import (
     CSV_COLUMNS,
     DiagnosticsRecord,
-    RunBaseline,
     check_u_mass_bound,
     check_v_mass_bound,
     classify_boundedness,
@@ -25,7 +25,7 @@ from chemovir.monitors import (
 )
 from chemovir.stepper import StepControl, run
 from chemovir.sweep import initial_condition_preset
-from oracles import grad_norm_sq, quasi_energy
+from oracles import grad_norm_sq, integrate, quasi_energy
 
 
 def make_record(t=0.0, sup_u=1.0, energy=0.0):
@@ -147,27 +147,29 @@ class TestMassBounds:
         assert check_v_mass_bound(0.1, 1.0, 0.0, 1.0, 0.5) > 0
 
 
-def reference_record(state, grid, params, p, baseline):
-    """A record built field by field from the public helpers and the oracles."""
+def reference_record(state, grid, params, p, first=None):
+    """A record built field by field from the public helpers and the oracles.
+    Its mass oracles relax from the masses of ``first``, its run's record at
+    t = 0, or without it from the state's own."""
     c, t, kappa, volume = params.coeffs, state.t, params.kappa, grid.volume
     mass_u, mass_v = integrate(state.u, grid), integrate(state.v, grid)
+    mass_u0, mass_uv0 = (mass_u, mass_u + mass_v) if first is None else (
+        first.mass_u, first.mass_u + first.mass_v)
     if p is None:
         lp_u = energy = math.nan
     else:
         lp_u = lp_norm(state.u, grid, p)
         energy = quasi_energy(state, p, grid) if c == Coefficients() else math.nan
     if c.decay_u == c.decay_v:
-        residual = mass_identity_residual(mass_u, mass_v, t, baseline.mass_uv0, kappa, volume,
-                                          c.decay_u)
+        residual = mass_identity_residual(mass_u, mass_v, t, mass_uv0, kappa, volume, c.decay_u)
     else:
         residual = math.nan
     return DiagnosticsRecord(
         t, mass_u, mass_v, integrate(state.w, grid), lp_norm(state.u, grid, math.inf),
         lp_norm(state.v, grid, math.inf), lp_norm(state.w, grid, math.inf), lp_u,
         grad_norm_sq(state.v, grid), grad_norm_sq(state.w, grid), energy, residual,
-        check_u_mass_bound(mass_u, baseline.mass_u0, kappa, volume, t, c.decay_u),
-        check_v_mass_bound(mass_v, baseline.mass_uv0, kappa, volume, t,
-                           min(c.decay_u, c.decay_v)))
+        check_u_mass_bound(mass_u, mass_u0, kappa, volume, t, c.decay_u),
+        check_v_mass_bound(mass_v, mass_uv0, kappa, volume, t, min(c.decay_u, c.decay_v)))
 
 
 def record_values(records):
@@ -192,21 +194,22 @@ class TestComputeRecord:
                 exponents.append(float(select_energy_exponent(alpha, grid.ndim)))
             except ExponentInfeasibleError:
                 exponents.append(None)
-        baselines = [RunBaseline(mass_u0=m, mass_uv0=2.0 * m)
-                     for m in rng.uniform(0.5, 2.0, count).tolist()]
-        return State.from_fields(fields, times), params, exponents, baselines
+        # each member's record at t = 0, of which only the masses are read
+        firsts = [replace(make_record(), mass_u=m, mass_v=0.5 * m)
+                  for m in rng.uniform(0.5, 2.0, count).tolist()]
+        return State.from_fields(fields, times), params, exponents, firsts
 
     @pytest.mark.parametrize("shape", [(32,), (33,), (12, 9), (6, 5, 4)])
     def test_ensemble_equals_member_records(self, shape):
         grid = Grid(shape)
-        state, params, exponents, baselines = self.ensemble(grid)
-        records = compute_record(state, grid, params, exponents, baselines)
+        state, params, exponents, firsts = self.ensemble(grid)
+        records = compute_record(state, grid, params, exponents, firsts)
         singles, references = [], []
-        for i, (p, exponent, baseline) in enumerate(zip(params, exponents, baselines)):
+        for i, (p, exponent, first) in enumerate(zip(params, exponents, firsts)):
             member = State.from_fields(state.fields[i:i + 1], state.t[i:i + 1])
-            singles += compute_record(member, grid, [p], [exponent], [baseline])
+            singles += compute_record(member, grid, [p], [exponent], [first])
             references.append(reference_record(State.from_fields(state.fields[i], state.t[i]),
-                                               grid, p, exponent, baseline))
+                                               grid, p, exponent, first))
         # bit for bit, NaN included
         np.testing.assert_array_equal(record_values(records), record_values(references))
         np.testing.assert_array_equal(record_values(singles), record_values(references))
@@ -221,13 +224,13 @@ class TestComputeRecord:
                              ids=["unequal-decay", "d_u"])
     def test_member_under_overrides_equals_reference(self, shape, member, coeffs):
         grid = Grid(shape)
-        state, params, exponents, baselines = self.ensemble(grid)
+        state, params, exponents, firsts = self.ensemble(grid)
         p = Params(alpha=params[member].alpha, kappa=params[member].kappa, coeffs=coeffs)
         one = State.from_fields(state.fields[member:member + 1], state.t[member:member + 1])
         records = compute_record(one, grid, [p], exponents[member:member + 1],
-                                 baselines[member:member + 1])
+                                 firsts[member:member + 1])
         reference = reference_record(State.from_fields(state.fields[member], state.t[member]),
-                                     grid, p, exponents[member], baselines[member])
+                                     grid, p, exponents[member], firsts[member])
         np.testing.assert_array_equal(record_values(records), record_values([reference]))
         (record,) = records
         assert math.isnan(record.mass_identity_residual) == (coeffs.decay_u != coeffs.decay_v)
@@ -235,45 +238,47 @@ class TestComputeRecord:
 
     def test_rejects_mismatched_members(self):
         grid = Grid((8,))
-        state, params, exponents, baselines = self.ensemble(grid)
+        state, params, exponents, firsts = self.ensemble(grid)
         with pytest.raises(ValueError, match="members"):
-            compute_record(state, grid, params[1:], exponents, baselines)
+            compute_record(state, grid, params[1:], exponents, firsts)
+        with pytest.raises(ValueError, match="members"):
+            compute_record(state, grid, params, exponents, firsts[1:])
         with pytest.raises(ValueError, match="grid"):
-            compute_record(state, Grid((9,)), params, exponents, baselines)
+            compute_record(state, Grid((9,)), params, exponents, firsts)
 
     def test_rejects_members_that_differ_in_time_kappa_or_coefficients(self):
         grid = Grid((8,))
-        state, params, exponents, baselines = self.ensemble(grid)
+        state, params, exponents, firsts = self.ensemble(grid)
         times = list(state.t)
         times[2] += 0.5
         with pytest.raises(ValueError, match="share t, kappa and the coefficients"):
             compute_record(State.from_fields(state.fields, times), grid, params, exponents,
-                           baselines)
+                           firsts)
         for other in (Params(alpha=1.4, kappa=1.0),
                       Params(alpha=1.4, kappa=1.5, coeffs=Coefficients(decay_w=2.0))):
             with pytest.raises(ValueError, match="share t, kappa and the coefficients"):
                 compute_record(state, grid, params[:2] + [other] + params[3:], exponents,
-                               baselines)
+                               firsts)
 
     def test_rejects_an_exponent_at_most_one(self):
         grid = Grid((8,))
-        state, params, exponents, baselines = self.ensemble(grid)
+        state, params, exponents, firsts = self.ensemble(grid)
         exponents[3] = 1.0
         with pytest.raises(ValueError, match="energy exponent must exceed 1, got 1.0"):
-            compute_record(state, grid, params, exponents, baselines)
+            compute_record(state, grid, params, exponents, firsts)
 
     def test_sup_norms_equal_the_max_of_abs_bit_for_bit(self):
         # from the memoised extrema alone: signs, -0.0 (an all-zero field
         # reads 0.0, not -0.0) and NaN as np.abs(values).max() gives them
         grid = Grid((6, 5))
-        state, params, exponents, baselines = self.ensemble(grid)
+        state, params, exponents, firsts = self.ensemble(grid)
         values = np.random.default_rng(3).normal(size=state.fields.shape)
         values[0, 0] = -0.0
         values[0, 1] = -np.abs(values[0, 1])
         values[1, 2, 3, 1] = math.nan
         values[2, 0, 0, 0] = -math.inf
         records = compute_record(State.from_fields(values, state.t), grid, params,
-                                 [None] * len(params), baselines)
+                                 [None] * len(params), firsts)
         sups = [[r.sup_u, r.sup_v, r.sup_w] for r in records]
         np.testing.assert_array_equal(sups, np.abs(values).max(axis=(2, 3)))
         assert repr(sups[0][0]) == "0.0"
@@ -318,6 +323,84 @@ class TestComputeRecord:
         plain = run(initial, Params(alpha=2.0, kappa=1.0), grid, StepControl(), t_end=0.2,
                     monitor_every=0.1)
         assert all(math.isfinite(r.energy) for r in plain.records)
+
+
+class TestRunRecords:
+    """A run's records equal the references, each relaxing from its member's
+    record at t = 0, bit for bit."""
+
+    ALPHAS = (0.7, 1.5, 2.0)
+
+    def recorded_run(self, monkeypatch, grid, initials, params, control, t_end):
+        """The run's results and the states it recorded, with the members' exponents."""
+        recorded = []
+
+        def recording(state, grid_, params_, exponents, first):
+            recorded.append((state.fields, list(state.t), exponents))
+            return compute_record(state, grid_, params_, exponents, first)
+
+        monkeypatch.setattr(stepper_module, "compute_record", recording)
+        results = run(initials, params, grid, control, t_end, 0.1)
+        monkeypatch.undo()
+        return results, recorded
+
+    def assert_references(self, results, recorded, grid, params):
+        assert all(len(r.records) == len(recorded) for r in results)
+        for n, (fields, times, exponents) in enumerate(recorded):
+            for k, (result, p, exponent) in enumerate(zip(results, params, exponents)):
+                state = State.from_fields(fields[k], times[k])
+                first = result.records[0] if n else None
+                np.testing.assert_array_equal(
+                    record_values([result.records[n]]),
+                    record_values([reference_record(state, grid, p, exponent, first)]))
+
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    @pytest.mark.parametrize("shape", [(17,), (12, 10), (6, 5, 4), (5, 4, 3, 3),
+                                       (4, 3, 3, 3, 3)])
+    def test_ensemble_and_single_runs(self, monkeypatch, shape, scheme):
+        grid, control = Grid(shape), StepControl(scheme=scheme)
+        initials = [initial_condition_preset("random-smooth", grid, 1.5, seed=k)
+                    for k in range(len(self.ALPHAS))]
+        params = [Params(alpha=alpha, kappa=1.5) for alpha in self.ALPHAS]
+        results, recorded = self.recorded_run(monkeypatch, grid, initials, params, control, 0.2)
+        self.assert_references(results, recorded, grid, params)
+        for result, initial, p in zip(results, initials, params):
+            single = run(initial, p, grid, control, 0.2, 0.1)
+            np.testing.assert_array_equal(record_values(single.records),
+                                          record_values(result.records))
+
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_unequal_decays_keep_the_residual_nan(self, monkeypatch, scheme):
+        grid = Grid((16,))
+        params = [Params(alpha=1.2, kappa=1.0, coeffs=Coefficients(decay_u=0.5, decay_v=2.0))]
+        initials = [initial_condition_preset("random-smooth", grid, 1.0, seed=4)]
+        results, recorded = self.recorded_run(monkeypatch, grid, initials, params,
+                                              StepControl(scheme=scheme), 0.3)
+        self.assert_references(results, recorded, grid, params)
+        assert all(math.isnan(r.mass_identity_residual) for r in results[0].records)
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.5])
+    def test_t_end_zero_relaxes_from_its_own_masses(self, kappa):
+        grid = Grid((6, 5))
+        initial = initial_condition_preset("random-smooth", grid, kappa, seed=2)
+        result = run(initial, Params(alpha=1.0, kappa=kappa), grid, StepControl(), 0.0, 0.1)
+        (record,) = result.records
+        assert repr(record.mass_identity_residual) == repr(record.u_bound_slack) == "0.0"
+        assert record.v_bound_slack == (record.mass_u + record.mass_v) - record.mass_v
+        assert record.mass_u == integrate(initial.u, grid)
+
+    def test_first_records_are_their_own_baseline(self):
+        # at t = 0, relaxing from the state's own masses is relaxing from its records
+        grid = Grid((12, 9))
+        state, params, exponents, _ = TestComputeRecord().ensemble(grid)
+        state = State.from_fields(state.fields, [0.0] * len(params))
+        records = compute_record(state, grid, params, exponents)
+        np.testing.assert_array_equal(
+            record_values(records),
+            record_values(compute_record(state, grid, params, exponents, records)))
+        later = State.from_fields(state.fields, [0.5] * len(params))
+        with pytest.raises(ValueError, match="t=0.5 relax from the members' first records"):
+            compute_record(later, grid, params, exponents)
 
 
 class TestClassifyBoundedness:
@@ -381,6 +464,10 @@ class TestEnergyPlateau:
         records = [make_record(t=float(k), energy=1.0) for k in range(20)]
         records[-1].energy = 1.5
         assert energy_plateau_exceedance(records) == pytest.approx(0.5, rel=1e-12)
+
+    def test_one_record_is_too_short(self):
+        with pytest.raises(ValueError, match="^trajectory too short for a plateau window$"):
+            energy_plateau_exceedance([make_record(energy=1.0)])
 
     def test_nan_energy_raises(self):
         records = [make_record(t=float(k), energy=math.nan) for k in range(20)]

@@ -8,7 +8,7 @@ import chemovir.grid as grid_module
 import chemovir.monitors as monitors_module
 import chemovir.stepper as stepper_module
 from chemovir.discretization import chemotaxis_divergence, helmholtz_solve, laplacian_neumann
-from chemovir.grid import Grid, State, integrate
+from chemovir.grid import Grid, State
 from chemovir.model import Coefficients, Params
 from chemovir.monitors import compute_record
 from chemovir.stepper import (
@@ -20,6 +20,7 @@ from chemovir.stepper import (
     step,
 )
 from chemovir.sweep import initial_condition_preset
+from oracles import integrate
 
 
 def constant_state(grid, u, v, w):
@@ -89,6 +90,21 @@ class TestStableDt:
         state = constant_state(grid, 0.0, 0.0, 0.0)
         dt = stable_dt(state, Params(alpha=0.0, kappa=0.0), grid, StepControl())
         assert dt > 0
+
+    @pytest.mark.parametrize("kappa", [1e200, 1e300])
+    @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
+    def test_underflowing_damping_leaves_no_advective_cap(self, kappa, scheme):
+        # (1 + min u)^-2 underflows to 0: phi(u) = 0 in every cell, the flux
+        # is exactly 0, and dt is that of the same state with a constant v
+        grid, params, control = Grid((16,)), Params(alpha=2.0, kappa=kappa), StepControl(
+            scheme=scheme)
+        state = initial_condition_preset("gaussian-bump-v", grid, kappa)
+        assert (1.0 + state.u.min()) ** -2.0 == 0.0 and float(state.v.max()) > 0.0
+        flat = State(state.u, grid.new_field(0.0), state.w)
+        assert stable_dt(state, params, grid, control) == stable_dt(flat, params, grid, control)
+        with np.errstate(over="ignore"):  # (1 + u)^2 is inf in every cell
+            assert not chemotaxis_divergence(state.u, state.v, grid, 2.0).any()
+            step(state, params, grid, stable_dt(state, params, grid, control), control)
 
 
 class TestStepSizes:
@@ -680,6 +696,43 @@ class TestRun:
                     StepControl(), t_end=1.0, monitor_every=0.1)
 
 
+class TestStepTooSmall:
+    """A dt too small to advance the next monitor time aborts its member after
+    the one step it takes: explicit Euler on 16 cells of lengths 1e-160, where
+    the diffusion cap is 1e-323."""
+
+    GRID = Grid((16,), (1e-160,))
+    CONTROL = StepControl(scheme="explicit-euler")
+
+    def assert_aborted_after_one_step(self, error, initial, params):
+        dt = stable_dt(initial, params, self.GRID, self.CONTROL)
+        assert 0.0 < dt and 0.1 + dt == 0.1
+        after = step(initial, params, self.GRID, dt, self.CONTROL)
+        assert isinstance(error, UnstableRunError) and error.last_error is None
+        assert "too small to advance t" in str(error)
+        assert error.t == after.t == dt
+        assert error.state.t == error.t
+        assert error.state.fields.tobytes() == after.fields.tobytes()
+
+    def test_single_run(self):
+        initial, params = constant_state(self.GRID, 2.0, 0.0, 0.0), Params(alpha=1.0, kappa=2.0)
+        with pytest.raises(UnstableRunError) as excinfo:
+            run(initial, params, self.GRID, self.CONTROL, t_end=2.0, monitor_every=0.1)
+        self.assert_aborted_after_one_step(excinfo.value, initial, params)
+
+    def test_each_member_equals_its_single_run(self):
+        initials = [constant_state(self.GRID, 2.0, 0.0, 0.0),
+                    constant_state(self.GRID, 1.0, 0.5, 0.25)]
+        params = [Params(alpha=1.0, kappa=2.0), Params(alpha=2.0, kappa=2.0)]
+        errors = run(initials, params, self.GRID, self.CONTROL, t_end=2.0, monitor_every=0.1)
+        for error, initial, p in zip(errors, initials, params):
+            self.assert_aborted_after_one_step(error, initial, p)
+            with pytest.raises(UnstableRunError) as excinfo:
+                run(initial, p, self.GRID, self.CONTROL, t_end=2.0, monitor_every=0.1)
+            assert (excinfo.value.t, excinfo.value.last_error) == (error.t, None)
+            assert excinfo.value.state.fields.tobytes() == error.state.fields.tobytes()
+
+
 def assert_same_start(result, longer, initial):
     # a run to t_end = 0: the first record of a longer run, bit for bit, and
     # a final state equal to the initial one that shares no memory with it
@@ -866,9 +919,9 @@ class TestEnsemble:
     def test_one_record_call_per_target(self, monkeypatch):
         calls = []
 
-        def counting_record(state, grid_, params, exponents, baselines):
+        def counting_record(state, grid_, params, exponents, first):
             calls.append(len(params))
-            return compute_record(state, grid_, params, exponents, baselines)
+            return compute_record(state, grid_, params, exponents, first)
 
         monkeypatch.setattr(stepper_module, "compute_record", counting_record)
         grid = Grid((16,))
