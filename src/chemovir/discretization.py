@@ -115,13 +115,29 @@ def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, alpha: float
     return out
 
 
+def _aligned(shape: tuple) -> np.ndarray:
+    """An uninitialised C-contiguous float array that starts on a 64-byte boundary."""
+    size = math.prod(shape)
+    buffer = np.empty(size + 7)
+    start = -buffer.ctypes.data % 64 // 8
+    return buffer[start:start + size].reshape(shape)
+
+
 @functools.cache
-def _dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal n x n DCT-II matrix, 8 n^2 bytes, cached per axis length."""
-    matrix = np.cos(np.pi * np.arange(n)[:, None] * (np.arange(n) + 0.5) / n)
+def _dct_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal n x n DCT-II matrix C and its transpose, the inverse,
+    each C-contiguous from a 64-byte boundary: 16 n^2 bytes, cached per axis
+    length.  OpenBLAS multiplied 16 members' (3, 128) blocks by C^T in 20 us
+    when it was so aligned and in 28 us when it started 16 bytes past a
+    boundary, with the same bits.
+    """
+    matrix = _aligned((n, n))
+    np.cos(np.pi * np.arange(n)[:, None] * (np.arange(n) + 0.5) / n, out=matrix)
     matrix *= math.sqrt(2.0 / n)
     matrix[0] = math.sqrt(1.0 / n)
-    return matrix
+    transpose = _aligned((n, n))
+    transpose[...] = matrix.T
+    return matrix, transpose
 
 
 @functools.cache
@@ -132,6 +148,39 @@ def _eigenvalues(grid: Grid) -> np.ndarray:
     return sum(np.ix_(*per_axis), 0.0)
 
 
+# multiply-adds in one product of _transform.  On a 2-core x86-64 machine
+# OpenBLAS ran a product of 819,200 on the calling thread (CPU/wall 1.00) and
+# woke its helper threads for one of 1,105,920 (CPU/wall 1.55-1.84)
+_PRODUCT_BUDGET = 2 ** 18
+
+
+@functools.cache
+def _blocks(grid: Grid) -> tuple:
+    """Per axis of a grid of two or more, the shape _transform gives an
+    array so that each matrix product is one block: (-1, n, m // w, w)
+    before the last axis (n cells, stride m), whose swapped view holds
+    n x w blocks, and (-1, w, n), w rows, on the last axis.
+
+    w is the largest divisor of a field's m columns (N/n rows on the last
+    axis, N its cells) with n*n*w <= _PRODUCT_BUDGET, or 1 past 512 cells
+    an axis: it depends on the grid alone, and no block crosses a field.
+    Blocks of n_last columns (n_second-to-last rows on the last axis) stay
+    where n and that width are both 32 or more, within the budget: 32^3's
+    last axis took 69 us in 32 rows and 76 us in 256, and its bits moved,
+    while 40x32x24's took 80 us in 32 rows and 61 us in 320, bit for bit.
+    """
+    blocks = []
+    for axis, n in enumerate(grid.shape):
+        last = axis == grid.ndim - 1
+        count = grid.n_cells // n if last else math.prod(grid.shape[axis + 1:])
+        width = grid.shape[-2 if last else -1]
+        if min(n, width) < 32 or n * n * width > _PRODUCT_BUDGET:
+            limit = min(count, max(_PRODUCT_BUDGET // (n * n), 1))
+            width = max(w for w in range(1, limit + 1) if count % w == 0)
+        blocks.append((-1, width, n) if last else (-1, n, count // width, width))
+    return tuple(blocks)
+
+
 def _transform(values: np.ndarray, grid: Grid, spare: np.ndarray,
                inverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The DCT (or its inverse) along every grid axis, ping-ponging between
@@ -140,25 +189,36 @@ def _transform(values: np.ndarray, grid: Grid, spare: np.ndarray,
     is in ``values`` after an even number of axes and in ``spare`` after an
     odd one.
 
-    Leading (stacked) axes ride along as a batch.  Each axis multiplies its
-    n x n matrix into blocks of n_last columns: up to about 64 cells per
-    axis such products run on the calling thread, whereas one product over
-    the whole array wakes OpenBLAS's helper threads, whose spinning costs
-    more CPU time than they save in wall time.  The blocks of the last axis
-    are the array's last two axes, so in 1D a member of an ensemble is
-    transformed as one (3, n) block like a single state: OpenBLAS rounds a
-    product of more rows differently.
+    Leading (stacked) axes ride along as a batch.  Along an axis each row x
+    becomes x @ B, B = C^T forward and C inverse (C the DCT-II matrix), in
+    the blocks of _blocks: B^T into blocks of columns, or blocks of rows
+    into B on the last axis.  Each product stays within _PRODUCT_BUDGET
+    multiply-adds, below the size at which OpenBLAS wakes its helper
+    threads, whose spinning costs more CPU time than they save in wall time,
+    and wide enough that a small axis does not run OpenBLAS far below its
+    speed.  B is read from a C-contiguous array, B^T as its transposed view:
+    the last axis of 40x32x24 took 35 us so and 61 us with C^T a view of C.
+    Neither the blocks nor a field's bits depend on what the field is
+    stacked with.  A 1D grid keeps one product per member, its (3, n) fields (a lone field
+    is one row), and C^T as a view of C: OpenBLAS rounds a 48 x 32 or
+    12 x 128 product, or a (3, n) block against the contiguous C^T,
+    differently.
     """
-    shape, last = values.shape, grid.shape[-1]
+    if grid.ndim == 1:  # one product per (3, n) member; a lone field is one row
+        matrix = _dct_matrices(grid.shape[0])[0]
+        lone = values.ndim == 1
+        np.matmul(values.reshape(1, -1) if lone else values, matrix if inverse else matrix.T,
+                  out=spare.reshape(1, -1) if lone else spare)
+        return spare, values
+    blocks = _blocks(grid)
     for axis, n in enumerate(grid.shape):
-        matrix = _dct_matrix(n).T if inverse else _dct_matrix(n)
-        if axis == grid.ndim - 1:
-            rows = (-1,) + shape[-2:] if len(shape) > 1 else (1, last)
-            np.matmul(values.reshape(rows), matrix.T, out=spare.reshape(rows))
+        matrix, transpose = _dct_matrices(n)
+        right = matrix if inverse else transpose
+        if axis < grid.ndim - 1:
+            np.matmul(right.T, values.reshape(blocks[axis]).swapaxes(1, 2),
+                      out=spare.reshape(blocks[axis]).swapaxes(1, 2))
         else:
-            blocks = (-1, n, math.prod(grid.shape[axis + 1:-1]), last)
-            np.matmul(matrix, values.reshape(blocks).swapaxes(1, 2),
-                      out=spare.reshape(blocks).swapaxes(1, 2))
+            np.matmul(values.reshape(blocks[axis]), right, out=spare.reshape(blocks[axis]))
         values, spare = spare, values
     return values, spare
 
@@ -185,8 +245,8 @@ def _neighbour_weights(grid: Grid) -> np.ndarray:
     return weights
 
 
-def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid, *,
-                    scratch: np.ndarray | None = None) -> np.ndarray:
+def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid, *, scratch: np.ndarray | None = None,
+                    modes: np.ndarray | None = None) -> np.ndarray:
     """Solve (I - tau * lap) x = rhs exactly in the DCT-II eigenbasis.
 
     No tolerance, no iteration.  ``rhs`` has shape ``(..., *grid.shape)``
@@ -201,11 +261,15 @@ def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid, *,
     solved and repaired on its own, independent of what it is stacked with.
     Non-finite input gives a non-finite result.
 
-    x is the one array the solve returns; the transform's spare buffer, which
-    also holds the scale tau*lam between the transforms, is ``scratch`` when
-    given (a C-contiguous float array of rhs's shape apart from rhs, which
-    the solve overwrites), else a new array.  Either way at most two
-    arrays of rhs's size are alive, and the result is the same bit for bit.
+    x is the one array the solve returns; the transform's spare buffer is
+    ``scratch`` when given (a C-contiguous float array of rhs's shape apart
+    from rhs, which the solve overwrites), else a new array.  Either way at
+    most two arrays of rhs's size are alive, and the result is the same bit
+    for bit.  Between the transforms the spare buffer holds tau*lam and then
+    1 + tau*lam, unless ``modes`` holds them: the grid-shaped pair for a
+    scalar tau, which a caller solving with one tau again and again keeps
+    (the stepper's plan does), unchecked against tau.  The result is the
+    same bit for bit either way.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[rhs.ndim - grid.ndim:] != grid.shape:
@@ -217,14 +281,21 @@ def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid, *,
                                 or np.may_share_memory(scratch, rhs)):
         raise ValueError(f"scratch must be a C-contiguous array of shape {rhs.shape} "
                          "apart from rhs")
+    if modes is not None and (modes.shape != (2,) + grid.shape or tau.ndim):
+        raise ValueError(f"modes must be an array of shape {(2,) + grid.shape}, with a scalar tau")
     x = rhs - rhs.mean(axis=tuple(range(-grid.ndim, 0)), keepdims=True)
     x, spare = _transform(x, grid, np.empty(rhs.shape) if scratch is None else scratch)
-    scale = np.multiply(tau, _eigenvalues(grid), out=spare)
-    x *= scale
-    x /= np.add(scale, 1.0, out=scale)
+    if modes is None:
+        scale = np.multiply(tau, _eigenvalues(grid), out=spare)
+        x *= scale
+        x /= np.add(scale, 1.0, out=scale)
+        del scale
+    else:
+        x *= modes[0]
+        x /= modes[1]
     # 2 * ndim transforms in all: the result is back in the array rhs - m made
     x = _transform(x, grid, spare, inverse=True)[0]
-    del spare, scale  # a new spare is freed before the repair
+    del spare  # a new spare is freed before the repair
     np.subtract(rhs, x, out=x)
     if float(x.min()) < 0.0:
         cells = (-1, grid.n_cells)

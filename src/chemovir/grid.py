@@ -89,11 +89,19 @@ def require(ok: bool, name: str, requirement: str, value) -> None:
 
 
 def _shown(value) -> str:
-    """A value as errors print it, a long int by its digit count and a long text by _quoted."""
+    """A value as errors print it, a long int by its digit count, a long text
+    by _quoted, and a tuple by the entries that fit in _QUOTED_LENGTH
+    characters (at least one), with its length named when some are left out."""
     if isinstance(value, str) and len(value) > _QUOTED_LENGTH:
         return _quoted(value)
     if isinstance(value, tuple):
-        return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
+        entries, length = [], 0
+        for entry in map(_shown, value):
+            length += len(entry) + 2
+            if entries and length > _QUOTED_LENGTH:
+                return f"({', '.join(entries)}, ... ({len(value)} entries))"
+            entries.append(entry)
+        return f"({', '.join(entries)}{',' * (len(value) == 1)})"
     if isinstance(value, int) and abs(value) >= 10 ** 30:
         n = abs(value)  # its digits counted without str(), which refuses over 4300
         digits = next(k for k in itertools.count(n.bit_length() * 30102 // 100000) if 10 ** k > n)

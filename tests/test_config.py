@@ -185,6 +185,30 @@ class TestErrors:
         assert err.startswith(f"error: line {line}: {key} must satisfy ")
         assert err.endswith(f", {shown}\n") and err.count("\n") == 1 and len(err) < 200
 
+    @pytest.mark.parametrize("key,sweep,line,shown", [
+        ("alphas", "alphas = " + ", ".join(["1.0"] * 5000 + ["-1.0"]), 9,
+         "(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, ... (5001 entries))"),
+        ("seeds", "alphas = 1.0\nseeds = " + ", ".join(["1"] * 5000 + ["-1"]), 10,
+         "(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, ... (5001 entries))"),
+        ("lengths", "alphas = 1.0", 8, "(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, ... (5000 entries))"),
+        ("cells", "alphas = 1.0", 7, "(8, 8, 8, 8, 8, 8, 8, 8, 8, 8, ... (5000 entries))"),
+    ], ids=["alphas", "seeds", "lengths", "cells"])
+    def test_long_tuple_shown_by_its_first_entries(self, tmp_path, capsys, key, sweep, line,
+                                                   shown):
+        grid = {"lengths": "cells = 64\nlengths = " + ", ".join(["1.0"] * 5000),
+                "cells": "cells = " + ", ".join(["8"] * 5000)}.get(key, "cells = 64")
+        text = MINIMAL.replace("cells = 64", grid) + "[sweep]\n" + sweep + "\n"
+        with pytest.raises(ConfigError) as error:
+            parse_config(text).sweep_spec()
+        assert str(error.value).startswith(f"line {line}: {key} must satisfy ")
+        assert str(error.value).endswith(f", got {shown}")
+        path = tmp_path / "sweep.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {error.value}\n" and len(err) < 200
+
 
 class TestLongText:
     """An error quotes at most 32 characters of the file's text, and names its length."""

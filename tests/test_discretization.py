@@ -171,7 +171,8 @@ class TestHelmholtzSolve:
         residual = solution - tau * laplacian_neumann(solution, grid) - rhs
         assert np.sqrt((residual ** 2).sum()) <= 1e-10 * np.sqrt((rhs ** 2).sum()) * 1.001
 
-    @pytest.mark.parametrize("shape", [(64,), (16, 16), (8, 8, 8), (7, 5, 4)])
+    @pytest.mark.parametrize("shape", [(64,), (16, 16), (8, 8, 8), (7, 5, 4), (6, 5, 4, 3),
+                                       (4, 3, 3, 3, 3)])
     def test_agrees_with_dense_solve(self, shape):
         rng = np.random.default_rng(len(shape))
         grid = Grid(shape)
@@ -208,7 +209,8 @@ class TestHelmholtzSolve:
         assert np.abs(solution - dense).max() <= 1e-15
 
     @pytest.mark.parametrize("grid", [Grid((128,)), Grid((33,), (6.0,)),
-                                      Grid((24, 20), (12.0, 12.0)), Grid((7, 5, 4))])
+                                      Grid((24, 20), (12.0, 12.0)), Grid((7, 5, 4)),
+                                      Grid((40, 32, 24)), Grid((8, 8, 8, 8, 8))])
     def test_member_blocks_solved_as_alone(self, grid):
         # an ensemble member's (3, *shape) block, stacked with others, comes
         # out bit for bit as when solved alone, also when only some of its
@@ -224,6 +226,51 @@ class TestHelmholtzSolve:
         for member in range(4):
             np.testing.assert_array_equal(stacked[member],
                                           helmholtz_solve(rhs[member], tau[member], grid))
+
+    @pytest.mark.parametrize("shape,products", [
+        ((33,), None),
+        ((24, 20), [((24, 24), (24, 20)), ((24, 20), (20, 20))]),
+        ((40, 32, 24), [((40, 40), (40, 128)), ((32, 32), (32, 24)), ((320, 24), (24, 24))]),
+        ((32, 32, 32), [((32, 32), (32, 32))] * 3),
+        ((16, 16, 16, 16), [((16, 16), (16, 1024)), ((16, 16), (16, 256)), ((16, 16), (16, 16)),
+                            ((1024, 16), (16, 16))]),
+        ((8, 8, 8, 8, 8), [((8, 8), (8, 4096)), ((8, 8), (8, 512)), ((8, 8), (8, 64)),
+                           ((8, 8), (8, 8)), ((4096, 8), (8, 8))]),
+        ((6, 5, 4, 3), [((6, 6), (6, 60)), ((5, 5), (5, 12)), ((4, 4), (4, 3)),
+                        ((120, 3), (3, 3))]),
+    ], ids=["1d", "2d", "3d", "3d-32", "4d", "5d", "4d-small"])
+    def test_products_sized_by_their_work(self, monkeypatch, shape, products):
+        # every matrix product of the solve takes at most 2^18 multiply-adds
+        # (OpenBLAS stays on the calling thread), and a lone field, a state
+        # and an ensemble of 4 states are multiplied in the same blocks, one
+        # field's or, in 1D, one (3, n) state's
+        grid, calls = Grid(shape), []
+        matmul = np.matmul
+
+        def recording(a, b, **out):
+            calls.append((a.shape, b.shape))
+            return matmul(a, b, **out)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        rng = np.random.default_rng(11)
+        seen = {}
+        for stack in ((), (3,), (4, 3)):
+            calls.clear()
+            helmholtz_solve(rng.uniform(0.5, 1.0, stack + shape), 0.01, grid)
+            assert len(calls) == 2 * grid.ndim
+            seen[stack] = [(a[-2:], b[-2:]) for a, b in calls]
+            fields = math.prod(stack)
+            for a, b in calls:
+                count = math.prod(a[:-2]) if len(a) > 2 else math.prod(b[:-2])
+                assert count * a[-2] * b[-1] == fields * grid.n_cells
+                assert a[-2] * a[-1] * b[-1] <= 2 ** 18
+        if products is None:  # 1D: one product per state, a lone field's of one row
+            n = shape[0]
+            assert seen[()] == [((1, n), (n, n))] * 2
+            assert seen[(3,)] == seen[(4, 3)] == [((3, n), (n, n))] * 2
+        else:
+            # the forward products, then the inverse ones in the same blocks
+            assert seen[()] == seen[(3,)] == seen[(4, 3)] == products * 2
 
     def test_constant_field_stacked_with_random_ones_exact(self):
         # each field is shifted by its own mean: a constant u stacked with
@@ -328,6 +375,29 @@ class TestHelmholtzSolve:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * rhs.nbytes
+
+    @pytest.mark.parametrize("shape", [(33,), (9, 7), (40, 32, 24)])
+    def test_modes_give_the_same_solution(self, shape):
+        # tau*lam and 1 + tau*lam kept by the caller for a scalar tau give the
+        # bits of the pair formed in the spare buffer, a spike's repair included
+        grid, tau = Grid(shape), 1e-5
+        rhs = np.random.default_rng(13).uniform(0.5, 1.0, (2, 3) + shape)
+        rhs[1, 2] = 0.0
+        rhs[1, 2].flat[0] = 1.0
+        modes = np.empty((2,) + shape)
+        np.multiply(tau, discretization._eigenvalues(grid), out=modes[0])
+        np.add(modes[0], 1.0, out=modes[1])
+        solution = helmholtz_solve(rhs, tau, grid, scratch=np.empty(rhs.shape), modes=modes)
+        assert solution.min() >= 0.0
+        np.testing.assert_array_equal(
+            solution, helmholtz_solve(rhs, np.full((2, 3) + (1,) * len(shape), tau), grid))
+
+    def test_rejects_unusable_modes(self):
+        grid, rhs = Grid((8, 6)), np.ones((3, 8, 6))
+        with pytest.raises(ValueError, match="modes"):
+            helmholtz_solve(rhs, 0.1, grid, modes=np.ones((2, 6, 8)))
+        with pytest.raises(ValueError, match="modes"):
+            helmholtz_solve(rhs, np.full((3, 1, 1), 0.1), grid, modes=np.ones((2, 8, 6)))
 
     @pytest.mark.parametrize("make_scratch", [
         lambda rhs: np.empty(rhs.shape[1:]),
