@@ -161,22 +161,24 @@ def _blocks(grid: Grid) -> tuple:
     before the last axis (n cells, stride m), whose swapped view holds
     n x w blocks, and (-1, w, n), w rows, on the last axis.
 
-    w is the largest divisor of a field's m columns (N/n rows on the last
-    axis, N its cells) with n*n*w <= _PRODUCT_BUDGET, or 1 past 512 cells
-    an axis: it depends on the grid alone, and no block crosses a field.
-    Blocks of n_last columns (n_second-to-last rows on the last axis) stay
-    where n and that width are both 32 or more, within the budget: 32^3's
-    last axis took 69 us in 32 rows and 76 us in 256, and its bits moved,
-    while 40x32x24's took 80 us in 32 rows and 61 us in 320, bit for bit.
+    w starts at n_last columns (n_second-to-last rows on the last axis).
+    Where n or that width is under 32, w widens to the largest divisor of a
+    field's m columns (N/n rows on the last axis, N its cells) with
+    n*n*w <= _PRODUCT_BUDGET; w never narrows, so an axis whose products
+    are already past the budget keeps them.  w depends on the grid alone,
+    and no block crosses a field.  Where both are 32 or more the blocks
+    stay: 32^3's last axis took 69 us in 32 rows and 76 us in 256, and its
+    bits moved, while 40x32x24's took 80 us in 32 rows and 61 us in 320,
+    bit for bit.
     """
     blocks = []
     for axis, n in enumerate(grid.shape):
         last = axis == grid.ndim - 1
         count = grid.n_cells // n if last else math.prod(grid.shape[axis + 1:])
         width = grid.shape[-2 if last else -1]
-        if min(n, width) < 32 or n * n * width > _PRODUCT_BUDGET:
-            limit = min(count, max(_PRODUCT_BUDGET // (n * n), 1))
-            width = max(w for w in range(1, limit + 1) if count % w == 0)
+        if min(n, width) < 32:
+            limit = min(count, _PRODUCT_BUDGET // (n * n))
+            width = max((w for w in range(width, limit + 1) if count % w == 0), default=width)
         blocks.append((-1, width, n) if last else (-1, n, count // width, width))
     return tuple(blocks)
 
@@ -192,16 +194,16 @@ def _transform(values: np.ndarray, grid: Grid, spare: np.ndarray,
     Leading (stacked) axes ride along as a batch.  Along an axis each row x
     becomes x @ B, B = C^T forward and C inverse (C the DCT-II matrix), in
     the blocks of _blocks: B^T into blocks of columns, or blocks of rows
-    into B on the last axis.  Each product stays within _PRODUCT_BUDGET
-    multiply-adds, below the size at which OpenBLAS wakes its helper
-    threads, whose spinning costs more CPU time than they save in wall time,
-    and wide enough that a small axis does not run OpenBLAS far below its
-    speed.  B is read from a C-contiguous array, B^T as its transposed view:
-    the last axis of 40x32x24 took 35 us so and 61 us with C^T a view of C.
-    Neither the blocks nor a field's bits depend on what the field is
-    stacked with.  A 1D grid keeps one product per member, its (3, n) fields (a lone field
-    is one row), and C^T as a view of C: OpenBLAS rounds a 48 x 32 or
-    12 x 128 product, or a (3, n) block against the contiguous C^T,
+    into B on the last axis.  A small axis's blocks widen so that OpenBLAS
+    does not run far below its speed, up to _PRODUCT_BUDGET multiply-adds,
+    below the size at which it wakes its helper threads, whose spinning
+    costs more CPU time than they save in wall time.  B is read from a
+    C-contiguous array, B^T as its transposed view: the last axis of
+    40x32x24 took 35 us so and 61 us with C^T a view of C.  Neither the
+    blocks nor a field's bits depend on what the field is stacked with.
+    A 1D grid keeps one product per member, its (3, n) fields (a lone
+    field is one row), and C^T as a view of C: OpenBLAS rounds a 48 x 32
+    or 12 x 128 product, or a (3, n) block against the contiguous C^T,
     differently.
     """
     if grid.ndim == 1:  # one product per (3, n) member; a lone field is one row
@@ -245,8 +247,8 @@ def _neighbour_weights(grid: Grid) -> np.ndarray:
     return weights
 
 
-def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid, *, scratch: np.ndarray | None = None,
-                    modes: np.ndarray | None = None) -> np.ndarray:
+def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid, *,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
     """Solve (I - tau * lap) x = rhs exactly in the DCT-II eigenbasis.
 
     No tolerance, no iteration.  ``rhs`` has shape ``(..., *grid.shape)``
@@ -266,10 +268,9 @@ def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid, *, scratch: np.ndarray | N
     from rhs, which the solve overwrites), else a new array.  Either way at
     most two arrays of rhs's size are alive, and the result is the same bit
     for bit.  Between the transforms the spare buffer holds tau*lam and then
-    1 + tau*lam, unless ``modes`` holds them: the grid-shaped pair for a
-    scalar tau, which a caller solving with one tau again and again keeps
-    (the stepper's plan does), unchecked against tau.  The result is the
-    same bit for bit either way.
+    1 + tau*lam, for a scalar tau (the stepper passes one when every
+    field's is one value) only in its first N entries, grid-shaped: 2N
+    operations, not 2 per value of rhs.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[rhs.ndim - grid.ndim:] != grid.shape:
@@ -281,21 +282,15 @@ def helmholtz_solve(rhs: np.ndarray, tau, grid: Grid, *, scratch: np.ndarray | N
                                 or np.may_share_memory(scratch, rhs)):
         raise ValueError(f"scratch must be a C-contiguous array of shape {rhs.shape} "
                          "apart from rhs")
-    if modes is not None and (modes.shape != (2,) + grid.shape or tau.ndim):
-        raise ValueError(f"modes must be an array of shape {(2,) + grid.shape}, with a scalar tau")
     x = rhs - rhs.mean(axis=tuple(range(-grid.ndim, 0)), keepdims=True)
     x, spare = _transform(x, grid, np.empty(rhs.shape) if scratch is None else scratch)
-    if modes is None:
-        scale = np.multiply(tau, _eigenvalues(grid), out=spare)
-        x *= scale
-        x /= np.add(scale, 1.0, out=scale)
-        del scale
-    else:
-        x *= modes[0]
-        x /= modes[1]
+    scale = spare if tau.ndim else spare.reshape(-1)[:grid.n_cells].reshape(grid.shape)
+    np.multiply(tau, _eigenvalues(grid), out=scale)
+    x *= scale
+    x /= np.add(scale, 1.0, out=scale)
     # 2 * ndim transforms in all: the result is back in the array rhs - m made
     x = _transform(x, grid, spare, inverse=True)[0]
-    del spare  # a new spare is freed before the repair
+    del spare, scale  # a new spare is freed before the repair
     np.subtract(rhs, x, out=x)
     if float(x.min()) < 0.0:
         cells = (-1, grid.n_cells)

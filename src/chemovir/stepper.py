@@ -33,13 +33,12 @@ module fused in.  A _Plan made once per run holds the constants, the runs
 of equal alphas and one workspace for every intermediate of a step: the
 face differences, taken once per state (the plan records whose they are),
 the rates, which under imex become the right-hand side in place, and the
-solve's scratch; under imex also tau*lambda and 1 + tau*lambda, refilled
-only when the step's tau, one value over every member and field, changes.
-On grids of more than 4,096 cells a step thus allocates only the new
-state's fields; on smaller ones numpy's iterator also buffers, within the
-call, the operands that broadcast over the fields, such as the fields'
-means that the solve subtracts and the factor that scales the imex
-right-hand side, and a step peaks at up to about 4.5x the fields.
+solve's scratch.  On grids of more than 4,096 cells a step thus allocates
+only the new state's fields; on smaller ones numpy's iterator also
+buffers, within the call, the operands that broadcast over the fields,
+such as the fields' means that the solve subtracts and the factor that
+scales the imex right-hand side, and a step peaks at up to about 5x the
+fields.
 Under both schemes each axis's face flux is built in one flat bordered
 array (see _Plan).  The face kernels, |diff v| and the donor-cell flux,
 run on each member's contiguous row of the faces above its first N - s
@@ -70,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import _eigenvalues, _sensitivity, helmholtz_solve
+from .discretization import _sensitivity, helmholtz_solve
 from .grid import Grid, State, _extrema, _member_runs, require
 from .model import Params, alpha_threshold, select_energy_exponent
 from .monitors import DiagnosticsRecord, compute_record
@@ -144,9 +143,6 @@ class _Plan:
     formula's state-independent parts, the kinetics' coefficients and a
     workspace, one buffer that every step refills, with views of its faces.
     step hands the plan on from each state to the next in State.memo.
-    Under imex ``modes`` holds tau*lam and 1 + tau*lam, grid-shaped, for
-    ``tau``, the last tau of one value over every member and field that a
-    step solved with (see modes_for).
 
     The workspace holds ``rates``, the stacked rates and then the imex
     right-hand side; one bordered face array per axis; and ``phi`` (|grad
@@ -250,24 +246,6 @@ class _Plan:
             upper, lower = b[s:].reshape(as_rows), b[:-s].reshape(as_rows)
             self.sides.append((upper, lower, out) if self.explicit else (lower, upper, out))
         self.others = self.rates[:, 1:]  # v's and w's rates, which imex starts from zeros
-        self.modes, self.tau = None if self.explicit else np.empty((2,) + grid.shape), None
-
-    def modes_for(self, tau: np.ndarray) -> tuple:
-        """helmholtz_solve's tau and modes for a step's per-field tau: its one
-        value and the plan's pair, refilled in place when that value
-        changes, if tau has one value over every member and field, as with
-        the default coefficients and one dt; else tau as it is and None, so
-        that the solve forms the pair in its scratch.  The solution is the
-        same bit for bit either way."""
-        values = set(tau.ravel().tolist())
-        if len(values) > 1:
-            return tau, None
-        (value,) = values
-        if value != self.tau:
-            np.multiply(value, _eigenvalues(self.grid), out=self.modes[0])
-            np.add(self.modes[0], 1.0, out=self.modes[1])
-            self.tau = value
-        return value, self.modes
 
     def step_sizes(self, state: State, until: float = math.inf) -> list[float]:
         """Each member's step from its extrema and max |grad v|, clipped at
@@ -484,8 +462,10 @@ def step(state: State, params, grid: Grid, dt, control: StepControl) -> State:
         rhs = _rates(state, plan)
         rhs *= factor
         rhs += state.fields
-        tau, modes = plan.modes_for(factor * _column((c.d_u, c.d_v, c.d_w), grid.ndim))
-        new = helmholtz_solve(rhs, tau, grid, scratch=plan.spare, modes=modes)
+        tau = factor * _column((c.d_u, c.d_v, c.d_w), grid.ndim)
+        values = set(tau.ravel().tolist())  # one value: the solve's tau*lam is grid-shaped
+        new = helmholtz_solve(rhs, values.pop() if len(values) == 1 else tau, grid,
+                              scratch=plan.spare)
     new = State.from_fields(new, times)
     new.memo["plan"] = plan
     if single:

@@ -244,14 +244,7 @@ class TestHelmholtzSolve:
         # (OpenBLAS stays on the calling thread), and a lone field, a state
         # and an ensemble of 4 states are multiplied in the same blocks, one
         # field's or, in 1D, one (3, n) state's
-        grid, calls = Grid(shape), []
-        matmul = np.matmul
-
-        def recording(a, b, **out):
-            calls.append((a.shape, b.shape))
-            return matmul(a, b, **out)
-
-        monkeypatch.setattr(np, "matmul", recording)
+        grid, calls = Grid(shape), self.products(monkeypatch)
         rng = np.random.default_rng(11)
         seen = {}
         for stack in ((), (3,), (4, 3)):
@@ -271,6 +264,32 @@ class TestHelmholtzSolve:
         else:
             # the forward products, then the inverse ones in the same blocks
             assert seen[()] == seen[(3,)] == seen[(4, 3)] == products * 2
+
+    @pytest.mark.parametrize("shape,products", [
+        ((128, 128), [((128, 128), (128, 128))] * 2),
+        ((64, 257), [((64, 64), (64, 257)), ((64, 257), (257, 257))]),
+    ], ids=["128x128", "64x257"])
+    def test_products_past_the_budget_keep_their_blocks(self, monkeypatch, shape, products):
+        # blocks only widen: axes whose blocks of n_last columns (n_second-
+        # to-last rows on the last axis) already pass 2^18 multiply-adds
+        # keep them, also when the column count has no divisor in budget
+        grid, calls = Grid(shape), self.products(monkeypatch)
+        for stack in ((), (2, 3)):
+            calls.clear()
+            helmholtz_solve(np.random.default_rng(12).uniform(0.5, 1.0, stack + shape), 0.01, grid)
+            assert [(a[-2:], b[-2:]) for a, b in calls] == products * 2
+
+    @staticmethod
+    def products(monkeypatch) -> list:
+        # the operand shapes of every np.matmul call, in call order
+        calls, matmul = [], np.matmul
+
+        def recording(a, b, **out):
+            calls.append((a.shape, b.shape))
+            return matmul(a, b, **out)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        return calls
 
     def test_constant_field_stacked_with_random_ones_exact(self):
         # each field is shifted by its own mean: a constant u stacked with
@@ -377,27 +396,17 @@ class TestHelmholtzSolve:
         assert peak <= 1.1 * rhs.nbytes
 
     @pytest.mark.parametrize("shape", [(33,), (9, 7), (40, 32, 24)])
-    def test_modes_give_the_same_solution(self, shape):
-        # tau*lam and 1 + tau*lam kept by the caller for a scalar tau give the
-        # bits of the pair formed in the spare buffer, a spike's repair included
+    def test_scalar_tau_gives_the_per_field_bits(self, shape):
+        # a scalar tau's grid-shaped tau*lam, in the start of the scratch,
+        # gives the bits of the same tau per field, a spike's repair included
         grid, tau = Grid(shape), 1e-5
         rhs = np.random.default_rng(13).uniform(0.5, 1.0, (2, 3) + shape)
         rhs[1, 2] = 0.0
         rhs[1, 2].flat[0] = 1.0
-        modes = np.empty((2,) + shape)
-        np.multiply(tau, discretization._eigenvalues(grid), out=modes[0])
-        np.add(modes[0], 1.0, out=modes[1])
-        solution = helmholtz_solve(rhs, tau, grid, scratch=np.empty(rhs.shape), modes=modes)
+        solution = helmholtz_solve(rhs, tau, grid, scratch=np.empty(rhs.shape))
         assert solution.min() >= 0.0
         np.testing.assert_array_equal(
             solution, helmholtz_solve(rhs, np.full((2, 3) + (1,) * len(shape), tau), grid))
-
-    def test_rejects_unusable_modes(self):
-        grid, rhs = Grid((8, 6)), np.ones((3, 8, 6))
-        with pytest.raises(ValueError, match="modes"):
-            helmholtz_solve(rhs, 0.1, grid, modes=np.ones((2, 6, 8)))
-        with pytest.raises(ValueError, match="modes"):
-            helmholtz_solve(rhs, np.full((3, 1, 1), 0.1), grid, modes=np.ones((2, 8, 6)))
 
     @pytest.mark.parametrize("make_scratch", [
         lambda rhs: np.empty(rhs.shape[1:]),

@@ -1006,7 +1006,7 @@ class TestWorkspace:
 
     # grids of more than 4,096 cells: on smaller ones the buffers numpy's
     # iterator takes for a broadcast operand, freed within the call, weigh
-    # more than the fields (an imex step on 6x5x4 peaks at 2.65x them)
+    # more than the fields (an imex step on 6x5x4 peaks at 2.8x them)
     @pytest.mark.parametrize("shape", [(40, 32, 24), (12, 10, 8, 8), (8, 6, 6, 5, 5)])
     @pytest.mark.parametrize("scheme", ["imex", "explicit-euler"])
     def test_step_allocates_only_its_fields(self, scheme, shape):
@@ -1101,18 +1101,17 @@ class TestWorkspace:
         assert plan.step_sizes(first) == dt
 
 
-class TestModesOnThePlan:
-    """Under imex, a tau of one value over every member and field takes the
-    pair tau*lam, 1 + tau*lam from the plan; any other tau, the solve's scratch."""
+class TestOneTau:
+    """Under imex, a tau of one value over every member and field reaches the
+    solve as one float; any other tau as the per-field (E, 3, 1, ...) array."""
 
     @staticmethod
     def solves(monkeypatch):
-        # each solve's right-hand side, tau and modes as passed, and its result
+        # each solve's right-hand side and tau as passed, and its result
         calls = []
 
-        def recording(rhs, tau, grid, *, scratch=None, modes=None):
-            kept = (rhs.copy(), tau, None if modes is None else modes.copy())
-            calls.append(kept + (helmholtz_solve(rhs, tau, grid, scratch=scratch, modes=modes),))
+        def recording(rhs, tau, grid, *, scratch=None):
+            calls.append((rhs.copy(), tau, helmholtz_solve(rhs, tau, grid, scratch=scratch)))
             return calls[-1][-1]
 
         monkeypatch.setattr(stepper_module, "helmholtz_solve", recording)
@@ -1125,21 +1124,17 @@ class TestModesOnThePlan:
             "random-smooth", grid, 1.0, seed=k).fields for k in range(members)]), [0.0] * members)
         plan = stepper_module._Plan(params, grid, StepControl(), state.fields.shape)
         state.memo["plan"] = plan
-        return params, state, plan, plan.control
+        return params, state, plan.control
 
-    def test_one_tau_solved_with_the_plans_pair(self, monkeypatch):
+    def test_one_tau_passed_as_a_float(self, monkeypatch):
         grid = Grid((12, 10, 8))
         calls = self.solves(monkeypatch)
-        params, state, plan, control = self.ensemble(grid, 2)
-        pair = plan.modes
-        lam = stepper_module._eigenvalues(grid)
+        params, state, control = self.ensemble(grid, 2)
         for dt in (0.01, 0.02, 0.02):
             state = step(state, params, grid, [dt, dt], control)
-            rhs, tau, modes, solution = calls[-1]
-            # the pair refilled in place for this dt's tau, one float
-            assert state.memo["plan"] is plan and plan.modes is pair and isinstance(tau, float)
+            rhs, tau, solution = calls[-1]
+            assert isinstance(tau, float)
             assert tau == pytest.approx(-math.expm1(-dt), rel=1e-15)
-            np.testing.assert_array_equal(modes, [tau * lam, 1.0 + tau * lam])
             np.testing.assert_array_equal(
                 solution, helmholtz_solve(rhs, np.full((2, 3, 1, 1, 1), tau), grid))
         assert len(calls) == 3
@@ -1148,13 +1143,13 @@ class TestModesOnThePlan:
         ([0.01, 0.02], Coefficients()),
         ([0.01, 0.01], Coefficients(d_v=2.0)),
     ], ids=["members-dt", "d_v"])
-    def test_any_other_tau_solved_in_the_scratch(self, monkeypatch, dt, coeffs):
+    def test_any_other_tau_passed_per_field(self, monkeypatch, dt, coeffs):
         grid = Grid((12, 10, 8))
         calls = self.solves(monkeypatch)
-        params, state, plan, control = self.ensemble(grid, 2, coeffs)
-        assert step(state, params, grid, dt, control).memo["plan"] is plan
-        (rhs, tau, modes, solution), = calls
-        assert modes is None and tau.shape == (2, 3, 1, 1, 1) and plan.tau is None
+        params, state, control = self.ensemble(grid, 2, coeffs)
+        step(state, params, grid, dt, control)
+        (rhs, tau, solution), = calls
+        assert tau.shape == (2, 3, 1, 1, 1) and len(set(tau.ravel().tolist())) > 1
         np.testing.assert_array_equal(solution, helmholtz_solve(rhs, tau, grid))
 
 
