@@ -238,13 +238,24 @@ class TestHelmholtzSolve:
                            ((8, 8), (8, 8)), ((4096, 8), (8, 8))]),
         ((6, 5, 4, 3), [((6, 6), (6, 60)), ((5, 5), (5, 12)), ((4, 4), (4, 3)),
                         ((120, 3), (3, 3))]),
-    ], ids=["1d", "2d", "3d", "3d-32", "4d", "5d", "4d-small"])
+        ((128, 128), [((128, 128), (128, 128))] * 2),
+        ((64, 257), [((64, 64), (64, 257)), ((64, 257), (257, 257))]),
+    ], ids=["1d", "2d", "3d", "3d-32", "4d", "5d", "4d-small", "128x128", "64x257"])
     def test_products_sized_by_their_work(self, monkeypatch, shape, products):
         # every matrix product of the solve takes at most 2^18 multiply-adds
-        # (OpenBLAS stays on the calling thread), and a lone field, a state
-        # and an ensemble of 4 states are multiplied in the same blocks, one
-        # field's or, in 1D, one (3, n) state's
-        grid, calls = Grid(shape), self.products(monkeypatch)
+        # (OpenBLAS stays on the calling thread), or the n x n_last blocks'
+        # where those already pass it: blocks only widen, also where the
+        # column count has no divisor in the budget (257 is prime).  A lone
+        # field, a state and an ensemble of 4 states are multiplied in the
+        # same blocks, one field's or, in 1D, one (3, n) state's
+        grid, calls = Grid(shape), []
+        matmul = np.matmul
+
+        def recording(a, b, **out):
+            calls.append((a.shape, b.shape))
+            return matmul(a, b, **out)
+
+        monkeypatch.setattr(np, "matmul", recording)
         rng = np.random.default_rng(11)
         seen = {}
         for stack in ((), (3,), (4, 3)):
@@ -253,10 +264,13 @@ class TestHelmholtzSolve:
             assert len(calls) == 2 * grid.ndim
             seen[stack] = [(a[-2:], b[-2:]) for a, b in calls]
             fields = math.prod(stack)
-            for a, b in calls:
+            for i, (a, b) in enumerate(calls):
                 count = math.prod(a[:-2]) if len(a) > 2 else math.prod(b[:-2])
                 assert count * a[-2] * b[-1] == fields * grid.n_cells
-                assert a[-2] * a[-1] * b[-1] <= 2 ** 18
+                axis = i % grid.ndim
+                last = axis == grid.ndim - 1 and grid.ndim > 1
+                former = shape[axis] ** 2 * shape[-2 if last else -1]  # n x n_last blocks'
+                assert a[-2] * a[-1] * b[-1] <= max(2 ** 18, former)
         if products is None:  # 1D: one product per state, a lone field's of one row
             n = shape[0]
             assert seen[()] == [((1, n), (n, n))] * 2
@@ -264,32 +278,6 @@ class TestHelmholtzSolve:
         else:
             # the forward products, then the inverse ones in the same blocks
             assert seen[()] == seen[(3,)] == seen[(4, 3)] == products * 2
-
-    @pytest.mark.parametrize("shape,products", [
-        ((128, 128), [((128, 128), (128, 128))] * 2),
-        ((64, 257), [((64, 64), (64, 257)), ((64, 257), (257, 257))]),
-    ], ids=["128x128", "64x257"])
-    def test_products_past_the_budget_keep_their_blocks(self, monkeypatch, shape, products):
-        # blocks only widen: axes whose blocks of n_last columns (n_second-
-        # to-last rows on the last axis) already pass 2^18 multiply-adds
-        # keep them, also when the column count has no divisor in budget
-        grid, calls = Grid(shape), self.products(monkeypatch)
-        for stack in ((), (2, 3)):
-            calls.clear()
-            helmholtz_solve(np.random.default_rng(12).uniform(0.5, 1.0, stack + shape), 0.01, grid)
-            assert [(a[-2:], b[-2:]) for a, b in calls] == products * 2
-
-    @staticmethod
-    def products(monkeypatch) -> list:
-        # the operand shapes of every np.matmul call, in call order
-        calls, matmul = [], np.matmul
-
-        def recording(a, b, **out):
-            calls.append((a.shape, b.shape))
-            return matmul(a, b, **out)
-
-        monkeypatch.setattr(np, "matmul", recording)
-        return calls
 
     def test_constant_field_stacked_with_random_ones_exact(self):
         # each field is shifted by its own mean: a constant u stacked with
